@@ -10,17 +10,16 @@ sequence.  Tables are enumerated densely up to a configurable cap; entries are
 stored in lexicographic order over (f+_n,...,f+_1,f-_n,...,f-_1) with outcomes
 in declared PVM order, so serialization is reproducible.
 
-Evaluation of distinct entries is independent; the table is written once and
-frozen.  Setting the environment variable ``BITRAJ_THREADS`` caps the number
-of worker threads used for large tables (default 1).  Worker scheduling never
-affects results: chunks write disjoint slices and all reductions happen
-afterwards in a fixed order.
+Tables, single entries and multi-observable tables all come from one Gram
+engine: with rho = sum_r lambda_r |psi_r><psi_r| and path vectors
+w_r(f) = P_tn(f_n)...P_t1(f_1) sqrt|lambda_r| psi_r, each entry is
+Q(f+; f-) = sum_r sign(lambda_r) <w_r(f-)|w_r(f+)>, so the reshaped table is
+the Gram matrix behind its positive semidefiniteness.  The table is written
+once and frozen.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -44,17 +43,6 @@ DEFAULT_ENUMERATION_CAP = 4 ** 10
 
 TOL_NORMALIZATION = 1e-9
 TOL_CAUSALITY = 1e-9
-
-_PARALLEL_THRESHOLD = 1 << 14
-
-
-def worker_count() -> int:
-    """Worker-thread cap from BITRAJ_THREADS (defaults to 1)."""
-    raw = os.environ.get("BITRAJ_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -355,9 +343,41 @@ def _last_slot_offdiagonal_max(table: np.ndarray, k_n: int) -> float:
     return float(moved[mask].max()) if mask.any() else 0.0
 
 
+def _state_factor(rho: np.ndarray) -> tuple:
+    """(F, s) with rho = F diag(s) F^dagger and s_r = sign(lambda_r).
+
+    Columns of F are the eigenvectors of rho scaled by sqrt|lambda_r|.  The
+    sign keeps the slightly negative eigenvalues a valid DensityOperator may
+    carry (down to -tol), so the factorization reproduces rho itself rather
+    than a clipped copy.
+    """
+    evals, evecs = np.linalg.eigh(rho)
+    return evecs * np.sqrt(np.abs(evals)), np.sign(evals)
+
+
+def _gram_rows(factor: np.ndarray, stacks: list) -> np.ndarray:
+    """w(f) = P_tn(f_n)...P_t1(f_1) F for every outcome path f.
+
+    Returns shape (K, d, r), K = k_1...k_n.  Each slot's outcome becomes the
+    most significant row digit, so rows run lexicographically over the
+    latest-first tuple (f_n, ..., f_1), the table's axis order.  A stack
+    holding a single projector per slot yields the one vector of that path.
+    """
+    w = factor[None]
+    for p in stacks:
+        w = np.matmul(p[:, None], w[None]).reshape(-1, *factor.shape)
+    return w
+
+
 def _table_from_stacks(rho: np.ndarray, stacks: list, cap: int) -> np.ndarray:
-    """Dense table via slotwise two-sided application of projector stacks."""
-    sizes = [s.shape[0] for s in stacks]
+    """Dense table as the Gram matrix of the path vectors w(f).
+
+    With C(f) = P_tn(f_n)...P_t1(f_1) and rho = F S F^dagger, every entry is
+    Q(f+; f-) = tr[C(f+) rho C(f-)^dagger] = <w(f-)| S |w(f+)>, so the whole
+    table is the one product (W S) W^dagger, already in latest-first layout.
+    Working memory is the table plus W, of shape (K, d r).
+    """
+    sizes = tuple(s.shape[0] for s in stacks)
     entries = 1
     for k in sizes:
         entries *= k * k
@@ -366,53 +386,19 @@ def _table_from_stacks(rho: np.ndarray, stacks: list, cap: int) -> np.ndarray:
             f"table would hold {entries} entries, beyond the cap {cap}"
         )
 
-    chunk_plan = _parallel_plan(sizes, entries)
-    if chunk_plan is None:
-        a = _grow_table(rho[None, None, :, :], stacks)
-        q = np.trace(a, axis1=2, axis2=3)
-    else:
-        q = _grow_table_parallel(rho, stacks, chunk_plan)
-    # construction order is slot 1 outermost; convert to latest-first axes
-    q = q.reshape(tuple(sizes) + tuple(sizes))
-    n = len(sizes)
-    perm = tuple(range(n))[::-1] + tuple(range(n, 2 * n))[::-1]
-    # .copy rather than ascontiguousarray: the latter promotes 0-d to 1-d
-    return q.transpose(perm).copy(order="C")
+    factor, sign = _state_factor(rho)
+    w = _gram_rows(factor, stacks)
+    rows = w.shape[0]
+    q = (w * sign).reshape(rows, -1) @ w.reshape(rows, -1).conj().T
+    return q.reshape(sizes[::-1] + sizes[::-1])
 
 
-def _grow_table(a: np.ndarray, stacks: list) -> np.ndarray:
-    for p in stacks:
-        k = p.shape[0]
-        a = np.einsum("fab,pqbc,gcd->pfqgad", p, a, p, optimize=True)
-        a = a.reshape(a.shape[0] * k, a.shape[2] * k, *a.shape[4:])
-    return a
-
-
-def _parallel_plan(sizes, entries):
-    workers = worker_count()
-    if workers <= 1 or entries < _PARALLEL_THRESHOLD or not sizes:
-        return None
-    return min(workers, sizes[0] * sizes[0])
-
-
-def _grow_table_parallel(rho: np.ndarray, stacks: list, workers: int) -> np.ndarray:
-    k1 = stacks[0].shape[0]
-    rest = stacks[1:]
-    tail = 1
-    for s in rest:
-        tail *= s.shape[0]
-    out = np.empty((k1 * tail, k1 * tail), dtype=complex)
-
-    def run(fg):
-        f, g = fg
-        seed = (stacks[0][f] @ rho @ stacks[0][g])[None, None, :, :]
-        block = np.trace(_grow_table(seed, rest), axis1=2, axis2=3)
-        out[f * tail:(f + 1) * tail, g * tail:(g + 1) * tail] = block
-
-    pairs = [(f, g) for f in range(k1) for g in range(k1)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, pairs))
-    return out
+def _entry_gram(rho: np.ndarray, stacks: list, plus_idx, minus_idx) -> complex:
+    """One table entry from the two vector chains w(f+) and w(f-)."""
+    factor, sign = _state_factor(rho)
+    plus = _gram_rows(factor, [p[i:i + 1] for p, i in zip(stacks, plus_idx)])
+    minus = _gram_rows(factor, [p[i:i + 1] for p, i in zip(stacks, minus_idx)])
+    return complex(np.vdot(minus, plus * sign))
 
 
 def _entry_trace(rho: np.ndarray, stacks: list, plus_idx, minus_idx) -> complex:
@@ -423,44 +409,14 @@ def _entry_trace(rho: np.ndarray, stacks: list, plus_idx, minus_idx) -> complex:
     return complex(np.trace(a))
 
 
-def _entry_amplitude(
-    rho: np.ndarray, vectors: list, plus_idx, minus_idx
-) -> complex:
-    """Rank-1 fast path: telescoping product of transition amplitudes.
-
-    ``vectors[j]`` holds the Heisenberg eigenvectors of slot j+1 as columns.
-    The entry factors into bra-ket overlaps between consecutive slots plus a
-    single matrix element of rho at the earliest slot, with the latest-slot
-    causality delta in front.
-    """
-    n = len(vectors)
-    if n == 0:
-        return complex(np.trace(rho))
-    if plus_idx[-1] != minus_idx[-1]:
-        return 0.0 + 0.0j
-    amp = 1.0 + 0.0j
-    for j in range(n - 1):
-        va = vectors[j][:, plus_idx[j]]
-        vb = vectors[j + 1][:, plus_idx[j + 1]]
-        amp *= np.vdot(vb, va)
-        wa = vectors[j][:, minus_idx[j]]
-        wb = vectors[j + 1][:, minus_idx[j + 1]]
-        amp *= np.conj(np.vdot(wb, wa))
-    v1 = vectors[0][:, plus_idx[0]]
-    w1 = vectors[0][:, minus_idx[0]]
-    return complex(amp * (v1.conj() @ rho @ w1))
-
-
-def _distribution_for_slots(
+def _distribution_from_stacks(
     scenario: QuantumScenario,
     grid: TimeGrid,
     pvms: Sequence[ObservablePVM],
+    stacks: list,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BiDistribution:
-    """Dense table with a (possibly different) PVM per time slot."""
-    if len(pvms) != len(grid):
-        raise LengthMismatch(f"{len(pvms)} observables for a grid of length {len(grid)}")
-    stacks = _slot_stacks(scenario, grid, pvms)
+    """Dense table from precomputed slot stacks, one per PVM."""
     table = _table_from_stacks(scenario.state.matrix, stacks, cap)
     dist = BiDistribution(
         grid=grid,
@@ -474,13 +430,18 @@ def _distribution_for_slots(
     return dist
 
 
-def _rank_one_vectors(stack: np.ndarray) -> np.ndarray:
-    """Columns spanning each rank-1 projector in the stack."""
-    cols = []
-    for p in stack:
-        evals, evecs = np.linalg.eigh(p)
-        cols.append(evecs[:, -1])
-    return np.stack(cols, axis=1)
+def _distribution_for_slots(
+    scenario: QuantumScenario,
+    grid: TimeGrid,
+    pvms: Sequence[ObservablePVM],
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> BiDistribution:
+    """Dense table with a (possibly different) PVM per time slot."""
+    if len(pvms) != len(grid):
+        raise LengthMismatch(f"{len(pvms)} observables for a grid of length {len(grid)}")
+    return _distribution_from_stacks(
+        scenario, grid, pvms, _slot_stacks(scenario, grid, pvms), cap
+    )
 
 
 # -- public operations -------------------------------------------------------
@@ -494,9 +455,9 @@ def eval_biprob(
 ) -> complex:
     """One bi-probability value Q(f+, f-) on the given grid.
 
-    ``method`` is "trace" (ordered operator products), "amplitude" (rank-1
-    PVMs only, telescoping transition amplitudes), or "auto" which picks the
-    amplitude path when available.  Both paths agree to ~1e-12.
+    ``method`` "auto" runs the Gram engine's two vector chains w(f+), w(f-);
+    "trace" multiplies the ordered operator product out, an independent
+    evaluation kept as an oracle.  Both agree to ~1e-12.
     """
     if len(outcome) != len(grid):
         raise LengthMismatch(
@@ -507,14 +468,9 @@ def eval_biprob(
     minus_idx = [scenario.pvm.index_of(f) for f in reversed(outcome.minus)]
 
     if method == "auto":
-        method = "amplitude" if scenario.pvm.is_rank_one else "trace"
+        return _entry_gram(scenario.state.matrix, stacks, plus_idx, minus_idx)
     if method == "trace":
         return _entry_trace(scenario.state.matrix, stacks, plus_idx, minus_idx)
-    if method == "amplitude":
-        if not scenario.pvm.is_rank_one:
-            raise DomainMismatch("amplitude path requires a rank-1 PVM")
-        vectors = [_rank_one_vectors(s) for s in stacks]
-        return _entry_amplitude(scenario.state.matrix, vectors, plus_idx, minus_idx)
     raise DomainMismatch(f"unknown method {method!r}")
 
 

@@ -7,8 +7,9 @@ failed (verification or cross-check), 2 input or usage error.
 
 Outcome tuples on the command line are comma-separated values ordered
 latest-time-first, matching the table convention.  ``--times`` lists must be
-strictly increasing; duplicates are rejected.  The BITRAJ_THREADS environment
-variable caps worker threads used for large table enumerations.
+strictly increasing; duplicates are rejected.  ``eval --method trace``
+evaluates an entry by the ordered operator product instead of the default
+Gram engine, as a cross-check.
 """
 
 from __future__ import annotations
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--times", required=True, help="comma-separated, strictly increasing")
     p.add_argument("--plus", required=True, help="outcomes, latest time first")
     p.add_argument("--minus", required=True, help="outcomes, latest time first")
-    p.add_argument("--method", default="auto", choices=["auto", "trace", "amplitude"])
+    p.add_argument("--method", default="auto", choices=["auto", "trace"])
     _add_output(p)
     p.set_defaults(func=_cmd_eval)
 

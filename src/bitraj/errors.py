@@ -61,6 +61,10 @@ class UncoveredOutcome(BitrajError):
     pass
 
 
+class NonFiniteTime(BitrajError):
+    """A time is NaN or infinite."""
+
+
 # -- propagate -----------------------------------------------------------
 
 class OutOfHorizon(BitrajError):

@@ -30,6 +30,7 @@ from .errors import (
     DimensionMismatch,
     EmptyGroup,
     IncompletePVM,
+    NonFiniteTime,
     NonHermitian,
     NotAProjector,
     ParseError,
@@ -311,12 +312,14 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing measurement times, all positive."""
+    """Strictly increasing measurement times, all positive and finite."""
 
     times: tuple
 
     def __post_init__(self):
         times = tuple(float(t) for t in self.times)
+        if not all(math.isfinite(t) for t in times):
+            raise ValidationError([NonFiniteTime(f"grid: times must be finite, got {times}")])
         if any(t <= 0 for t in times):
             raise ValidationError([DimensionMismatch(f"grid: times must be positive, got {times}")])
         if any(b <= a for a, b in zip(times[:-1], times[1:])):

@@ -24,8 +24,8 @@ from .biprob import (
     BiDistribution,
     BiOutcome,
     _distribution_for_slots,
+    _entry_gram,
     _slot_stacks,
-    _entry_trace,
 )
 from .errors import (
     DimensionMismatch,
@@ -101,7 +101,7 @@ def eval_multiobs(
     plus_idx = _slot_indices(seq, outcome.plus, "plus")
     minus_idx = _slot_indices(seq, outcome.minus, "minus")
     stacks = _slot_stacks(scenario, grid, seq.pvms)
-    return _entry_trace(scenario.state.matrix, stacks, plus_idx, minus_idx)
+    return _entry_gram(scenario.state.matrix, stacks, plus_idx, minus_idx)
 
 
 def multiobs_distribution(

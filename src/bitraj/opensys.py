@@ -183,7 +183,9 @@ def _system_step_stack(model: OpenModel, dt: float) -> np.ndarray:
 
 
 def _uniform_grid(t: float, n_steps: int) -> TimeGrid:
-    return TimeGrid(tuple(t * k / n_steps for k in range(1, n_steps + 1)))
+    # t * (k / n) rather than t * k / n: the last point is then exactly t,
+    # never one ulp past a horizon equal to t
+    return TimeGrid(tuple(t * (k / n_steps) for k in range(1, n_steps + 1)))
 
 
 def bitrajectory_map(

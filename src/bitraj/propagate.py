@@ -8,6 +8,7 @@ property U(t3,t1) = U(t3,t2) U(t2,t1) is exact up to rounding.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ import numpy as np
 from ._linalg import dagger, expm_hermitian
 from .errors import (
     DegenerateInterval,
+    NonFiniteTime,
     NonHermitian,
     NonSquare,
     OutOfHorizon,
@@ -77,6 +79,8 @@ def propagator(
     independent of ``substeps``.
     """
     t_from, t_to = float(t_from), float(t_to)
+    if not (math.isfinite(t_from) and math.isfinite(t_to)):
+        raise NonFiniteTime(f"propagator endpoints must be finite, got [{t_from}, {t_to}]")
     if substeps < 1:
         raise DegenerateInterval(f"substeps must be >= 1, got {substeps}")
     if t_from > t_to:

@@ -21,8 +21,9 @@ from .biprob import (
     BiDistribution,
     BiOutcome,
     TupleFunction,
-    _distribution_for_slots,
+    _distribution_from_stacks,
     _lattice_indices,
+    _slot_stacks,
     average,
     diagonal_probability,
     eval_biprob,
@@ -114,14 +115,33 @@ def _diag_label(dist: BiDistribution, flat_index: int) -> str:
     return f"tuple={tup}"
 
 
-def _reduced_distribution(dist: BiDistribution, position: int) -> BiDistribution:
+def _source_stacks(dist: BiDistribution) -> list:
+    """Slot stacks of the scenario and observables that generated ``dist``."""
     if dist.scenario is None or dist.pvms is None:
         raise LengthMismatch(
             "distribution carries no scenario; bi-consistency cannot be re-evaluated"
         )
-    grid = dist.grid.without(position)
-    pvms = tuple(p for j, p in enumerate(dist.pvms, start=1) if j != position)
-    return _distribution_for_slots(dist.scenario, grid, pvms)
+    return _slot_stacks(dist.scenario, dist.grid, dist.pvms)
+
+
+def _reduced_distribution(
+    dist: BiDistribution, position: int, stacks: list | None = None
+) -> BiDistribution:
+    """Direct evaluation on the grid of ``dist`` with slot ``position`` removed.
+
+    ``stacks`` are the full grid's slot stacks (computed when omitted); each
+    slot's stack depends on its own time only, so dropping one is bitwise what
+    recomputing the reduced grid's stacks gives.
+    """
+    if stacks is None:
+        stacks = _source_stacks(dist)
+    keep = [j for j in range(dist.n) if j != position - 1]
+    return _distribution_from_stacks(
+        dist.scenario,
+        dist.grid.without(position),
+        tuple(dist.pvms[j] for j in keep),
+        [stacks[j] for j in keep],
+    )
 
 
 def check_properties(
@@ -164,9 +184,9 @@ def check_properties(
     # Q3 positive semidefiniteness of M[f+, f-]
     m = table.reshape(k_total, k_total)
     m_h = 0.5 * (m + m.conj().T)
-    norm = float(np.linalg.norm(m_h, 2)) if k_total else 0.0
     evals = np.linalg.eigvalsh(m_h) if k_total else np.array([0.0])
     lam_min = float(evals[0])
+    norm = float(max(-evals[0], evals[-1]))  # spectral norm of the Hermitian m_h
     dev = max(0.0, -lam_min)
     tol_eff = tolerance * max(norm, 1e-300)
     checks.append(
@@ -176,12 +196,15 @@ def check_properties(
         )
     )
 
-    # Q4 bi-consistency, every slot
+    # Q4 bi-consistency, every slot: each reduced table is evaluated afresh
+    stacks = _source_stacks(dist) if n >= 1 else []
     worst = 0.0
     witness = "n/a"
     for j in range(1, n + 1):
         marg = marginalize(dist, j)
-        fresh = _reduced_distribution(dist, j)
+        fresh = _reduced_distribution(dist, j, stacks)
+        if j == n:
+            without_latest = fresh  # reused by P3
         diff = np.abs(marg.table - fresh.table)
         if diff.size:
             dev_j = float(diff.max())
@@ -219,12 +242,11 @@ def check_properties(
 
     # P3 causality of measurements: marginal of the diagonal over the latest slot
     if n >= 1:
-        fresh = _reduced_distribution(dist, n)
-        reduced_diag = fresh.diagonal()
+        reduced_diag = without_latest.diagonal()
         summed = diag.sum(axis=0)
         diff = np.abs(summed - reduced_diag)
         dev = float(diff.max()) if diff.size else float(abs(diag.sum() - 1.0))
-        witness = _diag_label(fresh, int(diff.argmax())) if diff.size else "empty grid"
+        witness = _diag_label(without_latest, int(diff.argmax())) if diff.size else "empty grid"
         checks.append(
             PropertyCheck("P3_measurement_causality", dev, tolerance, dev <= tolerance, witness)
         )
@@ -295,9 +317,10 @@ def classicality_report(dist: BiDistribution) -> ClassicalityRecord:
     if n < 2:
         raise LengthMismatch(f"classicality diagnostics need n >= 2, got {n}")
     diag = dist.diagonal()
+    stacks = _source_stacks(dist)
     worst = 0.0
     for j in range(1, n + 1):
-        fresh = _reduced_distribution(dist, j)
+        fresh = _reduced_distribution(dist, j, stacks)
         summed = diag.sum(axis=n - j)
         dev = float(np.abs(summed - fresh.diagonal()).max())
         worst = max(worst, dev)

@@ -3,7 +3,7 @@
 Oracles deliberately avoid the package's evaluation machinery: propagators
 come from scipy's Pade expm (the package uses Hermitian eigendecomposition),
 and table entries come from explicit Python-loop operator products (the
-package uses einsum recursions and amplitude telescoping).
+package uses Gram products of path vectors).
 """
 
 from __future__ import annotations

@@ -1,16 +1,26 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bitraj as bt
 from bitraj import errors
-from bitraj.biprob import worker_count
+from bitraj.biprob import (
+    DEFAULT_ENUMERATION_CAP,
+    _entry_gram,
+    _entry_trace,
+    _slot_stacks,
+)
+from bitraj.comb import comb_table
 
 from conftest import (
+    PAULI_X_PVM,
     SIGMA_Z,
     all_tuples,
     grid,
+    haar_unitary,
     oracle_biprob,
     outcome,
     static_scenario,
@@ -53,6 +63,7 @@ class TestEvalBiprob:
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_amplitude_path_equals_trace_path(self):
+        # the default path contracts the amplitude vectors w(f+), w(f-)
         for seed in range(8):
             sc = bt.random_scenario(3, seed=seed)
             g = grid(0.4, 0.9, 1.7)
@@ -60,14 +71,9 @@ class TestEvalBiprob:
                 rng = np.random.default_rng(100 + seed)
                 pick = lambda: tuple(rng.choice(sc.pvm.outcomes, size=3))
                 o = outcome(pick(), pick())
-                fast = bt.eval_biprob(sc, g, o, method="amplitude")
+                fast = bt.eval_biprob(sc, g, o)
                 slow = bt.eval_biprob(sc, g, o, method="trace")
                 assert fast == pytest.approx(slow, abs=1e-12)
-
-    def test_amplitude_path_requires_rank_one(self):
-        sc = bt.random_scenario(3, seed=1, outcome_groups=(2, 1))
-        with pytest.raises(errors.DomainMismatch):
-            bt.eval_biprob(sc, grid(0.5), outcome((0.0,), (0.0,)), method="amplitude")
 
     def test_length_mismatch(self, rabi):
         with pytest.raises(errors.LengthMismatch):
@@ -307,29 +313,6 @@ class TestExports:
         assert len(rows) == 5
 
 
-class TestThreading:
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.delenv("BITRAJ_THREADS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("BITRAJ_THREADS", "4")
-        assert worker_count() == 4
-        monkeypatch.setenv("BITRAJ_THREADS", "bogus")
-        assert worker_count() == 1
-
-    def test_parallel_table_reproducible_and_close_to_serial(self, monkeypatch):
-        sc = bt.random_scenario(2, seed=12)
-        g = grid(0.2, 0.4, 0.6, 0.8, 1.0, 1.2, 1.4)  # 2^14 entries
-        monkeypatch.delenv("BITRAJ_THREADS", raising=False)
-        serial = bt.full_distribution(sc, g)
-        monkeypatch.setenv("BITRAJ_THREADS", "4")
-        parallel_a = bt.full_distribution(sc, g)
-        parallel_b = bt.full_distribution(sc, g)
-        # fixed settings are bitwise reproducible regardless of scheduling;
-        # across settings only tolerance-level agreement is contracted
-        np.testing.assert_array_equal(parallel_a.table, parallel_b.table)
-        assert np.abs(parallel_a.table - serial.table).max() <= 1e-12
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=500),
@@ -341,3 +324,91 @@ def test_table_sums_to_one_property(seed, d, n):
     g = bt.TimeGrid(tuple(0.4 * (k + 1) for k in range(n)))
     dist = bt.full_distribution(sc, g)
     assert abs(dist.total() - 1.0) <= 1e-10
+
+
+def _compositions(d):
+    """Ordered block sizes summing to d: every coarse-graining of a d-outcome PVM."""
+    if d == 0:
+        return [()]
+    return [(k,) + rest for k in range(1, d + 1) for rest in _compositions(d - k)]
+
+
+def _state_of_kind(d, kind, rng):
+    """A rank-deficient state, or one with an eigenvalue of -1e-11."""
+    weights = rng.uniform(0.1, 1.0, size=d)
+    weights[-1] = 0.0
+    weights /= weights.sum()
+    if kind == "negative_eigenvalue":
+        weights[-1] = -1e-11
+        weights[0] += 1e-11
+    v = haar_unitary(d, rng)
+    return bt.DensityOperator((v * weights) @ v.conj().T)
+
+
+def _assert_table_matches_oracles(sc, g, table, stacks, rng, pvms=None):
+    n = len(g)
+    rho = sc.state.matrix
+    for idx in np.ndindex(*table.shape):
+        plus, minus = idx[:n][::-1], idx[n:][::-1]
+        assert abs(table[idx] - _entry_trace(rho, stacks, plus, minus)) <= 1e-12
+        assert abs(table[idx] - _entry_gram(rho, stacks, plus, minus)) <= 1e-12
+    sets = [p.outcomes for p in (pvms or [sc.pvm] * n)][::-1]
+    for flat in rng.choice(table.size, size=min(table.size, 6), replace=False):
+        idx = np.unravel_index(flat, table.shape)
+        plus = tuple(sets[a][idx[a]] for a in range(n))
+        minus = tuple(sets[a][idx[n + a]] for a in range(n))
+        want = oracle_biprob(sc, g.times, plus, minus, pvms=pvms)
+        assert abs(table[idx] - want) <= 1e-12
+
+
+class TestGramEngineCrossCheck:
+    """The Gram table against the trace formula, the comb chain and the oracle."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        d=st.sampled_from([2, 3, 4]),
+        grouping=st.integers(min_value=0, max_value=63),
+        n=st.integers(min_value=1, max_value=4),
+        kind=st.sampled_from(["pure", "mixed", "rank_deficient", "negative_eigenvalue"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(d=3, grouping=0, n=2, kind="rank_deficient", seed=1)
+    @example(d=4, grouping=5, n=2, kind="negative_eigenvalue", seed=2)
+    def test_random_scenarios(self, d, grouping, n, kind, seed):
+        groups = _compositions(d)[grouping % len(_compositions(d))]
+        k = len(groups)
+        while k ** n > 64:  # keeps the entrywise trace loop at <= 4096 entries
+            n -= 1
+        rng = np.random.default_rng(seed)
+        sc = bt.random_scenario(d, seed, pure=kind == "pure", outcome_groups=groups)
+        if kind in ("rank_deficient", "negative_eigenvalue"):
+            sc = sc.with_state(_state_of_kind(d, kind, rng))
+        g = bt.TimeGrid(tuple(np.cumsum(rng.uniform(0.1, 0.8, size=n))))
+        table = bt.full_distribution(sc, g).table
+        assert np.abs(comb_table(sc, g) - table).max() <= 1e-12
+        _assert_table_matches_oracles(sc, g, table, _slot_stacks(sc, g), rng)
+
+    def test_mixed_slot_multiobs(self):
+        sc = bt.random_scenario(2, seed=3)
+        g = grid(0.3, 0.7, 1.2, 1.9)
+        pvms = (bt.ObservablePVM.pauli_z(), PAULI_X_PVM) * 2
+        seq = bt.ObservableSequence(pvms)
+        table = bt.multiobs_distribution(sc, g, seq).table
+        stacks = _slot_stacks(sc, g, pvms)
+        _assert_table_matches_oracles(sc, g, table, stacks, np.random.default_rng(0), pvms)
+        o = outcome((1.0, -1.0, -1.0, 1.0), (1.0, 1.0, -1.0, -1.0))
+        assert abs(bt.eval_multiobs(sc, g, seq, o) - oracle_biprob(sc, g.times, o.plus, o.minus, pvms)) <= 1e-12
+
+
+def test_table_memory_bounded_at_the_cap():
+    # 32^4 = 4^10 entries sits exactly at the cap; a (k^n, k^n, d, d)
+    # intermediate would need about 17 GB for this table
+    sc = bt.random_scenario(32, seed=0)
+    tracemalloc.start()
+    try:
+        dist = bt.full_distribution(sc, grid(0.5, 1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.table.size == DEFAULT_ENUMERATION_CAP
+    assert peak < 128 * 2**20

@@ -112,6 +112,19 @@ class TestEval:
         assert code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_time_rejected(capsys, rabi_config, value):
+    t = float(value)
+    with pytest.raises(errors.ValidationError) as exc:
+        bt.TimeGrid((t,))
+    assert exc.value.has(errors.NonFiniteTime)
+    with pytest.raises(errors.NonFiniteTime):
+        bt.propagator(bt.rabi_scenario().schedule, 0.0, t)
+    code, out, err = run_cli(capsys, "verify", "--config", rabi_config, f"--times={value}")
+    assert code == 2
+    assert out == "" and "finite" in err
+
+
 class TestVerify:
     def test_valid_scenario_all_pass(self, capsys, rabi_config):
         code, out, _ = run_cli(

@@ -154,6 +154,20 @@ class TestBitrajectoryMap:
             b = bt.bitrajectory_map(model, 0.9, n, method="contract")
             assert a.distance(b) <= 1e-12
 
+    @pytest.mark.parametrize("method", ["contract", "enumerate"])
+    def test_grid_ends_exactly_at_horizon(self, method):
+        # t * 6 / 6 rounds one ulp above this t; the grid must still end at t
+        t = 1.7514000829594232
+        env = bt.QuantumScenario(
+            2,
+            bt.HamiltonianSchedule.from_static(0.5 * SIGMA_X, horizon=t),
+            bt.DensityOperator.pure([1.0, 0.0]),
+            bt.ObservablePVM.pauli_z(),
+        )
+        model = bt.OpenModel(h_sys=0.5 * SIGMA_Z, v_sys=SIGMA_X, coupling=0.5, environment=env)
+        approx = bt.bitrajectory_map(model, t, 6, method=method)
+        assert approx.trace_preservation_defect() <= 1e-10
+
     def test_enumeration_cap(self):
         model = standard_model()
         with pytest.raises(errors.EnumerationTooLarge):

@@ -57,10 +57,12 @@ class TestPiecewiseScenario:
         assert np.abs(comb_table(sc, g) - dist.table).max() <= 1e-10
 
     def test_amplitude_path_agrees(self):
+        # default entries (amplitude vector chains) against the trace oracle
         sc = piecewise_qubit(seed=11)
         g = grid(0.45, 1.05, 1.9)
         for o, q in bt.full_distribution(sc, g).entries():
-            fast = bt.eval_biprob(sc, g, o, method="amplitude")
+            fast = bt.eval_biprob(sc, g, o)
+            assert fast == pytest.approx(bt.eval_biprob(sc, g, o, method="trace"), abs=1e-12)
             assert fast == pytest.approx(q, abs=1e-12)
 
 
