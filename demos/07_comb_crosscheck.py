@@ -11,12 +11,11 @@ import bitraj as bt
 from bitraj.comb import comb_table
 
 scenario = bt.rabi_scenario(omega=1.0)
-cache = bt.PropagatorCache(scenario.schedule)
 
 # Completeness: summing over both outcome slots gives the identity channel.
 t = 0.8
 total = sum(
-    bt.bi_instrument(scenario, fp, fm, t, cache).matrix
+    bt.bi_instrument(scenario, fp, fm, t).matrix
     for fp in (1.0, -1.0)
     for fm in (1.0, -1.0)
 )
@@ -24,8 +23,8 @@ print(f"completeness defect at t = {t}: "
       f"{np.linalg.norm(total - np.eye(4), 2):.3e}")
 
 # Complete positivity: diagonal yes, off-diagonal no.
-diag_choi = bt.choi_matrix(bt.bi_instrument(scenario, 1.0, 1.0, t, cache))
-off_choi = bt.choi_matrix(bt.bi_instrument(scenario, 1.0, -1.0, t, cache))
+diag_choi = bt.choi_matrix(bt.bi_instrument(scenario, 1.0, 1.0, t))
+off_choi = bt.choi_matrix(bt.bi_instrument(scenario, 1.0, -1.0, t))
 off_herm = 0.5 * (off_choi + off_choi.conj().T)
 print(f"diagonal instrument Choi min eigenvalue      = "
       f"{np.linalg.eigvalsh(diag_choi).min():+.3e}")

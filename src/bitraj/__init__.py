@@ -18,11 +18,11 @@ from .model import (
     validate_scenario,
 )
 from .propagate import (
-    PropagatorCache,
     UnitaryMatrix,
     heisenberg_projector,
     operator_norm,
     propagator,
+    propagators_along,
 )
 from .biprob import (
     BiDistribution,
@@ -85,7 +85,6 @@ __all__ = [
     "ObservablePVM",
     "ObservableSequence",
     "OpenModel",
-    "PropagatorCache",
     "PropertyReport",
     "QuantumScenario",
     "RefinementMesh",
@@ -126,6 +125,7 @@ __all__ = [
     "path_bound_check",
     "path_length",
     "propagator",
+    "propagators_along",
     "rabi_scenario",
     "random_scenario",
     "refinement_monotonicity",

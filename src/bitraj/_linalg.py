@@ -27,17 +27,12 @@ def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
     return v.reshape(dim, dim).T
 
 
-def sandwich_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix of the superoperator ``A -> X A Y`` in the vec convention."""
-    return np.kron(np.asarray(y).T, np.asarray(x))
-
-
 def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
     """``exp(scale * H)`` for Hermitian ``H`` via eigendecomposition."""
-    evals, evecs = np.linalg.eigh(h)
+    return expm_from_eigh(np.linalg.eigh(h), scale)
+
+
+def expm_from_eigh(eig: tuple, scale: complex) -> np.ndarray:
+    """``exp(scale * H)`` from ``eig = np.linalg.eigh(H)``, reusable across scales."""
+    evals, evecs = eig
     return (evecs * np.exp(scale * evals)) @ dagger(evecs)
-
-
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Spectral-norm distance from ``A`` to its Hermitian part's mirror."""
-    return float(np.linalg.norm(a - dagger(a), 2))

@@ -32,12 +32,11 @@ from .errors import (
     EnumerationTooLarge,
     LengthMismatch,
     NotNested,
-    OutOfHorizon,
     UnknownOutcome,
     ValidationError,
 )
 from .model import ObservablePVM, QuantumScenario, TimeGrid
-from .propagate import PropagatorCache, heisenberg_pvm_stack
+from .propagate import heisenberg_pvm_stacks
 
 DEFAULT_ENUMERATION_CAP = 4 ** 10
 
@@ -308,27 +307,13 @@ def _lattice_indices(outcome_sets: tuple, outcome: BiOutcome) -> tuple:
     return tuple(idx)
 
 
-def _check_grid(scenario: QuantumScenario, grid: TimeGrid) -> None:
-    if grid.times and grid.times[-1] > scenario.horizon:
-        raise OutOfHorizon(
-            f"grid reaches {grid.times[-1]}, beyond the schedule horizon {scenario.horizon}"
-        )
-
-
 def _slot_stacks(
     scenario: QuantumScenario,
     grid: TimeGrid,
     pvms: Sequence[ObservablePVM] | None = None,
 ) -> list:
     """Heisenberg projector stacks, one (k_j, d, d) array per slot."""
-    _check_grid(scenario, grid)
-    cache = PropagatorCache(scenario.schedule)
-    if pvms is None:
-        pvms = [scenario.pvm] * len(grid)
-    return [
-        heisenberg_pvm_stack(scenario, t, cache=cache, pvm=pvm)
-        for t, pvm in zip(grid.times, pvms)
-    ]
+    return heisenberg_pvm_stacks(scenario, grid.times, pvms)
 
 
 def _last_slot_offdiagonal_max(table: np.ndarray, k_n: int) -> float:

@@ -20,7 +20,7 @@ from .biprob import (
     BiDistribution,
     full_distribution,
 )
-from .errors import LengthMismatch, OutOfHorizon, TooCoarse
+from .errors import LengthMismatch, NonFiniteTime, OutOfHorizon, TooCoarse
 from .model import QuantumScenario, TimeGrid
 
 REFINEMENT_SCAN_CAP = 10 ** 6
@@ -46,6 +46,8 @@ def uniform_bound(scenario: QuantumScenario, horizon: float) -> float:
     schedule, so the bound is never under-reported by quadrature error.
     """
     horizon = float(horizon)
+    if not math.isfinite(horizon):
+        raise NonFiniteTime(f"horizon must be finite, got {horizon}")
     if horizon < 0 or horizon > scenario.schedule.horizon:
         raise OutOfHorizon(
             f"requested horizon {horizon} outside schedule horizon [0, {scenario.schedule.horizon}]"

@@ -18,7 +18,7 @@ from .biprob import DEFAULT_ENUMERATION_CAP, BiOutcome
 from .errors import EnumerationTooLarge, LengthMismatch
 from .model import QuantumScenario, TimeGrid
 from .opensys import Superoperator
-from .propagate import PropagatorCache, heisenberg_projector, heisenberg_pvm_stack
+from .propagate import heisenberg_projector, heisenberg_pvm_stacks
 
 
 def bi_instrument(
@@ -26,7 +26,6 @@ def bi_instrument(
     f_plus: float,
     f_minus: float,
     t: float,
-    cache: PropagatorCache | None = None,
 ) -> Superoperator:
     """Superoperator of A -> P_t(f+) A P_t(f-).
 
@@ -34,8 +33,8 @@ def bi_instrument(
     diagonal members are completely positive, strictly off-diagonal ones are
     not (their Choi matrices have negative eigenvalues).
     """
-    p_plus = heisenberg_projector(scenario, f_plus, t, cache)
-    p_minus = heisenberg_projector(scenario, f_minus, t, cache)
+    p_plus = heisenberg_projector(scenario, f_plus, t)
+    p_minus = heisenberg_projector(scenario, f_minus, t)
     return Superoperator.from_sandwich(p_plus, p_minus)
 
 
@@ -53,13 +52,13 @@ def comb_biprob(
     n = len(grid)
     if len(outcome) != n:
         raise LengthMismatch(f"outcome length {len(outcome)} != grid length {n}")
-    cache = PropagatorCache(scenario.schedule)
+    pvm = scenario.pvm
     v = vec(scenario.state.matrix)
-    for j in range(n):  # ascending slots; outcome tuples are latest-first
-        f_plus = outcome.plus[n - 1 - j]
-        f_minus = outcome.minus[n - 1 - j]
-        inst = bi_instrument(scenario, f_plus, f_minus, grid.times[j], cache)
-        v = inst.matrix @ v
+    # ascending slots; outcome tuples are latest-first
+    for j, projs in enumerate(heisenberg_pvm_stacks(scenario, grid.times)):
+        p_plus = projs[pvm.index_of(outcome.plus[n - 1 - j])]
+        p_minus = projs[pvm.index_of(outcome.minus[n - 1 - j])]
+        v = Superoperator.from_sandwich(p_plus, p_minus).matrix @ v
     ident = vec(np.eye(scenario.dimension, dtype=complex))
     return complex(ident.conj() @ v)
 
@@ -83,10 +82,9 @@ def comb_table(
         raise EnumerationTooLarge(
             f"table would hold {(k * k) ** n} entries, beyond the cap {cap}"
         )
-    cache = PropagatorCache(scenario.schedule)
     v = vec(scenario.state.matrix)[None, :]
-    for t in grid.times:  # ascending slots, slot 1 applied first
-        projs = heisenberg_pvm_stack(scenario, t, cache=cache)
+    # ascending slots, slot 1 applied first
+    for projs in heisenberg_pvm_stacks(scenario, grid.times):
         insts = np.stack(
             [
                 np.stack([np.kron(projs[g].T, projs[f]) for g in range(k)])

@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .model import DEFAULT_TOL, ObservablePVM, QuantumScenario, TimeGrid
-from .propagate import propagator
+from .propagate import propagators_along
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,10 +253,10 @@ def decompose_multiobs(
     slot_blocks_plus = []
     slot_blocks_minus = []
     terms = 1
+    us = propagators_along(scenario.schedule, grid.times)
     for j in range(n):  # ascending slots
         w, labels = _pvm_basis(seq.pvms[j])
-        u = propagator(scenario.schedule, 0.0, grid.times[j]).matrix
-        slot_unitaries.append(dagger(u) @ w)
+        slot_unitaries.append(dagger(us[j].matrix) @ w)
         f_plus = outcome.plus[n - 1 - j]
         f_minus = outcome.minus[n - 1 - j]
         block_p = [k for k, lab in enumerate(labels) if lab == f_plus]

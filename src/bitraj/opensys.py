@@ -8,6 +8,12 @@ trajectories are discretized as piecewise-constant on a uniform grid (value
 f_j on [t_{j-1}, t_j), measured at the right endpoint), and the discretized
 map is validated against exact joint evolution.
 
+The sum over trajectory pairs factorises: with A_f the system step for
+environment value f, the pair-summed step is kron(T_j^*, T_j) for the joint
+operator T_j = sum_f A_f kron P_{t_j}(f), so the whole map is
+A -> tr_E[V (A kron rho_E) V^dagger] with V = T_n ... T_1, a product of n
+joint-space (D x D) matrices rather than n sums of k^2 superoperators.
+
 Superoperators use column stacking throughout: vec(X A Y) = (Y^T kron X) vec(A).
 """
 
@@ -37,7 +43,7 @@ from .model import (
     TimeGrid,
     validate_scenario,
 )
-from .propagate import propagator
+from .propagate import heisenberg_pvm_stacks, propagator
 
 MAX_JOINT_DIMENSION = 64
 
@@ -200,9 +206,11 @@ def bitrajectory_map(
     Trajectory pairs are piecewise constant on the uniform n_steps grid and
     weighted by the environment bi-probability at the grid times; the system
     factors are the ordered step exponentials.  ``method`` "enumerate"
-    materializes the trajectory table (subject to the enumeration cap);
-    "contract" evaluates the identical sum as a product of per-step transfer
-    superoperators on the joint space, with no cap.  "auto" picks "contract".
+    materializes the trajectory table (subject to the enumeration cap) and is
+    kept as an independent oracle; "contract" evaluates the identical sum as
+    the joint-space product V = T_n ... T_1, T_j = sum_f A_f kron P_{t_j}(f),
+    followed by the partial trace of V (A kron rho_E) V^dagger, with no cap.
+    "auto" picks "contract".
     """
     if n_steps < 1:
         raise DimensionMismatch(f"n_steps must be >= 1, got {n_steps}")
@@ -245,24 +253,13 @@ def _bitrajectory_map_contract(model: OpenModel, t: float, n_steps: int) -> Supe
     env = model.environment
     d_o = model.system_dim
     d_e = env.dimension
-    joint = d_o * d_e
     steps = _system_step_stack(model, t / n_steps)
     grid = _uniform_grid(t, n_steps)
-
-    from .propagate import PropagatorCache, heisenberg_pvm_stack
-
-    cache = PropagatorCache(env.schedule)
-    total = np.eye(joint * joint, dtype=complex)
-    for t_j in grid.times:
-        projs = heisenberg_pvm_stack(env, t_j, cache=cache)
-        step = np.zeros((joint * joint, joint * joint), dtype=complex)
-        for a_plus, p_plus in zip(steps, projs):
-            b_plus = np.kron(a_plus, p_plus)
-            for a_minus, p_minus in zip(steps, projs):
-                b_minus = np.kron(a_minus, p_minus)
-                step += np.kron(b_minus.conj(), b_plus)
-        total = step @ total
-    return _reduce_to_system(total, d_o, d_e, env.state.matrix)
+    v = np.eye(d_o * d_e, dtype=complex)
+    for projs in heisenberg_pvm_stacks(env, grid.times):
+        # T_j = sum_f A_f kron P_{t_j}(f); kron(T^*, T) is the pair-summed step
+        v = np.einsum("fab,fij->aibj", steps, projs).reshape(v.shape) @ v
+    return _reduce_to_system(np.kron(v.conj(), v), d_o, d_e, env.state.matrix)
 
 
 def _reduce_to_system(

@@ -12,6 +12,7 @@ grids (the finite-scale shadow of the extension limit).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -32,9 +33,11 @@ from .biprob import (
 )
 from .errors import (
     BadPosition,
+    BitrajError,
     LengthMismatch,
     NotNested,
     OverlappingEvents,
+    ValidationError,
 )
 from .model import QuantumScenario, TimeGrid
 
@@ -155,8 +158,15 @@ def check_properties(
     evaluation on every reduced grid (Q4), and the diagonal's probability
     properties (P1), the Cauchy-Schwarz envelope |Q| <= sqrt(P+ P-) (P2),
     and causality of measurements (P3).  A report is always produced; each
-    record carries the worst-case witness.
+    record carries the worst-case witness.  ``tolerance`` must be finite and
+    non-negative: any other value would fail or pass every check regardless
+    of the table.
     """
+    tolerance = float(tolerance)
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValidationError(
+            [BitrajError(f"tolerance must be finite and >= 0, got {tolerance}")]
+        )
     checks = []
     n = dist.n
     table = dist.table

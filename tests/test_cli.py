@@ -125,6 +125,29 @@ def test_non_finite_time_rejected(capsys, rabi_config, value):
     assert out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_horizon_rejected(capsys, rabi_config, value):
+    with pytest.raises(errors.NonFiniteTime):
+        bt.uniform_bound(bt.rabi_scenario(), float(value))
+    code, out, err = run_cli(
+        capsys, "bound", "--config", rabi_config, "--times", "1,2", f"--horizon={value}"
+    )
+    assert code == 2
+    assert out == "" and "finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1.0"])
+def test_invalid_tolerance_rejected(capsys, rabi_config, value):
+    dist = bt.full_distribution(bt.rabi_scenario(), bt.TimeGrid((1.0, 2.0)))
+    with pytest.raises(errors.ValidationError):
+        bt.check_properties(dist, tolerance=float(value))
+    code, out, err = run_cli(
+        capsys, "verify", "--config", rabi_config, "--times", "1,2", f"--tolerance={value}"
+    )
+    assert code == 2
+    assert out == "" and "tolerance" in err
+
+
 class TestVerify:
     def test_valid_scenario_all_pass(self, capsys, rabi_config):
         code, out, _ = run_cli(

@@ -18,12 +18,11 @@ class TestBiInstrument:
 
     def test_completeness_at_every_time(self):
         sc = bt.random_scenario(3, seed=2)
-        cache = bt.PropagatorCache(sc.schedule)
         for t in (0.0, 0.4, 1.0, 1.7):
             total = np.zeros((9, 9), dtype=complex)
             for fp in sc.pvm.outcomes:
                 for fm in sc.pvm.outcomes:
-                    total += bt.bi_instrument(sc, fp, fm, t, cache).matrix
+                    total += bt.bi_instrument(sc, fp, fm, t).matrix
             assert np.linalg.norm(total - np.eye(9), 2) <= 1e-10
 
     def test_diagonal_members_are_completely_positive(self, rabi):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bitraj as bt
 from bitraj import errors
@@ -22,6 +24,21 @@ def commuting_environment_model(coupling=0.7):
         np.diag([0.4, -0.3]), np.diag([0.35, 0.65]), bt.ObservablePVM.pauli_z()
     )
     return bt.OpenModel(h_sys=0.5 * SIGMA_Z, v_sys=SIGMA_X, coupling=coupling, environment=env)
+
+
+def random_hermitian(rng, d):
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (g + g.conj().T)
+
+
+def driven_environment(env, horizon, segments, seed):
+    """``env`` with H(s) = H_0 + sin(3 s) H_1 on ``segments`` pieces of [0, horizon]."""
+    h0 = env.schedule.segments[0][2]
+    h1 = random_hermitian(np.random.default_rng(seed), env.dimension)
+    schedule = bt.HamiltonianSchedule.from_function(
+        lambda s: h0 + np.sin(3.0 * s) * h1, horizon, segments=segments
+    )
+    return bt.QuantumScenario(env.dimension, schedule, env.state, env.pvm)
 
 
 class TestSuperoperator:
@@ -166,6 +183,40 @@ class TestBitrajectoryMap:
         )
         model = bt.OpenModel(h_sys=0.5 * SIGMA_Z, v_sys=SIGMA_X, coupling=0.5, environment=env)
         approx = bt.bitrajectory_map(model, t, 6, method=method)
+        assert approx.trace_preservation_defect() <= 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        env=st.sampled_from([(2, None), (3, None), (4, None), (3, (2, 1)), (4, (2, 2)), (4, (1, 3))]),
+        driven=st.booleans(),
+        seed=st.integers(min_value=0, max_value=1000),
+        t=st.floats(min_value=0.1, max_value=2.0),
+        n_steps=st.integers(min_value=1, max_value=3),
+        coupling=st.floats(min_value=0.0, max_value=1.5),
+    )
+    def test_contract_matches_enumerate(self, env, driven, seed, t, n_steps, coupling):
+        d_e, groups = env
+        environment = bt.random_scenario(d_e, seed, outcome_groups=groups)
+        if driven:
+            environment = driven_environment(environment, 1.25 * t, 12, seed)
+        rng = np.random.default_rng(seed + 1)
+        model = bt.OpenModel(
+            h_sys=random_hermitian(rng, 2),
+            v_sys=random_hermitian(rng, 2),
+            coupling=coupling,
+            environment=environment,
+        )
+        a = bt.bitrajectory_map(model, t, n_steps, method="contract")
+        b = bt.bitrajectory_map(model, t, n_steps, method="enumerate")
+        assert np.abs(a.matrix - b.matrix).max() <= 1e-12
+
+    @pytest.mark.parametrize("driven", [False, True])
+    def test_trace_preservation_at_512_steps(self, driven):
+        model = standard_model()
+        if driven:
+            env = driven_environment(model.environment, 2.5, 160, seed=3)
+            model = bt.OpenModel(model.h_sys, model.v_sys, model.coupling, env)
+        approx = bt.bitrajectory_map(model, 2.0, 512)
         assert approx.trace_preservation_defect() <= 1e-10
 
     def test_enumeration_cap(self):

@@ -126,34 +126,76 @@ class TestOperatorNorm:
             bt.operator_norm(np.zeros((2, 3)))
 
 
-class TestPropagatorCache:
-    def test_hit_is_bitwise_equal(self):
-        sched = two_segment_schedule(seed=11)
-        cache = bt.PropagatorCache(sched)
-        first = cache.propagator(0.0, 1.5)
-        again = cache.propagator(0.0, 1.5)
-        assert again is first
-        fresh = bt.propagator(sched, 0.0, 1.5)
-        np.testing.assert_array_equal(first.matrix, fresh.matrix)
+def driven_schedule(segments=640, horizon=10.0):
+    return bt.HamiltonianSchedule.from_function(
+        lambda t: 0.5 * SIGMA_X + 0.3 * np.sin(t) * SIGMA_Z, horizon, segments=segments
+    )
 
-    def test_keys_include_substeps(self):
-        sched = two_segment_schedule(seed=13)
-        cache = bt.PropagatorCache(sched)
-        cache.propagator(0.0, 1.0, substeps=1)
-        cache.propagator(0.0, 1.0, substeps=2)
-        assert len(cache) == 2
 
-    def test_concurrent_reads(self):
-        from concurrent.futures import ThreadPoolExecutor
+class TestPropagatorsAlong:
+    @pytest.mark.parametrize(
+        "schedule, times",
+        [
+            (bt.rabi_scenario().schedule, [0.0, 0.3, 1.7, 1.7, 40.0]),
+            (two_segment_schedule(seed=19), [0.0, 0.4, 1.0, 1.3, 2.0]),
+            (driven_schedule(segments=8, horizon=2.0), [0.25, 0.5, 0.6, 1.5, 1.75, 2.0]),
+        ],
+        ids=["static", "two_segment", "boundaries"],
+    )
+    def test_bitwise_equal_to_propagator(self, schedule, times):
+        us = bt.propagators_along(schedule, times)
+        assert len(us) == len(times)
+        for u, t in zip(us, times):
+            assert isinstance(u, bt.UnitaryMatrix) and u.interval == (0.0, t)
+            np.testing.assert_array_equal(u.matrix, bt.propagator(schedule, 0.0, t).matrix)
 
-        sched = two_segment_schedule(seed=17)
-        cache = bt.PropagatorCache(sched)
-        reference = bt.propagator(sched, 0.0, 2.0).matrix
+    def test_empty_grid(self):
+        assert bt.propagators_along(two_segment_schedule(), []) == []
 
-        def task(_):
-            return cache.propagator(0.0, 2.0).matrix
+    @pytest.mark.parametrize(
+        "times, error",
+        [
+            ([0.5, 0.4], errors.DegenerateInterval),
+            ([0.5, float("nan")], errors.NonFiniteTime),
+            ([float("inf")], errors.NonFiniteTime),
+            ([-float("inf"), 0.5], errors.NonFiniteTime),
+            ([-0.1, 0.5], errors.OutOfHorizon),
+            ([0.5, 2.5], errors.OutOfHorizon),
+        ],
+    )
+    def test_invalid_times_raise(self, times, error):
+        with pytest.raises(error):
+            bt.propagators_along(two_segment_schedule(), times)
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(task, range(32)))
-        for r in results:
-            np.testing.assert_array_equal(r, reference)
+    def test_each_segment_diagonalised_at_most_once(self, monkeypatch):
+        from bitraj.biprob import _slot_stacks
+
+        sc = bt.QuantumScenario(
+            2, driven_schedule(), bt.DensityOperator.pure([1.0, 0.0]), bt.ObservablePVM.pauli_z()
+        )
+        grid = bt.TimeGrid(tuple(0.97 * (k + 1) for k in range(10)))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            calls.append(1)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        _slot_stacks(sc, grid)
+        assert 0 < len(calls) <= 640
+
+
+class TestUnitaryMatrix:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_rejected(self, value):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = value
+        with pytest.raises(errors.ValidationError):
+            bt.UnitaryMatrix(m, 0.0, 1.0)
+        with pytest.raises(errors.ValidationError):
+            bt.UnitaryMatrix(np.full((2, 2), value), 0.0, 1.0)
+
+    def test_non_unitary_rejected(self):
+        with pytest.raises(errors.ValidationError):
+            bt.UnitaryMatrix(np.diag([1.0, 1.0 + 1e-8]), 0.0, 1.0)
