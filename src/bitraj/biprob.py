@@ -6,7 +6,7 @@ The central object is the complex table
         = tr[ P_{t_n}(f+_n) ... P_{t_1}(f+_1)  rho  P_{t_1}(f-_1) ... P_{t_n}(f-_n) ]
 
 whose diagonal (f+ = f-) is the joint probability of a projective measurement
-sequence.  Tables are enumerated densely up to a configurable cap; entries are
+sequence.  Tables are enumerated densely up to a fixed entry cap; entries are
 stored in lexicographic order over (f+_n,...,f+_1,f-_n,...,f-_1) with outcomes
 in declared PVM order, so serialization is reproducible.
 
@@ -26,16 +26,16 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
-    BadPosition,
     BitrajError,
     DomainMismatch,
     EnumerationTooLarge,
+    IndexOutOfRange,
     LengthMismatch,
     NotNested,
     UnknownOutcome,
     ValidationError,
 )
-from .model import ObservablePVM, QuantumScenario, TimeGrid
+from .model import ObservablePVM, QuantumScenario, TimeGrid, check_defect
 from .propagate import heisenberg_pvm_stacks
 
 DEFAULT_ENUMERATION_CAP = 4 ** 10
@@ -113,18 +113,15 @@ class BiDistribution:
         tests) skip this and are diagnosed by the verification module.
         """
         total = self.table.sum()
-        if abs(total - 1.0) > TOL_NORMALIZATION:
-            raise ValidationError(
-                [BitrajError(
-                    f"table sum {total:.12g} deviates from 1 beyond {TOL_NORMALIZATION:.1e}")]
-            )
-        if self.n >= 1:
-            off = _last_slot_offdiagonal_max(self.table, self.sizes[-1])
-            if off > TOL_CAUSALITY:
-                raise ValidationError(
-                    [BitrajError(
-                        f"causality violated: |Q| = {off:.3e} at f+_n != f-_n")]
-                )
+        violations = check_defect(
+            abs(total - 1.0), TOL_NORMALIZATION, BitrajError,
+            f"table sum {total:.12g} has |sum - 1| =")
+        if not violations and self.n >= 1:
+            off = float(latest_slot_offdiagonal(self.table).max())
+            violations = check_defect(
+                off, TOL_CAUSALITY, BitrajError, "causality: max |Q| at f+_n != f-_n =")
+        if violations:
+            raise ValidationError(violations)
 
     @property
     def n(self) -> int:
@@ -316,16 +313,27 @@ def _slot_stacks(
     return heisenberg_pvm_stacks(scenario, grid.times, pvms)
 
 
-def _last_slot_offdiagonal_max(table: np.ndarray, k_n: int) -> float:
-    if table.size == 0 or table.ndim == 0:
-        return 0.0
-    n2 = table.ndim
-    n = n2 // 2
-    t = np.abs(table)
-    mask = ~np.eye(k_n, dtype=bool)
-    # axes 0 and n are the plus/minus legs of the latest slot
-    moved = np.moveaxis(t, (0, n), (0, 1))
-    return float(moved[mask].max()) if mask.any() else 0.0
+def latest_slot_offdiagonal(table: np.ndarray) -> np.ndarray:
+    """|Q| with the f+_n = f-_n entries zeroed, for a table with n >= 1.
+
+    What remains is the mass that causality at the latest slot forbids; its
+    max and argmax are the causality deviation and witness.  |table| is the
+    one allocation: axes 0 and n are the plus and minus legs of the latest
+    slot, and the diagonal blocks are zeroed in place through that view.
+    """
+    absq = np.abs(table)
+    n = absq.ndim // 2
+    view = np.moveaxis(absq, (0, n), (0, 1))
+    view[np.eye(absq.shape[0], dtype=bool)] = 0.0
+    return absq
+
+
+def check_enumeration(count: int, what: str) -> None:
+    """Raise EnumerationTooLarge if ``count`` entries exceed the entry cap."""
+    if count > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationTooLarge(
+            f"{what} would hold {count} entries, beyond the cap {DEFAULT_ENUMERATION_CAP}"
+        )
 
 
 def _state_factor(rho: np.ndarray) -> tuple:
@@ -354,7 +362,7 @@ def _gram_rows(factor: np.ndarray, stacks: list) -> np.ndarray:
     return w
 
 
-def _table_from_stacks(rho: np.ndarray, stacks: list, cap: int) -> np.ndarray:
+def _table_from_stacks(rho: np.ndarray, stacks: list) -> np.ndarray:
     """Dense table as the Gram matrix of the path vectors w(f).
 
     With C(f) = P_tn(f_n)...P_t1(f_1) and rho = F S F^dagger, every entry is
@@ -366,10 +374,7 @@ def _table_from_stacks(rho: np.ndarray, stacks: list, cap: int) -> np.ndarray:
     entries = 1
     for k in sizes:
         entries *= k * k
-    if entries > cap:
-        raise EnumerationTooLarge(
-            f"table would hold {entries} entries, beyond the cap {cap}"
-        )
+    check_enumeration(entries, "table")
 
     factor, sign = _state_factor(rho)
     w = _gram_rows(factor, stacks)
@@ -399,10 +404,9 @@ def _distribution_from_stacks(
     grid: TimeGrid,
     pvms: Sequence[ObservablePVM],
     stacks: list,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BiDistribution:
     """Dense table from precomputed slot stacks, one per PVM."""
-    table = _table_from_stacks(scenario.state.matrix, stacks, cap)
+    table = _table_from_stacks(scenario.state.matrix, stacks)
     dist = BiDistribution(
         grid=grid,
         outcome_sets=tuple(tuple(p.outcomes) for p in pvms),
@@ -419,14 +423,11 @@ def _distribution_for_slots(
     scenario: QuantumScenario,
     grid: TimeGrid,
     pvms: Sequence[ObservablePVM],
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BiDistribution:
     """Dense table with a (possibly different) PVM per time slot."""
     if len(pvms) != len(grid):
         raise LengthMismatch(f"{len(pvms)} observables for a grid of length {len(grid)}")
-    return _distribution_from_stacks(
-        scenario, grid, pvms, _slot_stacks(scenario, grid, pvms), cap
-    )
+    return _distribution_from_stacks(scenario, grid, pvms, _slot_stacks(scenario, grid, pvms))
 
 
 # -- public operations -------------------------------------------------------
@@ -459,13 +460,9 @@ def eval_biprob(
     raise DomainMismatch(f"unknown method {method!r}")
 
 
-def full_distribution(
-    scenario: QuantumScenario,
-    grid: TimeGrid,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> BiDistribution:
+def full_distribution(scenario: QuantumScenario, grid: TimeGrid) -> BiDistribution:
     """Enumerate the whole table; normalization is checked on construction."""
-    return _distribution_for_slots(scenario, grid, [scenario.pvm] * len(grid), cap)
+    return _distribution_for_slots(scenario, grid, [scenario.pvm] * len(grid))
 
 
 def diagonal_probability(scenario: QuantumScenario, grid: TimeGrid, outcomes) -> float:
@@ -483,7 +480,7 @@ def marginalize(dist: BiDistribution, position: int) -> BiDistribution:
     """
     n = dist.n
     if not 1 <= position <= n:
-        raise BadPosition(f"position {position} outside 1..{n}")
+        raise IndexOutOfRange(f"position {position} outside 1..{n}")
     plus_axis = n - position
     minus_axis = 2 * n - position
     table = dist.table.sum(axis=(plus_axis, minus_axis))

@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biprob import (
-    DEFAULT_ENUMERATION_CAP,
-    BiDistribution,
-    full_distribution,
-)
+from .biprob import BiDistribution, full_distribution
 from .errors import LengthMismatch, NonFiniteTime, OutOfHorizon, TooCoarse
 from .model import QuantumScenario, TimeGrid
 
@@ -44,6 +40,8 @@ def uniform_bound(scenario: QuantumScenario, horizon: float) -> float:
 
     The integral is evaluated segment-exactly over the piecewise-constant
     schedule, so the bound is never under-reported by quadrature error.
+    An exponent beyond the float range gives ``math.inf``, still an upper
+    bound.
     """
     horizon = float(horizon)
     if not math.isfinite(horizon):
@@ -56,7 +54,10 @@ def uniform_bound(scenario: QuantumScenario, horizon: float) -> float:
     for a, b, h in scenario.schedule.pieces(0.0, horizon):
         integral += float(np.linalg.norm(h, 2)) * (b - a)
     d = scenario.dimension
-    return d * d * math.exp(2.0 * (d - 1) * integral)
+    try:
+        return d * d * math.exp(2.0 * (d - 1) * integral)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -166,12 +167,8 @@ def build_refinement(grid: TimeGrid, size: int, horizon: float | None = None) ->
     return RefinementMesh(base=grid, refined=TimeGrid(tuple(taus)), injection=injection)
 
 
-def refinement_monotonicity(
-    scenario: QuantumScenario,
-    mesh: RefinementMesh,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> MonotonicityRecord:
+def refinement_monotonicity(scenario: QuantumScenario, mesh: RefinementMesh) -> MonotonicityRecord:
     """l1 norms on the base grid and its refinement (coarse <= fine holds)."""
-    coarse = l1_norm(full_distribution(scenario, mesh.base, cap))
-    fine = l1_norm(full_distribution(scenario, mesh.refined, cap))
+    coarse = l1_norm(full_distribution(scenario, mesh.base))
+    fine = l1_norm(full_distribution(scenario, mesh.refined))
     return MonotonicityRecord(norm_coarse=coarse, norm_fine=fine)

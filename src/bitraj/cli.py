@@ -3,7 +3,9 @@
 Subcommands: eval, dist, verify, bound, refine, multiobs, opensys, comb, demo.
 Results go to stdout or, with --output, to a file accompanied by a
 ``<output>.manifest.json`` run manifest.  Exit codes: 0 success, 1 a check
-failed (verification or cross-check), 2 input or usage error.
+failed (verification or cross-check), 2 input or usage error: any
+:class:`~bitraj.errors.BitrajError`, an unreadable file, or a numpy
+``LinAlgError`` or ``MemoryError`` raised while computing.
 
 Outcome tuples on the command line are comma-separated values ordered
 latest-time-first, matching the table convention.  ``--times`` lists must be
@@ -36,7 +38,7 @@ from .bounds import (
     uniform_bound,
 )
 from .comb import comb_biprob
-from .errors import BitrajError, ParseError, ValidationError
+from .errors import BitrajError, ParseError
 from .model import (
     QuantumScenario,
     TimeGrid,
@@ -143,7 +145,7 @@ def _emit(args, text: str, manifest: RunManifest) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _manifest(args, command: str, config: str | None, seed: int | None) -> RunManifest:
+def _manifest(command: str, config: str | None, seed: int | None) -> RunManifest:
     return RunManifest(
         command=command,
         config=config,
@@ -173,7 +175,7 @@ def _cmd_eval(args) -> int:
         "method": args.method,
         "value": _complex_dict(value),
     }
-    _emit(args, json.dumps(payload, indent=2), _manifest(args, "eval", cfg, seed))
+    _emit(args, json.dumps(payload, indent=2), _manifest("eval", cfg, seed))
     return 0
 
 
@@ -191,7 +193,7 @@ def _cmd_dist(args) -> int:
     scenario, cfg, seed = _scenario_from_args(args)
     grid = _parse_times(args.times)
     dist = full_distribution(scenario, grid)
-    _emit(args, _dist_text(dist, args.format), _manifest(args, "dist", cfg, seed))
+    _emit(args, _dist_text(dist, args.format), _manifest("dist", cfg, seed))
     return 0
 
 
@@ -200,7 +202,7 @@ def _cmd_verify(args) -> int:
     grid = _parse_times(args.times)
     dist = full_distribution(scenario, grid)
     report = check_properties(dist, tolerance=args.tolerance)
-    _emit(args, json.dumps(report.to_json_dict(), indent=2), _manifest(args, "verify", cfg, seed))
+    _emit(args, json.dumps(report.to_json_dict(), indent=2), _manifest("verify", cfg, seed))
     return 0 if report.all_pass else 1
 
 
@@ -218,7 +220,7 @@ def _cmd_bound(args) -> int:
         "uniform_bound": uni,
         "margin": min(non_uni, uni) - norm,
     }
-    _emit(args, json.dumps(payload, indent=2), _manifest(args, "bound", cfg, seed))
+    _emit(args, json.dumps(payload, indent=2), _manifest("bound", cfg, seed))
     return 0
 
 
@@ -236,7 +238,7 @@ def _cmd_refine(args) -> int:
         "norm_coarse": record.norm_coarse,
         "norm_fine": record.norm_fine,
     }
-    _emit(args, json.dumps(payload, indent=2), _manifest(args, "refine", cfg, seed))
+    _emit(args, json.dumps(payload, indent=2), _manifest("refine", cfg, seed))
     return 0
 
 
@@ -288,10 +290,10 @@ def _cmd_multiobs(args) -> int:
             "minus": list(minus),
             "value": _complex_dict(value),
         }
-        _emit(args, json.dumps(payload, indent=2), _manifest(args, "multiobs", cfg, seed))
+        _emit(args, json.dumps(payload, indent=2), _manifest("multiobs", cfg, seed))
         return 0
     dist = multiobs_distribution(scenario, grid, seq)
-    _emit(args, _dist_text(dist, args.format), _manifest(args, "multiobs", cfg, seed))
+    _emit(args, _dist_text(dist, args.format), _manifest("multiobs", cfg, seed))
     return 0
 
 
@@ -300,14 +302,17 @@ def _cmd_opensys(args) -> int:
     if not isinstance(model, OpenModel):
         raise ParseError(f"{args.model}: expected an open-system model with a 'system' block")
     if args.study:
-        steps = [int(x) for x in args.study.split(",") if x.strip() != ""]
+        try:
+            steps = [int(x) for x in args.study.split(",") if x.strip() != ""]
+        except ValueError as exc:
+            raise ParseError(f"--study: {exc}") from exc
         points = convergence_study(model, args.time, steps)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n_steps", "error"])
         for pt in points:
             writer.writerow([pt.n_steps, format_float(pt.error)])
-        _emit(args, buf.getvalue(), _manifest(args, "opensys", args.model, None))
+        _emit(args, buf.getvalue(), _manifest("opensys", args.model, None))
         return 0
     approx = bitrajectory_map(model, args.time, args.steps)
     exact = exact_joint_map(model, args.time)
@@ -317,7 +322,7 @@ def _cmd_opensys(args) -> int:
         "error": approx.distance(exact),
         "trace_preservation_defect": approx.trace_preservation_defect(),
     }
-    _emit(args, json.dumps(payload, indent=2), _manifest(args, "opensys", args.model, None))
+    _emit(args, json.dumps(payload, indent=2), _manifest("opensys", args.model, None))
     return 0
 
 
@@ -340,9 +345,9 @@ def _cmd_comb(args) -> int:
         diff = abs(value - direct)
         payload["value_trace"] = _complex_dict(direct)
         payload["difference"] = diff
-        if diff > CROSS_CHECK_TOL:
+        if not diff <= CROSS_CHECK_TOL:
             code = 1
-    _emit(args, json.dumps(payload, indent=2), _manifest(args, "comb", cfg, seed))
+    _emit(args, json.dumps(payload, indent=2), _manifest("comb", cfg, seed))
     return code
 
 
@@ -361,7 +366,7 @@ def _cmd_demo(args) -> int:
         q_plus = eval_biprob(scenario, grid, BiOutcome((1.0,), (1.0,))).real
         q_minus = eval_biprob(scenario, grid, BiOutcome((-1.0,), (-1.0,))).real
         writer.writerow([format_float(t), format_float(q_plus), format_float(q_minus)])
-    _emit(args, buf.getvalue(), _manifest(args, "demo rabi", None, None))
+    _emit(args, buf.getvalue(), _manifest("demo rabi", None, None))
     return 0
 
 
@@ -469,10 +474,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, OSError) as exc:
-        print(f"bitraj: {exc}", file=sys.stderr)
-        return 2
-    except BitrajError as exc:
+    except (BitrajError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"bitraj: {exc}", file=sys.stderr)
         return 2
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import vec
-from .biprob import DEFAULT_ENUMERATION_CAP, BiOutcome
-from .errors import EnumerationTooLarge, LengthMismatch
+from .biprob import BiOutcome, check_enumeration
+from .errors import LengthMismatch
 from .model import QuantumScenario, TimeGrid
 from .opensys import Superoperator
 from .propagate import heisenberg_projector, heisenberg_pvm_stacks
@@ -63,11 +63,7 @@ def comb_biprob(
     return complex(ident.conj() @ v)
 
 
-def comb_table(
-    scenario: QuantumScenario,
-    grid: TimeGrid,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> np.ndarray:
+def comb_table(scenario: QuantumScenario, grid: TimeGrid) -> np.ndarray:
     """The full table through the bi-instrument chain, for cross-validation.
 
     Axes match :class:`~bitraj.biprob.BiDistribution` (latest-first plus
@@ -78,10 +74,7 @@ def comb_table(
     n = len(grid)
     d = scenario.dimension
     k = scenario.pvm.size
-    if (k * k) ** n > cap:
-        raise EnumerationTooLarge(
-            f"table would hold {(k * k) ** n} entries, beyond the cap {cap}"
-        )
+    check_enumeration((k * k) ** n, "table")
     v = vec(scenario.state.matrix)[None, :]
     # ascending slots, slot 1 applied first
     for projs in heisenberg_pvm_stacks(scenario, grid.times):

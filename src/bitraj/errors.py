@@ -1,9 +1,13 @@
 """Exception hierarchy.
 
-Every error raised by the library derives from :class:`BitrajError`.
-Validation of composite inputs collects all violations before raising, so a
-single :class:`ValidationError` may carry several of the condition-specific
-exceptions below in ``violations``.
+Every error raised by the library derives from :class:`BitrajError`.  Each
+subclass names one fault of the input, not the module that finds it: the
+same fault raises the same class wherever it is detected (a non-square
+matrix is a :class:`DimensionMismatch` in the model and in the propagator
+alike), and every class below is raised by some public call.  Validation of
+composite inputs collects all violations before raising, so a single
+:class:`ValidationError` may carry several of the fault classes below in
+``violations``.
 """
 
 from __future__ import annotations
@@ -31,87 +35,87 @@ class ValidationError(BitrajError):
         return any(isinstance(v, kind) for v in self.violations)
 
 
-# -- model ---------------------------------------------------------------
+# -- operators -------------------------------------------------------------
 
 class NonHermitian(BitrajError):
-    pass
+    """An operator that must be Hermitian (a generator, state or projector) is not."""
 
 
 class NotAProjector(BitrajError):
-    pass
+    """A PVM element is not idempotent."""
 
 
 class IncompletePVM(BitrajError):
-    pass
+    """PVM projectors overlap or do not sum to the identity."""
 
 
 class BadTrace(BitrajError):
-    pass
+    """A state does not have unit trace or has a negative eigenvalue."""
+
+
+class NotUnitary(BitrajError):
+    """A propagator or a path anchor is not unitary."""
 
 
 class DimensionMismatch(BitrajError):
-    pass
-
-
-class EmptyGroup(BitrajError):
-    pass
+    """Shapes or dimensions disagree, or a matrix is not square."""
 
 
 class UncoveredOutcome(BitrajError):
-    pass
+    """A coarse-graining leaves an outcome without a group."""
 
+
+# -- times and orderings ---------------------------------------------------
 
 class NonFiniteTime(BitrajError):
     """A time is NaN or infinite."""
 
 
-# -- propagate -----------------------------------------------------------
-
 class OutOfHorizon(BitrajError):
-    pass
+    """A time lies outside the schedule horizon, or a grid time is not positive."""
 
 
 class DegenerateInterval(BitrajError):
-    pass
+    """Times, durations, parameters or step counts that must increase do not."""
 
+
+# -- outcomes, lengths and indices -------------------------------------------
 
 class UnknownOutcome(BitrajError):
-    pass
+    """An outcome value is not admissible at its slot."""
 
-
-class NonSquare(BitrajError):
-    pass
-
-
-# -- biprob --------------------------------------------------------------
 
 class LengthMismatch(BitrajError):
-    pass
+    """Sequences that must have matching lengths do not."""
 
 
-class BadPosition(BitrajError):
-    pass
-
-
-class EnumerationTooLarge(BitrajError):
-    pass
+class IndexOutOfRange(BitrajError):
+    """A slot position, basis index or path parameter lies outside its range."""
 
 
 class DomainMismatch(BitrajError):
-    pass
+    """An argument is outside its domain: a method, count, tolerance or value."""
 
 
-# -- verify --------------------------------------------------------------
+# -- sizes -------------------------------------------------------------------
+
+class EnumerationTooLarge(BitrajError):
+    """An enumeration would exceed the entry cap."""
+
+
+class DimensionTooLarge(BitrajError):
+    """A joint dimension exceeds what the exact reference evolution supports."""
+
+
+# -- events and grids ----------------------------------------------------------
 
 class OverlappingEvents(BitrajError):
-    pass
+    """Events that must be disjoint share an outcome tuple."""
 
 
 class NotNested(BitrajError):
-    pass
+    """A grid or time that must contain another does not."""
 
-
-# -- bounds --------------------------------------------------------------
 
 class TooCoarse(BitrajError):
     """Requested refinement size is below the minimum admissible one.
@@ -125,23 +129,7 @@ class TooCoarse(BitrajError):
         self.minimum = minimum
 
 
-# -- multiobs ------------------------------------------------------------
-
-class SlotOutcomeMismatch(BitrajError):
-    pass
-
-
-class IndexOutOfRange(BitrajError):
-    pass
-
-
-# -- opensys -------------------------------------------------------------
-
-class DimensionTooLarge(BitrajError):
-    pass
-
-
-# -- cli -----------------------------------------------------------------
+# -- configuration files -------------------------------------------------------
 
 class ParseError(BitrajError):
-    pass
+    """A configuration file or command-line value cannot be read."""

@@ -9,7 +9,7 @@ exact product of segment exponentials.
 
 All types are immutable after validation (arrays are frozen), so instances
 can be shared freely across threads.  Tolerances are absolute, measured in
-spectral norm, and default to ``DEFAULT_TOL``.
+spectral norm, and equal to ``DEFAULT_TOL``.
 
 Outcome tuples throughout the package are ordered latest-time-first,
 ``(f_n, ..., f_1)``, while time grids are ascending ``(t_1, ..., t_n)``.
@@ -27,18 +27,21 @@ import numpy as np
 from . import serialize
 from .errors import (
     BadTrace,
+    DegenerateInterval,
     DimensionMismatch,
-    EmptyGroup,
+    DomainMismatch,
     IncompletePVM,
     NonFiniteTime,
     NonHermitian,
     NotAProjector,
+    OutOfHorizon,
     ParseError,
     UncoveredOutcome,
     ValidationError,
 )
 
 DEFAULT_TOL = 1e-10
+SEGMENTS_PER_UNIT_TIME = 64
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -56,19 +59,34 @@ def _as_operator(obj, name: str) -> np.ndarray:
     if a.ndim != 2:
         raise ValidationError([DimensionMismatch(f"{name}: expected a matrix, got ndim={a.ndim}")])
     if not np.all(np.isfinite(a.view(float))):
-        raise ValidationError([DimensionMismatch(f"{name}: entries must be finite")])
+        raise ValidationError([DomainMismatch(f"{name}: entries must be finite")])
     return a
 
 
 def _spectral_norm(a: np.ndarray) -> float:
+    """Largest singular value; inf, with no SVD, if an entry is not finite."""
+    if not np.all(np.isfinite(a)):
+        return math.inf
     return float(np.linalg.norm(a, 2))
 
 
-def _check_hermitian(a: np.ndarray, name: str, tol: float) -> list:
-    dev = _spectral_norm(a - a.conj().T)
-    if dev > tol:
-        return [NonHermitian(f"{name}: Hermiticity defect {dev:.3e} exceeds tol {tol:.1e}")]
-    return []
+def check_defect(dev: float, tol: float, fault: type, what: str, *args) -> list:
+    """``[fault]`` unless ``dev <= tol``, the one comparison of every operator check.
+
+    Finite entries can still overflow in a residual such as ``A - A^dagger``
+    and give a NaN defect; ``dev > tol`` would pass it, ``not dev <= tol``
+    does not.  As in ``logging``, ``what % args`` is formatted only on
+    failure, which keeps the per-propagator unitarity check cheap.
+    """
+    if dev <= tol:
+        return []
+    return [fault(f"{what % args if args else what} {dev:.3e} exceeds tol {tol:.1e}")]
+
+
+def check_hermitian(a: np.ndarray, name: str) -> list:
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = _spectral_norm(a - a.conj().T)
+    return check_defect(dev, DEFAULT_TOL, NonHermitian, f"{name}: Hermiticity defect")
 
 
 # -- Hamiltonian schedule --------------------------------------------------
@@ -105,17 +123,17 @@ class HamiltonianSchedule:
                         f"schedule segment {k}: dimension {h.shape[0]} != {dim}")
                 )
             if k == 0 and a != 0.0:
-                violations.append(DimensionMismatch(f"schedule: first segment starts at {a}, not 0"))
+                violations.append(DegenerateInterval(f"schedule: first segment starts at {a}, not 0"))
             if k > 0 and a != prev_end:
                 violations.append(
-                    DimensionMismatch(
+                    DegenerateInterval(
                         f"schedule segment {k}: starts at {a}, previous ends at {prev_end}")
                 )
             if not b > a:
-                violations.append(DimensionMismatch(f"schedule segment {k}: empty interval [{a}, {b}]"))
+                violations.append(DegenerateInterval(f"schedule segment {k}: empty interval [{a}, {b}]"))
             if math.isinf(b) and k != len(self.segments) - 1:
-                violations.append(DimensionMismatch(f"schedule segment {k}: only the last segment may be unbounded"))
-            violations.extend(_check_hermitian(h, f"schedule segment {k}", DEFAULT_TOL))
+                violations.append(DegenerateInterval(f"schedule segment {k}: only the last segment may be unbounded"))
+            violations.extend(check_hermitian(h, f"schedule segment {k}"))
             prev_end = b
             cleaned.append((a, b, _frozen(h)))
         if violations:
@@ -132,14 +150,16 @@ class HamiltonianSchedule:
         fn: Callable[[float], np.ndarray],
         horizon: float,
         segments: int | None = None,
-        segments_per_unit_time: int = 64,
     ) -> "HamiltonianSchedule":
-        """Midpoint-sample a smooth ``t -> H(t)`` into a piecewise schedule."""
+        """Midpoint-sample a smooth ``t -> H(t)`` into a piecewise schedule.
+
+        ``segments`` defaults to ``SEGMENTS_PER_UNIT_TIME`` per unit of time.
+        """
         horizon = float(horizon)
         if not (horizon > 0 and math.isfinite(horizon)):
-            raise ValidationError([DimensionMismatch("from_function: horizon must be finite and positive")])
+            raise ValidationError([DomainMismatch("from_function: horizon must be finite and positive")])
         if segments is None:
-            segments = max(1, math.ceil(segments_per_unit_time * horizon))
+            segments = max(1, math.ceil(SEGMENTS_PER_UNIT_TIME * horizon))
         edges = np.linspace(0.0, horizon, segments + 1)
         segs = []
         for a, b in zip(edges[:-1], edges[1:]):
@@ -177,7 +197,6 @@ class ObservablePVM:
 
     outcomes: tuple
     projectors: tuple
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         outcomes = tuple(float(f) for f in self.outcomes)
@@ -189,7 +208,9 @@ class ObservablePVM:
                     f"pvm: {len(outcomes)} outcomes but {len(projectors)} projectors")]
             )
         if len(set(outcomes)) != len(outcomes):
-            violations.append(DimensionMismatch("pvm: outcome values must be distinct"))
+            violations.append(DomainMismatch("pvm: outcome values must be distinct"))
+        if not all(math.isfinite(f) for f in outcomes):
+            violations.append(DomainMismatch(f"pvm: outcome values must be finite, got {outcomes}"))
         dims = {p.shape for p in projectors}
         if len(dims) != 1 or any(r != c for r, c in dims):
             violations.append(DimensionMismatch(f"pvm: projector shapes differ or non-square: {sorted(dims)}"))
@@ -197,26 +218,20 @@ class ObservablePVM:
         d = projectors[0].shape[0]
         if len(outcomes) > d:
             violations.append(DimensionMismatch(f"pvm: {len(outcomes)} outcomes exceed dimension {d}"))
-        for f, p in zip(outcomes, projectors):
-            violations.extend(_check_hermitian(p, f"projector({f})", self.tol))
-            dev = _spectral_norm(p @ p - p)
-            if dev > self.tol:
-                violations.append(
-                    NotAProjector(f"projector({f}): ||P^2 - P|| = {dev:.3e} exceeds tol {self.tol:.1e}")
-                )
-        for i in range(len(projectors)):
-            for j in range(i + 1, len(projectors)):
-                dev = _spectral_norm(projectors[i] @ projectors[j])
-                if dev > self.tol:
-                    violations.append(
-                        IncompletePVM(
-                            f"projectors({outcomes[i]},{outcomes[j]}): overlap {dev:.3e} exceeds tol {self.tol:.1e}")
-                    )
-        dev = _spectral_norm(sum(projectors) - np.eye(d))
-        if dev > self.tol:
-            violations.append(
-                IncompletePVM(f"pvm: ||sum P - 1|| = {dev:.3e} exceeds tol {self.tol:.1e}")
-            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f, p in zip(outcomes, projectors):
+                violations.extend(check_hermitian(p, f"projector({f})"))
+                violations.extend(check_defect(
+                    _spectral_norm(p @ p - p), DEFAULT_TOL, NotAProjector,
+                    f"projector({f}): ||P^2 - P|| ="))
+            for i in range(len(projectors)):
+                for j in range(i + 1, len(projectors)):
+                    violations.extend(check_defect(
+                        _spectral_norm(projectors[i] @ projectors[j]), DEFAULT_TOL, IncompletePVM,
+                        f"projectors({outcomes[i]},{outcomes[j]}): overlap"))
+            violations.extend(check_defect(
+                _spectral_norm(sum(projectors) - np.eye(d)), DEFAULT_TOL, IncompletePVM,
+                "pvm: ||sum P - 1|| ="))
         if violations:
             raise ValidationError(violations)
         object.__setattr__(self, "outcomes", outcomes)
@@ -269,23 +284,20 @@ class ObservablePVM:
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     matrix: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         m = _as_operator(self.matrix, "state")
-        violations = []
         if m.shape[0] != m.shape[1]:
             raise ValidationError([DimensionMismatch("state: matrix is not square")])
-        violations.extend(_check_hermitian(m, "state", self.tol))
-        tr = np.trace(m)
-        if abs(tr - 1.0) > self.tol:
-            violations.append(BadTrace(f"state: trace {tr:.12g} deviates from 1 beyond tol {self.tol:.1e}"))
+        violations = check_hermitian(m, "state")
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = np.trace(m)
+        violations += check_defect(
+            abs(tr - 1.0), DEFAULT_TOL, BadTrace, f"state: trace {tr:.12g} has |trace - 1| =")
         if not violations:
             evals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-            if evals.min() < -self.tol:
-                violations.append(
-                    BadTrace(f"state: negative eigenvalue {evals.min():.3e} below -tol {self.tol:.1e}")
-                )
+            violations += check_defect(
+                -evals.min(), DEFAULT_TOL, BadTrace, "state: -(min eigenvalue) =")
         if violations:
             raise ValidationError(violations)
         object.__setattr__(self, "matrix", _frozen(m))
@@ -293,9 +305,12 @@ class DensityOperator:
     @classmethod
     def pure(cls, vector) -> "DensityOperator":
         v = np.asarray(vector, dtype=complex).reshape(-1)
-        nrm = np.linalg.norm(v)
-        if nrm == 0:
-            raise ValidationError([BadTrace("state: zero vector cannot be normalized")])
+        if not np.all(np.isfinite(v)):
+            raise ValidationError([DomainMismatch("state: vector entries must be finite")])
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(v)
+        if not 0 < nrm < math.inf:
+            raise ValidationError([BadTrace(f"state: a vector of norm {nrm} cannot be normalized")])
         v = v / nrm
         return cls(np.outer(v, v.conj()))
 
@@ -321,9 +336,9 @@ class TimeGrid:
         if not all(math.isfinite(t) for t in times):
             raise ValidationError([NonFiniteTime(f"grid: times must be finite, got {times}")])
         if any(t <= 0 for t in times):
-            raise ValidationError([DimensionMismatch(f"grid: times must be positive, got {times}")])
+            raise ValidationError([OutOfHorizon(f"grid: times must be positive, got {times}")])
         if any(b <= a for a, b in zip(times[:-1], times[1:])):
-            raise ValidationError([DimensionMismatch(f"grid: times must be strictly increasing, got {times}")])
+            raise ValidationError([DegenerateInterval(f"grid: times must be strictly increasing, got {times}")])
         object.__setattr__(self, "times", times)
 
     # The empty grid is allowed: it indexes the trivial distribution {() -> 1}
@@ -382,9 +397,6 @@ class QuantumScenario:
     def with_state(self, state: DensityOperator) -> "QuantumScenario":
         return QuantumScenario(self.dimension, self.schedule, state, self.pvm)
 
-    def with_pvm(self, pvm: ObservablePVM) -> "QuantumScenario":
-        return QuantumScenario(self.dimension, self.schedule, self.state, pvm)
-
 
 def rabi_scenario(omega: float = 1.0) -> QuantumScenario:
     """Qubit precessing under H = omega * sigma_x / 2, probed in sigma_z."""
@@ -413,7 +425,7 @@ def validate_scenario(raw) -> QuantumScenario:
         if key not in raw:
             raise ParseError(f"scenario: missing required key '{key}'")
     d = raw["dimension"]
-    if not isinstance(d, int) or d < 1:
+    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise ParseError(f"scenario: dimension must be a positive integer, got {d!r}")
 
     violations = []
@@ -444,7 +456,7 @@ def _schedule_from_config(cfg, d: int) -> HamiltonianSchedule:
     kind = cfg["type"]
     if kind == "static":
         h = serialize.matrix_from_json(cfg.get("matrix"), "hamiltonian.matrix")
-        horizon = float(cfg.get("horizon", math.inf))
+        horizon = serialize.real_from_json(cfg.get("horizon", math.inf), "hamiltonian.horizon")
         return HamiltonianSchedule.from_static(h, horizon)
     if kind == "piecewise":
         segs = cfg.get("segments")
@@ -454,11 +466,12 @@ def _schedule_from_config(cfg, d: int) -> HamiltonianSchedule:
         for k, seg in enumerate(segs):
             if not isinstance(seg, Mapping):
                 raise ParseError(f"hamiltonian.segments[{k}]: expected a mapping")
+            where = f"hamiltonian.segments[{k}]"
             built.append(
                 (
-                    float(seg.get("t_start", 0.0)),
-                    float(seg.get("t_end", 0.0)),
-                    serialize.matrix_from_json(seg.get("matrix"), f"hamiltonian.segments[{k}].matrix"),
+                    serialize.real_from_json(seg.get("t_start", 0.0), f"{where}.t_start"),
+                    serialize.real_from_json(seg.get("t_end", 0.0), f"{where}.t_end"),
+                    serialize.matrix_from_json(seg.get("matrix"), f"{where}.matrix"),
                 )
             )
         return HamiltonianSchedule(tuple(built))
@@ -467,7 +480,7 @@ def _schedule_from_config(cfg, d: int) -> HamiltonianSchedule:
         if name == "rabi":
             if d != 2:
                 raise ParseError(f"hamiltonian preset 'rabi': requires dimension 2, got {d}")
-            omega = float(cfg.get("omega", 1.0))
+            omega = serialize.real_from_json(cfg.get("omega", 1.0), "hamiltonian.omega")
             return HamiltonianSchedule.from_static(0.5 * omega * PAULI_X)
         raise ParseError(f"hamiltonian preset: unknown name {name!r}")
     raise ParseError(f"hamiltonian: unknown type {kind!r}")
@@ -501,7 +514,10 @@ def _pvm_from_config(cfg, d: int) -> ObservablePVM:
             serialize.matrix_from_json(p, f"observable.projectors[{k}]")
             for k, p in enumerate(projectors)
         ]
-        return ObservablePVM(tuple(float(v) for v in values), tuple(mats))
+        values = tuple(
+            serialize.real_from_json(v, f"observable.values[{k}]") for k, v in enumerate(values)
+        )
+        return ObservablePVM(values, tuple(mats))
     raise ParseError("observable: expected preset 'pauli_z' or explicit 'values' + 'projectors'")
 
 
@@ -519,14 +535,11 @@ def coarse_grain_pvm(pvm: ObservablePVM, grouping: Mapping) -> ObservablePVM:
     for f in pvm.outcomes:
         label = grouping[f]
         groups.setdefault(label, []).append(f)
-    for label, members in groups.items():
-        if not members:
-            raise EmptyGroup(f"group {label!r} has no members")
-        if not isinstance(label, (int, float)):
-            raise ParseError(f"group label {label!r} is not a real number")
     outcomes = []
     projectors = []
     for label, members in groups.items():
+        if not isinstance(label, (int, float)):
+            raise ParseError(f"group label {label!r} is not a real number")
         outcomes.append(float(label))
         projectors.append(sum(pvm.projector(f) for f in members))
     return ObservablePVM(tuple(outcomes), tuple(projectors))
@@ -556,14 +569,14 @@ def random_scenario(
     sizes ``outcome_groups`` (which must sum to d).
     """
     if d < 2:
-        raise ValidationError([DimensionMismatch(f"random_scenario: d must be >= 2, got {d}")])
-    if norm_cap < 0:
-        raise ValidationError([DimensionMismatch(f"random_scenario: norm_cap must be >= 0, got {norm_cap}")])
+        raise ValidationError([DomainMismatch(f"random_scenario: d must be >= 2, got {d}")])
+    if not (norm_cap >= 0 and math.isfinite(norm_cap)):
+        raise ValidationError([DomainMismatch(f"random_scenario: norm_cap must be finite and >= 0, got {norm_cap}")])
     if outcome_groups is not None:
         sizes = tuple(int(s) for s in outcome_groups)
         if any(s < 1 for s in sizes) or sum(sizes) != d:
             raise ValidationError(
-                [DimensionMismatch(f"random_scenario: outcome_groups {sizes} must be positive and sum to {d}")]
+                [DomainMismatch(f"random_scenario: outcome_groups {sizes} must be positive and sum to {d}")]
             )
     rng = np.random.default_rng(seed)
 

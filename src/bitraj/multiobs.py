@@ -20,24 +20,33 @@ import numpy as np
 
 from ._linalg import dagger, expm_hermitian
 from .biprob import (
-    DEFAULT_ENUMERATION_CAP,
     BiDistribution,
     BiOutcome,
     _distribution_for_slots,
     _entry_gram,
     _slot_stacks,
+    check_enumeration,
 )
 from .errors import (
+    DegenerateInterval,
     DimensionMismatch,
-    EnumerationTooLarge,
+    DomainMismatch,
     IndexOutOfRange,
     LengthMismatch,
-    SlotOutcomeMismatch,
+    NotUnitary,
     UnknownOutcome,
     ValidationError,
 )
-from .model import DEFAULT_TOL, ObservablePVM, QuantumScenario, TimeGrid
-from .propagate import propagators_along
+from .model import (
+    ObservablePVM,
+    QuantumScenario,
+    TimeGrid,
+    _as_operator,
+    _spectral_norm,
+    check_defect,
+    check_hermitian,
+)
+from .propagate import TOL_UNITARY, propagators_along
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +84,7 @@ def _slot_indices(seq: ObservableSequence, leg: tuple, what: str):
         try:
             idx.append(seq.pvms[j].index_of(f))
         except UnknownOutcome as exc:
-            raise SlotOutcomeMismatch(f"{what} leg, slot {j + 1}: {exc}") from None
+            raise UnknownOutcome(f"{what} leg, slot {j + 1}: {exc}") from None
     return idx
 
 
@@ -108,14 +117,13 @@ def multiobs_distribution(
     scenario: QuantumScenario,
     grid: TimeGrid,
     seq: ObservableSequence,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> BiDistribution:
     """Dense multi-observable table; satisfies the same property battery."""
     if seq.dimension != scenario.dimension:
         raise DimensionMismatch(
             f"observable dimension {seq.dimension} != scenario dimension {scenario.dimension}"
         )
-    return _distribution_for_slots(scenario, grid, seq.pvms, cap)
+    return _distribution_for_slots(scenario, grid, seq.pvms)
 
 
 # -- generic bi-probabilities ------------------------------------------------
@@ -231,7 +239,6 @@ def decompose_multiobs(
     grid: TimeGrid,
     seq: ObservableSequence,
     outcome: BiOutcome,
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> DecompositionRecord:
     """Cross-check a multi-observable value against its generic expansion.
 
@@ -262,15 +269,13 @@ def decompose_multiobs(
         block_p = [k for k, lab in enumerate(labels) if lab == f_plus]
         block_m = [k for k, lab in enumerate(labels) if lab == f_minus]
         if not block_p or not block_m:
-            raise SlotOutcomeMismatch(
+            raise UnknownOutcome(
                 f"slot {j + 1}: outcome {f_plus if not block_p else f_minus} not in PVM"
             )
         slot_blocks_plus.append(block_p)
         slot_blocks_minus.append(block_m)
         terms *= len(block_p) * len(block_m)
-    terms *= d * d
-    if terms > cap:
-        raise EnumerationTooLarge(f"decomposition would sum {terms} terms, beyond the cap {cap}")
+    check_enumeration(terms * d * d, "decomposition")
 
     recon = 0.0 + 0.0j
     for k1p in range(d):
@@ -304,27 +309,32 @@ class UnitaryPath:
     anchor: np.ndarray
 
     def __post_init__(self):
-        segs = tuple((float(w), np.asarray(v, dtype=complex)) for w, v in self.segments)
+        segs = tuple(
+            (float(w), _as_operator(v, f"segment {i}: generator"))
+            for i, (w, v) in enumerate(self.segments)
+        )
         if not segs:
             raise LengthMismatch("path needs at least one segment")
         d = segs[0][1].shape[0]
         violations = []
         total = 0.0
         for i, (w, v) in enumerate(segs):
-            if w <= 0:
-                violations.append(LengthMismatch(f"segment {i}: duration {w} must be positive"))
+            if not w > 0:
+                violations.append(DegenerateInterval(f"segment {i}: duration {w} must be positive"))
             if v.shape != (d, d):
                 violations.append(DimensionMismatch(f"segment {i}: generator shape {v.shape} != {(d, d)}"))
-            elif float(np.linalg.norm(v - dagger(v), 2)) > DEFAULT_TOL:
-                violations.append(LengthMismatch(f"segment {i}: generator is not Hermitian"))
+            else:
+                violations += check_hermitian(v, f"segment {i}: generator")
             total += w
-        if abs(total - 1.0) > 1e-9:
-            violations.append(LengthMismatch(f"durations sum to {total}, expected 1"))
-        anchor = np.asarray(self.anchor, dtype=complex)
+        violations += check_defect(
+            abs(total - 1.0), 1e-9, DomainMismatch, f"durations sum to {total}, |sum - 1| =")
+        anchor = _as_operator(self.anchor, "anchor")
         if anchor.shape != (d, d):
             violations.append(DimensionMismatch(f"anchor shape {anchor.shape} != {(d, d)}"))
-        elif float(np.linalg.norm(dagger(anchor) @ anchor - np.eye(d), 2)) > 1e-9:
-            violations.append(LengthMismatch("anchor is not unitary"))
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                dev = _spectral_norm(dagger(anchor) @ anchor - np.eye(d))
+            violations += check_defect(dev, TOL_UNITARY, NotUnitary, "anchor: unitarity defect")
         if violations:
             raise ValidationError(violations)
         object.__setattr__(self, "segments", segs)
@@ -391,8 +401,8 @@ def path_bound_check(
     worst = 0.0
     for taus in parameter_grids:
         taus = [float(t) for t in taus]
-        if any(b <= a for a, b in zip(taus[:-1], taus[1:])):
-            raise LengthMismatch(f"parameter tuple {taus} must be strictly increasing")
+        if not all(b > a for a, b in zip(taus[:-1], taus[1:])):
+            raise DegenerateInterval(f"parameter tuple {taus} must be strictly increasing")
         unitaries = [path.unitary(t) for t in taus]
         worst = max(worst, generic_l1_norm(unitaries))
     bound = d * d * float(np.exp(2.0 * (d - 1) * path_length(path)))

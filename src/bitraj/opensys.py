@@ -27,20 +27,21 @@ import numpy as np
 
 from . import serialize
 from ._linalg import dagger, expm_hermitian, vec, unvec
-from .biprob import DEFAULT_ENUMERATION_CAP, full_distribution
+from .biprob import full_distribution
 from .errors import (
+    DegenerateInterval,
     DimensionMismatch,
     DimensionTooLarge,
-    EnumerationTooLarge,
-    NonHermitian,
+    DomainMismatch,
     ParseError,
     ValidationError,
 )
 from .model import (
-    DEFAULT_TOL,
     HamiltonianSchedule,
     QuantumScenario,
     TimeGrid,
+    _as_operator,
+    check_hermitian,
     validate_scenario,
 )
 from .propagate import heisenberg_pvm_stacks, propagator
@@ -119,24 +120,19 @@ class OpenModel:
     environment: QuantumScenario
 
     def __post_init__(self):
-        violations = []
-        h = np.asarray(self.h_sys, dtype=complex)
-        v = np.asarray(self.v_sys, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        h = _as_operator(self.h_sys, "h_o")
+        v = _as_operator(self.v_sys, "v_o")
+        if h.shape[0] != h.shape[1]:
             raise ValidationError([DimensionMismatch(f"h_o: expected square matrix, got {h.shape}")])
+        violations = check_hermitian(h, "h_o")
         if v.shape != h.shape:
             violations.append(DimensionMismatch(f"v_o: shape {v.shape} != h_o shape {h.shape}"))
-        for name, m in (("h_o", h), ("v_o", v)):
-            dev = float(np.linalg.norm(m - dagger(m), 2))
-            if dev > DEFAULT_TOL:
-                violations.append(NonHermitian(f"{name}: Hermiticity defect {dev:.3e} exceeds tol {DEFAULT_TOL:.1e}"))
+        else:
+            violations += check_hermitian(v, "v_o")
         lam = float(self.coupling)
         if not math.isfinite(lam):
-            violations.append(DimensionMismatch(f"lambda: must be finite, got {lam}"))
-        f_op = self.coupling_operator
-        dev = float(np.linalg.norm(f_op - dagger(f_op), 2))
-        if dev > DEFAULT_TOL:
-            violations.append(NonHermitian(f"coupling observable F: Hermiticity defect {dev:.3e}"))
+            violations.append(DomainMismatch(f"lambda: must be finite, got {lam}"))
+        violations += check_hermitian(self.coupling_operator, "coupling observable F")
         if violations:
             raise ValidationError(violations)
         h.setflags(write=False)
@@ -173,7 +169,7 @@ class OpenModel:
         return cls(
             h_sys=serialize.matrix_from_json(sys_cfg["h_o"], "system.h_o"),
             v_sys=serialize.matrix_from_json(sys_cfg["v_o"], "system.v_o"),
-            coupling=float(sys_cfg["lambda"]),
+            coupling=serialize.real_from_json(sys_cfg["lambda"], "system.lambda"),
             environment=environment,
         )
 
@@ -199,7 +195,6 @@ def bitrajectory_map(
     t: float,
     n_steps: int,
     method: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Superoperator:
     """Discretized bi-trajectory average of the reduced dynamics up to t.
 
@@ -210,31 +205,25 @@ def bitrajectory_map(
     kept as an independent oracle; "contract" evaluates the identical sum as
     the joint-space product V = T_n ... T_1, T_j = sum_f A_f kron P_{t_j}(f),
     followed by the partial trace of V (A kron rho_E) V^dagger, with no cap.
-    "auto" picks "contract".
+    "auto" picks "contract".  At t = 0 every method gives the identity map,
+    as the exact evolution does.
     """
     if n_steps < 1:
-        raise DimensionMismatch(f"n_steps must be >= 1, got {n_steps}")
+        raise DomainMismatch(f"n_steps must be >= 1, got {n_steps}")
+    if method not in ("auto", "contract", "enumerate"):
+        raise DomainMismatch(f"unknown method {method!r}")
     t = float(t)
-    if method == "auto":
-        method = "contract"
+    if t == 0.0:
+        return Superoperator.identity(model.system_dim)
     if method == "enumerate":
-        return _bitrajectory_map_enumerate(model, t, n_steps, cap)
-    if method == "contract":
-        return _bitrajectory_map_contract(model, t, n_steps)
-    raise DimensionMismatch(f"unknown method {method!r}")
+        return _bitrajectory_map_enumerate(model, t, n_steps)
+    return _bitrajectory_map_contract(model, t, n_steps)
 
 
-def _bitrajectory_map_enumerate(
-    model: OpenModel, t: float, n_steps: int, cap: int
-) -> Superoperator:
+def _bitrajectory_map_enumerate(model: OpenModel, t: float, n_steps: int) -> Superoperator:
     k = model.environment.pvm.size
-    entries = (k * k) ** n_steps
-    if entries > cap:
-        raise EnumerationTooLarge(
-            f"trajectory-pair table would hold {entries} entries, beyond the cap {cap}"
-        )
     grid = _uniform_grid(t, n_steps)
-    dist = full_distribution(model.environment, grid, cap)
+    dist = full_distribution(model.environment, grid)
     big_k = k ** n_steps
     q = dist.table.reshape(big_k, big_k)
 
@@ -278,7 +267,7 @@ def _reduce_to_system(
     return Superoperator(s, d_o)
 
 
-def exact_joint_map(model: OpenModel, t: float, substeps: int = 1) -> Superoperator:
+def exact_joint_map(model: OpenModel, t: float) -> Superoperator:
     """Reference map: joint unitary evolution followed by the partial trace."""
     if model.joint_dim > MAX_JOINT_DIMENSION:
         raise DimensionTooLarge(
@@ -300,7 +289,7 @@ def exact_joint_map(model: OpenModel, t: float, substeps: int = 1) -> Superopera
         for a, b, h in model.environment.schedule.segments
     )
     joint_schedule = HamiltonianSchedule(joint_segments)
-    u = propagator(joint_schedule, 0.0, float(t), substeps).matrix
+    u = propagator(joint_schedule, 0.0, float(t)).matrix
     conj_superop = np.kron(u.conj(), u)  # W -> U W U^dag
     return _reduce_to_system(conj_superop, d_o, d_e, model.environment.state.matrix)
 
@@ -315,7 +304,6 @@ def convergence_study(
     model: OpenModel,
     t: float,
     steps: Sequence[int],
-    method: str = "auto",
 ) -> list:
     """Distance of the discretized map to the exact one per step count.
 
@@ -324,10 +312,10 @@ def convergence_study(
     """
     steps = [int(n) for n in steps]
     if any(b <= a for a, b in zip(steps[:-1], steps[1:])):
-        raise DimensionMismatch(f"step counts must be ascending, got {steps}")
+        raise DegenerateInterval(f"step counts must be ascending, got {steps}")
     exact = exact_joint_map(model, t)
     out = []
     for n in steps:
-        approx = bitrajectory_map(model, t, n, method=method)
+        approx = bitrajectory_map(model, t, n)
         out.append(ConvergencePoint(n_steps=n, error=approx.distance(exact)))
     return out

@@ -19,13 +19,13 @@ import numpy as np
 from ._linalg import dagger, expm_from_eigh, expm_hermitian
 from .errors import (
     DegenerateInterval,
+    DimensionMismatch,
     NonFiniteTime,
-    NonHermitian,
-    NonSquare,
+    NotUnitary,
     OutOfHorizon,
     ValidationError,
 )
-from .model import HamiltonianSchedule, QuantumScenario
+from .model import HamiltonianSchedule, QuantumScenario, check_defect
 
 TOL_UNITARY = 1e-9
 
@@ -41,18 +41,17 @@ class UnitaryMatrix:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise NonSquare(f"propagator matrix must be square, got shape {m.shape}")
+            raise DimensionMismatch(f"propagator matrix must be square, got shape {m.shape}")
         # Frobenius norm: never below the spectral norm, so never a looser
         # check, and it needs no SVD; a non-finite entry makes dev NaN or
         # inf, which fails the comparison
         with np.errstate(invalid="ignore", over="ignore"):
             dev = float(np.linalg.norm(dagger(m) @ m - np.eye(m.shape[0])))
-        if not dev <= TOL_UNITARY:
-            raise ValidationError(
-                [NonHermitian(
-                    f"unitarity defect {dev:.3e} exceeds tol {TOL_UNITARY:.1e}"
-                    f" on [{self.t_from}, {self.t_to}]")]
-            )
+        violations = check_defect(
+            dev, TOL_UNITARY, NotUnitary,
+            "propagator on [%r, %r]: unitarity defect", self.t_from, self.t_to)
+        if violations:
+            raise ValidationError(violations)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -68,7 +67,7 @@ def operator_norm(m) -> float:
     """Largest singular value (for Hermitian input, the max |eigenvalue|)."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NonSquare(f"operator_norm: expected a square matrix, got shape {a.shape}")
+        raise DimensionMismatch(f"operator_norm: expected a square matrix, got shape {a.shape}")
     return float(np.linalg.norm(a, 2))
 
 
@@ -76,19 +75,14 @@ def propagator(
     schedule: HamiltonianSchedule,
     t_from: float,
     t_to: float,
-    substeps: int = 1,
 ) -> UnitaryMatrix:
     """Time-ordered propagator U(t_to, t_from) for a piecewise schedule.
 
-    Each covered segment piece is split into ``substeps`` equal slices with
-    an exact exponential per slice; for piecewise-constant H the result is
-    independent of ``substeps``.
+    Each covered segment piece contributes one exact exponential.
     """
     t_from, t_to = float(t_from), float(t_to)
     if not (math.isfinite(t_from) and math.isfinite(t_to)):
         raise NonFiniteTime(f"propagator endpoints must be finite, got [{t_from}, {t_to}]")
-    if substeps < 1:
-        raise DegenerateInterval(f"substeps must be >= 1, got {substeps}")
     if t_from > t_to:
         raise DegenerateInterval(f"t_from {t_from} exceeds t_to {t_to}")
     if t_from < 0 or t_to > schedule.horizon:
@@ -99,10 +93,7 @@ def propagator(
     u = np.eye(d, dtype=complex)
     if t_to > t_from:
         for a, b, h in schedule.pieces(t_from, t_to):
-            dt = (b - a) / substeps
-            step = expm_hermitian(h, -1j * dt)
-            for _ in range(substeps):
-                u = step @ u
+            u = expm_hermitian(h, -1j * (b - a)) @ u
     return UnitaryMatrix(u, t_from, t_to)
 
 

@@ -1,8 +1,10 @@
-"""JSON-friendly encoding of complex matrices and floats.
+"""JSON-friendly decoding of numbers and complex matrices.
 
-Complex numbers are serialized as two-element ``[re, im]`` lists; matrices as
-nested lists of such pairs.  Floats destined for text output are rendered
-with 17 significant digits so that values round-trip exactly.
+Complex numbers are read from two-element ``[re, im]`` lists or plain real
+numbers; matrices from nested lists of such entries.  A JSON boolean is not
+a number here, although Python's ``bool`` is an ``int``.  Floats destined
+for text output are rendered with 17 significant digits so that values
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -16,26 +18,26 @@ def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def complex_to_pair(z: complex) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
+def _is_real(obj) -> bool:
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
+def real_from_json(obj, where: str = "value") -> float:
+    """A real config number: int or float, never bool, string or null."""
+    if _is_real(obj):
+        try:
+            return float(obj)
+        except OverflowError:  # an integer literal beyond the float range
+            pass
+    raise ParseError(f"{where}: expected a real number, got {obj!r}")
 
 
 def pair_to_complex(obj, where: str = "value") -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if (
-        isinstance(obj, (list, tuple))
-        and len(obj) == 2
-        and all(isinstance(c, (int, float)) for c in obj)
-    ):
-        return complex(obj[0], obj[1])
+    if _is_real(obj):
+        return complex(real_from_json(obj, where))
+    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(_is_real(c) for c in obj):
+        return complex(real_from_json(obj[0], where), real_from_json(obj[1], where))
     raise ParseError(f"{where}: expected a number or an [re, im] pair, got {obj!r}")
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[complex_to_pair(z) for z in row] for row in m]
 
 
 def matrix_from_json(rows, where: str = "matrix") -> np.ndarray:

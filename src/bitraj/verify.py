@@ -29,11 +29,12 @@ from .biprob import (
     diagonal_probability,
     eval_biprob,
     full_distribution,
+    latest_slot_offdiagonal,
     marginalize,
 )
 from .errors import (
-    BadPosition,
-    BitrajError,
+    DomainMismatch,
+    IndexOutOfRange,
     LengthMismatch,
     NotNested,
     OverlappingEvents,
@@ -121,7 +122,7 @@ def _diag_label(dist: BiDistribution, flat_index: int) -> str:
 def _source_stacks(dist: BiDistribution) -> list:
     """Slot stacks of the scenario and observables that generated ``dist``."""
     if dist.scenario is None or dist.pvms is None:
-        raise LengthMismatch(
+        raise DomainMismatch(
             "distribution carries no scenario; bi-consistency cannot be re-evaluated"
         )
     return _slot_stacks(dist.scenario, dist.grid, dist.pvms)
@@ -165,7 +166,7 @@ def check_properties(
     tolerance = float(tolerance)
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValidationError(
-            [BitrajError(f"tolerance must be finite and >= 0, got {tolerance}")]
+            [DomainMismatch(f"tolerance must be finite and >= 0, got {tolerance}")]
         )
     checks = []
     n = dist.n
@@ -181,10 +182,7 @@ def check_properties(
 
     # Q2 causality at the latest slot
     if n >= 1:
-        k_n = sizes[-1]
-        absq = np.abs(table).copy()
-        view = np.moveaxis(absq, (0, n), (0, 1))
-        view[np.eye(k_n, dtype=bool)] = 0.0  # keep only f+_n != f-_n entries
+        absq = latest_slot_offdiagonal(table)
         dev = float(absq.max()) if absq.size else 0.0
         witness = _entry_label(dist, int(absq.argmax())) if absq.size else "n/a"
         checks.append(
@@ -279,7 +277,7 @@ def inconsistency_decomposition(
     """
     n = len(grid)
     if not 1 <= position <= n:
-        raise BadPosition(f"position {position} outside 1..{n}")
+        raise IndexOutOfRange(f"position {position} outside 1..{n}")
     tup = tuple(float(f) for f in outcomes)
     if len(tup) != n:
         raise LengthMismatch(f"outcome tuple length {len(tup)} != grid length {n}")

@@ -33,6 +33,21 @@ PAULI_X_PVM = ObservablePVM(
 
 
 @pytest.fixture
+def no_gram_rows_past_cap(monkeypatch):
+    """Fail if path vectors W are grown for a table beyond the entry cap."""
+    import bitraj.biprob as biprob
+
+    real = biprob._gram_rows
+
+    def guarded(factor, stacks):
+        rows = int(np.prod([p.shape[0] for p in stacks]))
+        assert rows * rows <= biprob.DEFAULT_ENUMERATION_CAP, "W built past the cap"
+        return real(factor, stacks)
+
+    monkeypatch.setattr(biprob, "_gram_rows", guarded)
+
+
+@pytest.fixture
 def rabi():
     return rabi_scenario(1.0)
 

@@ -127,9 +127,10 @@ class TestFullDistribution:
         for k, (o, q) in enumerate(dist.entries()):
             assert q == complex(flat[k])
 
-    def test_enumeration_cap(self, rabi):
+    def test_enumeration_cap(self, rabi, no_gram_rows_past_cap):
+        # 4^11 entries, one slot past the cap
         with pytest.raises(errors.EnumerationTooLarge):
-            bt.full_distribution(rabi, grid(0.2, 0.4, 0.6, 0.8), cap=100)
+            bt.full_distribution(rabi, grid(*(0.1 * k for k in range(1, 12))))
 
     def test_matches_oracle_entrywise(self):
         sc = bt.random_scenario(2, seed=9)
@@ -217,7 +218,7 @@ class TestMarginalize:
 
     def test_bad_position(self, rabi):
         dist = bt.full_distribution(rabi, grid(1.0))
-        with pytest.raises(errors.BadPosition):
+        with pytest.raises(errors.IndexOutOfRange):
             bt.marginalize(dist, 2)
 
 

@@ -46,6 +46,10 @@ class TestNonuniformBound:
 
 
 class TestUniformBound:
+    def test_overflowing_exponent_is_infinite(self):
+        # 2 (d-1) * (1000/2) * 2 = 2000 overflows math.exp; inf is still an upper bound
+        assert bt.uniform_bound(bt.rabi_scenario(1000.0), 2.0) == math.inf
+
     def test_half_sigma_x_one_unit_of_time(self, rabi):
         # d^2 exp[2 (d-1) * ||H|| * T] with ||H|| = 1/2, T = 1
         assert bt.uniform_bound(rabi, 1.0) == pytest.approx(4.0 * math.e, rel=1e-12)
@@ -149,10 +153,10 @@ class TestRefinementMonotonicity:
         assert norms[0] <= norms[1] + 1e-9
         assert norms[1] <= norms[2] + 1e-9
 
-    def test_enumeration_cap_respected(self, rabi):
-        mesh = bt.build_refinement(grid(0.5, 1.0), 8)
+    def test_enumeration_cap_respected(self, rabi, no_gram_rows_past_cap):
+        mesh = bt.build_refinement(grid(0.5, 1.0), 11)  # 4^11 entries on the fine grid
         with pytest.raises(errors.EnumerationTooLarge):
-            bt.refinement_monotonicity(rabi, mesh, cap=100)
+            bt.refinement_monotonicity(rabi, mesh)
 
 
 class TestCombinedInvariant:

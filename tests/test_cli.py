@@ -1,9 +1,14 @@
+import contextlib
+import copy
 import csv
 import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bitraj as bt
 from bitraj.cli import load_config, run
@@ -352,3 +357,162 @@ class TestLoadConfig:
         path.write_text(json.dumps(bad))
         with pytest.raises(errors.ValidationError):
             load_config(str(path))
+
+
+@pytest.mark.parametrize(
+    "exc", [np.linalg.LinAlgError("SVD did not converge"), MemoryError("Unable to allocate 64 GiB")]
+)
+def test_numerical_failures_exit_2(capsys, rabi_config, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr("bitraj.cli.full_distribution", fail)
+    code, out, err = run_cli(capsys, "dist", "--config", rabi_config, "--times", "0.5,1")
+    assert code == 2
+    assert out == "" and str(exc) in err
+
+
+def test_non_integer_study_steps_exit_2(capsys, model_config):
+    code, out, err = run_cli(
+        capsys, "opensys", "--model", model_config, "--time", "1.0", "--study", "4,x"
+    )
+    assert code == 2
+    assert out == "" and "--study" in err
+
+
+# -- input fuzzing ---------------------------------------------------------------
+
+BIG = 1e308
+OVERFLOWING = [[0, BIG], [-BIG, 0]]  # finite entries, but A - A^dagger overflows
+
+STATIC_CONFIG = {
+    "dimension": 2,
+    "hamiltonian": {"type": "static", "matrix": [[0, [0.5, 0]], [[0.5, 0], 0]], "horizon": 3.0},
+    "initial_state": {"matrix": [[1, 0], [0, 0]]},
+    "observable": {"values": [1, -1], "projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]},
+}
+
+FUZZ_BASES = {
+    "rabi": RABI_CONFIG,
+    "static": STATIC_CONFIG,
+    "piecewise": dict(
+        RABI_CONFIG,
+        hamiltonian={"type": "piecewise", "segments": [
+            {"t_start": 0, "t_end": 0.7, "matrix": [[0, 1], [1, 0]]},
+            {"t_start": 0.7, "t_end": 2.0, "matrix": [[1, 0], [0, -1]]},
+        ]},
+    ),
+    "open": dict(STATIC_CONFIG, system=OPEN_MODEL_CONFIG["system"]),
+}
+
+FUZZ_COMMANDS = (
+    ("dist", "--config", "{path}", "--times", "0.5,1"),
+    ("bound", "--config", "{path}", "--times", "0.5,1"),
+    ("opensys", "--model", "{path}", "--time", "0.5", "--steps", "3"),
+)
+
+MUTANTS = (
+    float("nan"), float("inf"), -float("inf"), BIG, -BIG, 1000, 1000.0,
+    "x", None, True, False, [], [[1]], [1, [2, 3]], {"a": 1},
+)
+
+# Each of these used to escape ``run`` as a traceback, or to exit 0 with an
+# invalid operator, before the input checks rejected it
+PINNED = [
+    ("static", [(("hamiltonian", "horizon"), "abc")]),
+    ("rabi", [(("hamiltonian", "omega"), None)]),
+    ("piecewise", [(("hamiltonian", "segments", 0, "t_end"), "x")]),
+    ("open", [(("system", "lambda"), "big")]),
+    ("static", [(("hamiltonian", "matrix"), OVERFLOWING)]),
+    ("open", [(("initial_state", "matrix"), [[1, BIG], [-BIG, 0]])]),
+    ("static", [(("observable", "projectors", 0), [[1, BIG], [-BIG, 0]]),
+                (("observable", "projectors", 1), [[0, -BIG], [BIG, 1]])]),
+    ("rabi", [(("hamiltonian", "omega"), 1000)]),
+]
+
+
+def _paths(node, prefix=()):
+    """Every key/index path below the root of a JSON document."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _has(node, key) -> bool:
+    if isinstance(node, dict):
+        return key in node
+    return isinstance(node, list) and isinstance(key, int) and key < len(node)
+
+
+def _mutated(base: str, mutations) -> dict:
+    cfg = copy.deepcopy(FUZZ_BASES[base])
+    for path, value in mutations:
+        node = cfg
+        for key in path[:-1]:  # the path may be gone after an earlier mutation
+            node = node[key] if _has(node, key) else None
+        if _has(node, path[-1]):
+            node[path[-1]] = copy.deepcopy(value)
+    return cfg
+
+
+def _operators(cfg: dict):
+    """Every matrix a config declares as a Hamiltonian, state, projector or system operator."""
+    ham = cfg.get("hamiltonian", {})
+    yield ham.get("matrix")
+    for seg in ham.get("segments", ()):
+        yield seg.get("matrix")
+    yield cfg.get("initial_state", {}).get("matrix")
+    yield from cfg.get("observable", {}).get("projectors", ())
+    yield from (cfg.get("system", {}).get(key) for key in ("h_o", "v_o"))
+
+
+def _is_hermitian(rows) -> bool:
+    """The oracle, independent of the library's parser and checks.
+
+    Entries are numbers or [re, im] pairs; ``run`` has already parsed them.
+    """
+    m = np.array(
+        [[complex(*c) if isinstance(c, list) else complex(c) for c in row] for row in rows]
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.all(np.abs(m - m.conj().T) <= 1e-8))
+
+
+def _check_case(case) -> None:
+    """``run`` exits 0 or 2 and never raises; 0 only for Hermitian operators."""
+    base, mutations = case
+    cfg = _mutated(base, mutations)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)  # NaN and inf are written as the tokens json.load reads back
+        for command in FUZZ_COMMANDS:
+            argv = [a.format(path=path) for a in command]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = run(argv)
+            assert code in (0, 2), (argv[0], cfg)
+            if code == 0:
+                for rows in _operators(cfg):
+                    assert rows is None or _is_hermitian(rows), (argv[0], rows)
+
+
+@st.composite
+def _fuzz_cases(draw):
+    base = draw(st.sampled_from(sorted(FUZZ_BASES)))
+    paths = list(_paths(FUZZ_BASES[base]))
+    mutation = st.tuples(st.sampled_from(paths), st.sampled_from(MUTANTS))
+    return base, draw(st.lists(mutation, min_size=1, max_size=3))
+
+
+def _pinned(test):
+    for case in PINNED:
+        test = example(case=case)(test)
+    return test
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@_pinned
+@given(case=_fuzz_cases())
+def test_fuzzed_configs_exit_0_or_2(case):
+    _check_case(case)

@@ -75,9 +75,11 @@ class TestCombBiprob:
         dist = bt.full_distribution(sc, g)
         assert np.abs(comb_table(sc, g) - dist.table).max() <= 1e-10
 
-    def test_comb_table_cap(self, rabi):
+    def test_comb_table_cap(self, rabi, monkeypatch):
+        # the cap is checked before any slot is propagated or any table built
+        monkeypatch.setattr("bitraj.comb.heisenberg_pvm_stacks", None)
         with pytest.raises(errors.EnumerationTooLarge):
-            comb_table(rabi, grid(0.2, 0.4, 0.6), cap=10)
+            comb_table(rabi, grid(*(0.1 * k for k in range(1, 12))))
 
     def test_length_mismatch(self, rabi):
         with pytest.raises(errors.LengthMismatch):

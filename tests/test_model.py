@@ -221,3 +221,90 @@ class TestImmutability:
         with pytest.raises(errors.ValidationError):
             bt.TimeGrid((-1.0, 1.0))
         assert len(bt.TimeGrid(())) == 0
+
+
+# Finite entries whose residual A - A^dagger overflows: the defect is NaN,
+# which a `dev > tol` comparison would have let through
+OVERFLOWING = np.array([[0, 1e308], [-1e308, 0]], dtype=complex)
+
+
+class TestOverflowingOperators:
+    def test_hamiltonian(self):
+        with pytest.raises(errors.ValidationError) as err:
+            bt.HamiltonianSchedule.from_static(OVERFLOWING)
+        assert err.value.has(errors.NonHermitian)
+
+    def test_projector(self):
+        with pytest.raises(errors.ValidationError) as err:
+            bt.ObservablePVM((1.0, -1.0), (np.eye(2) + OVERFLOWING, -OVERFLOWING))
+        assert err.value.has(errors.NonHermitian)
+        assert err.value.has(errors.NotAProjector)
+        assert err.value.has(errors.IncompletePVM)
+
+    def test_state(self):
+        with pytest.raises(errors.ValidationError) as err:
+            bt.DensityOperator(np.diag([1.0, 0.0]) + OVERFLOWING)
+        assert err.value.has(errors.NonHermitian)
+
+    def test_open_model_v_o(self):
+        with pytest.raises(errors.ValidationError) as err:
+            bt.OpenModel(SIGMA_Z, OVERFLOWING, 0.5, bt.rabi_scenario())
+        assert err.value.has(errors.NonHermitian)
+
+    def test_unitary_path(self):
+        with pytest.raises(errors.ValidationError) as err:
+            bt.UnitaryPath(((1.0, OVERFLOWING),), np.eye(2))
+        assert err.value.has(errors.NonHermitian)
+        with pytest.raises(errors.ValidationError) as err:
+            bt.UnitaryPath(((1.0, SIGMA_X),), OVERFLOWING)
+        assert err.value.has(errors.NotUnitary)
+        with pytest.raises(errors.ValidationError) as err:
+            bt.UnitaryPath(((float("nan"), SIGMA_X),), np.eye(2))
+        assert err.value.has(errors.DegenerateInterval)
+        assert err.value.has(errors.DomainMismatch)
+
+    def test_unitary_matrix(self):
+        with pytest.raises(errors.ValidationError) as err:
+            bt.UnitaryMatrix(OVERFLOWING, 0.0, 1.0)
+        assert err.value.has(errors.NotUnitary)
+
+    def test_non_finite_outcome_value(self):
+        with pytest.raises(errors.ValidationError) as err:
+            bt.ObservablePVM((float("nan"), 1.0), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+        assert err.value.has(errors.DomainMismatch)
+
+
+class TestConfigNumbers:
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("hamiltonian",), {"type": "static", "matrix": [[0, 1], [1, 0]], "horizon": "abc"}),
+            (("hamiltonian",), {"type": "preset", "name": "rabi", "omega": None}),
+            (("hamiltonian",), {"type": "preset", "name": "rabi", "omega": True}),
+            (("hamiltonian",), {"type": "piecewise", "segments": [
+                {"t_start": 0, "t_end": "x", "matrix": [[0, 1], [1, 0]]}]}),
+            (("observable",), {"values": ["a", 2], "projectors": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}),
+            (("initial_state",), {"matrix": [[True, 0], [0, 0]]}),
+            (("initial_state",), {"matrix": [[10 ** 400, 0], [0, 0]]}),
+            (("dimension",), True),
+        ],
+    )
+    def test_non_numbers_are_parse_errors(self, path, value):
+        cfg = textbook_config()
+        cfg[path[0]] = value
+        with pytest.raises(errors.ParseError):
+            bt.validate_scenario(cfg)
+
+    def test_lambda(self):
+        cfg = dict(textbook_config(), system={"h_o": [[1, 0], [0, -1]], "v_o": [[0, 1], [1, 0]],
+                                              "lambda": "big"})
+        with pytest.raises(errors.ParseError, match="lambda"):
+            bt.OpenModel.from_dict(cfg)
+
+    def test_real_from_json(self):
+        from bitraj.serialize import real_from_json
+
+        assert real_from_json(2) == 2.0 and real_from_json(-0.5) == -0.5
+        for bad in (False, None, "1", [1.0], 10 ** 400):
+            with pytest.raises(errors.ParseError):
+                real_from_json(bad)

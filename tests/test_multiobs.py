@@ -83,7 +83,7 @@ class TestEvalMultiobs:
     def test_slot_outcome_mismatch(self, rabi):
         three = bt.ObservablePVM.computational_basis(2)
         seq = bt.ObservableSequence((rabi.pvm, three))
-        with pytest.raises(errors.SlotOutcomeMismatch):
+        with pytest.raises(errors.UnknownOutcome):
             bt.eval_multiobs(rabi, grid(0.5, 1.0), seq, outcome((5.0, 1.0), (5.0, 1.0)))
 
     def test_dimension_mismatch(self, rabi):

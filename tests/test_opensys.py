@@ -150,6 +150,19 @@ class TestExactJointMap:
 
 
 class TestBitrajectoryMap:
+    @pytest.mark.parametrize("method", ["contract", "enumerate"])
+    def test_identity_at_time_zero(self, method):
+        model = standard_model()
+        identity = bt.Superoperator.identity(model.system_dim)
+        assert bt.exact_joint_map(model, 0.0).distance(identity) == 0.0
+        for n in (1, 3):
+            approx = bt.bitrajectory_map(model, 0.0, n, method=method)
+            np.testing.assert_array_equal(approx.matrix, identity.matrix)
+
+    def test_convergence_study_at_time_zero(self):
+        study = bt.convergence_study(standard_model(), 0.0, [1, 2])
+        assert [(p.n_steps, p.error) for p in study] == [(1, 0.0), (2, 0.0)]
+
     def test_decoupled_is_exact_for_any_step_count(self):
         model = standard_model(coupling=0.0)
         exact = bt.exact_joint_map(model, 1.0)
@@ -255,5 +268,5 @@ class TestConvergenceStudy:
 
     def test_requires_ascending_steps(self):
         model = standard_model()
-        with pytest.raises(errors.DimensionMismatch):
+        with pytest.raises(errors.DegenerateInterval):
             bt.convergence_study(model, 1.0, [8, 4])

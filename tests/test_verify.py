@@ -83,7 +83,7 @@ class TestCheckProperties:
             table=dist.table,
             fingerprint=dist.fingerprint,
         )
-        with pytest.raises(errors.LengthMismatch):
+        with pytest.raises(errors.DomainMismatch):
             bt.check_properties(bare)
 
 
@@ -122,7 +122,7 @@ class TestInconsistencyDecomposition:
         assert rec.offdiag_sum == pytest.approx(oracle, abs=1e-10)
 
     def test_bad_position(self, rabi):
-        with pytest.raises(errors.BadPosition):
+        with pytest.raises(errors.IndexOutOfRange):
             bt.inconsistency_decomposition(rabi, grid(0.5), (1.0,), 2)
 
 
