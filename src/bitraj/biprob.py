@@ -20,6 +20,7 @@ once and frozen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -37,6 +38,7 @@ from .errors import (
 )
 from .model import ObservablePVM, QuantumScenario, TimeGrid, check_defect
 from .propagate import heisenberg_pvm_stacks
+from .serialize import format_floats
 
 DEFAULT_ENUMERATION_CAP = 4 ** 10
 
@@ -77,7 +79,8 @@ class BiDistribution:
     time); the table axes run latest-first: (f+_n,...,f+_1,f-_n,...,f-_1).
     ``scenario`` and ``pvms`` keep enough provenance to re-evaluate reduced
     grids (needed by the verification module); ``fingerprint`` identifies the
-    generating scenario.
+    generating scenario.  The table is copied on construction, except one the
+    engine builds and hands over as ``_Handover``, which nothing else holds.
     """
 
     grid: TimeGrid
@@ -88,7 +91,10 @@ class BiDistribution:
     pvms: tuple | None = None
 
     def __post_init__(self):
-        table = np.array(self.table, dtype=complex)
+        if isinstance(self.table, _Handover):
+            table = np.asarray(self.table.array, dtype=complex, order="C")
+        else:
+            table = np.array(self.table, dtype=complex)
         n = len(self.grid)
         sizes = tuple(len(s) for s in self.outcome_sets)
         if len(self.outcome_sets) != n:
@@ -157,51 +163,61 @@ class BiDistribution:
         diag = np.einsum(self.table, labels + labels, labels)
         return np.ascontiguousarray(np.real(diag))
 
-    def outcomes_iter(self) -> Iterator[BiOutcome]:
-        n = self.n
+    def _labels(self) -> list:
+        """The K latest-first outcome tuples (f_n, ..., f_1) in table row order.
+
+        Entry k = i*K + j of the flattened table is Q(labels[i]; labels[j]).
+        """
         rev = self.sizes[::-1]
-        sets_rev = self.outcome_sets[::-1]
-        for idx in np.ndindex(*(rev + rev)):
-            plus = tuple(sets_rev[a][idx[a]] for a in range(n))
-            minus = tuple(sets_rev[a][idx[n + a]] for a in range(n))
-            yield BiOutcome(plus, minus)
+        if not rev:
+            return [()]
+        digits = np.unravel_index(np.arange(math.prod(rev)), rev)
+        columns = [np.asarray(s)[d].tolist() for s, d in zip(self.outcome_sets[::-1], digits)]
+        return list(zip(*columns))
 
     def entries(self) -> Iterator[tuple]:
-        flat = self.table.reshape(-1)
-        for k, outcome in enumerate(self.outcomes_iter()):
-            yield outcome, complex(flat[k])
+        labels = self._labels()
+        for plus, row in zip(labels, self.table.reshape(len(labels), -1)):
+            for minus, q in zip(labels, row.tolist()):
+                yield BiOutcome(plus, minus), q
 
-    def to_json_dict(self) -> dict:
+    def _json_header(self) -> dict:
         outcomes = (
             list(self.uniform_outcomes)
             if self.uniform_outcomes is not None
             else [list(s) for s in self.outcome_sets]
         )
-        entries = [
-            {
-                "plus": list(o.plus),
-                "minus": list(o.minus),
-                "re": q.real,
-                "im": q.imag,
-            }
-            for o, q in self.entries()
-        ]
         return {
             "times": list(self.grid.times),
             "outcomes": outcomes,
             "fingerprint": self.fingerprint,
-            "entries": entries,
         }
 
+    def to_json_dict(self) -> dict:
+        labels = self._labels()
+        entries = [
+            {"plus": list(plus), "minus": list(minus), "re": re, "im": im}
+            for plus, row in zip(labels, self.table.reshape(len(labels), -1))
+            for minus, re, im in zip(labels, row.real.tolist(), row.imag.tolist())
+        ]
+        return {**self._json_header(), "entries": entries}
+
     def to_csv_rows(self) -> Iterator[list]:
+        """Header, then one row per entry; every label and value is formatted once."""
         yield ["plus", "minus", "re", "im"]
-        for o, q in self.entries():
-            yield [
-                " ".join("%.17g" % f for f in o.plus),
-                " ".join("%.17g" % f for f in o.minus),
-                "%.17g" % q.real,
-                "%.17g" % q.imag,
-            ]
+        labels = [" ".join(format_floats(t)) for t in self._labels()]
+        for plus, row in zip(labels, self.table.reshape(len(labels), -1)):
+            for minus, re, im in zip(
+                labels, format_floats(row.real.tolist()), format_floats(row.imag.tolist())
+            ):
+                yield [plus, minus, re, im]
+
+
+@dataclass(frozen=True)
+class _Handover:
+    """A table the engine built and hands to BiDistribution, which keeps it uncopied."""
+
+    array: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,7 +426,7 @@ def _distribution_from_stacks(
     dist = BiDistribution(
         grid=grid,
         outcome_sets=tuple(tuple(p.outcomes) for p in pvms),
-        table=table,
+        table=_Handover(table),
         fingerprint=scenario.fingerprint,
         scenario=scenario,
         pvms=tuple(pvms),
@@ -496,7 +512,7 @@ def marginalize(dist: BiDistribution, position: int) -> BiDistribution:
     return BiDistribution(
         grid=grid,
         outcome_sets=outcome_sets,
-        table=table,
+        table=_Handover(table),
         fingerprint=dist.fingerprint,
         scenario=dist.scenario,
         pvms=pvms,

@@ -17,13 +17,14 @@ Gram engine, as a cross-check.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -132,17 +133,28 @@ def _scenario_from_args(args) -> tuple:
     raise ParseError("provide --config FILE or --random-dim D")
 
 
-def _emit(args, text: str, manifest: RunManifest) -> None:
+def _write_chunks(fh, chunks: Iterable[str]) -> None:
+    """Write the chunks, then a newline unless the text already ends in one."""
+    last = ""
+    for chunk in chunks:
+        fh.write(chunk)
+        last = chunk or last
+    if not last.endswith("\n"):
+        fh.write("\n")
+
+
+def _emit(args, chunks: Iterable[str], manifest: RunManifest) -> None:
     if getattr(args, "output", None):
         out = Path(args.output)
-        out.write_text(text if text.endswith("\n") else text + "\n", encoding="utf-8")
+        with out.open("w", encoding="utf-8") as fh:
+            _write_chunks(fh, chunks)
         manifest.outputs.append(str(out))
         manifest_path = Path(str(out) + ".manifest.json")
         manifest_path.write_text(
             json.dumps(manifest.to_json_dict(), indent=2) + "\n", encoding="utf-8"
         )
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        _write_chunks(sys.stdout, chunks)
 
 
 def _manifest(command: str, config: str | None, seed: int | None) -> RunManifest:
@@ -175,18 +187,46 @@ def _cmd_eval(args) -> int:
         "method": args.method,
         "value": _complex_dict(value),
     }
-    _emit(args, json.dumps(payload, indent=2), _manifest("eval", cfg, seed))
+    _emit(args, [json.dumps(payload, indent=2)], _manifest("eval", cfg, seed))
     return 0
 
 
-def _dist_text(dist: BiDistribution, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(dist.to_json_dict(), indent=2)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    for row in dist.to_csv_rows():
-        writer.writerow(row)
-    return buf.getvalue()
+def _dist_text(dist: BiDistribution, fmt: str) -> Iterator[str]:
+    """The table as JSON or CSV text, one chunk per plus-row block.
+
+    The text equals ``json.dumps(dist.to_json_dict(), indent=2)``, or what
+    ``csv.writer`` writes for ``dist.to_csv_rows()``, byte for byte; only one
+    block of K entries is ever held as text.
+    """
+    k = math.prod(dist.sizes)
+    if fmt == "csv":
+        rows = dist.to_csv_rows()
+        yield _csv_line(next(rows))
+        for _ in range(k):
+            yield "".join(map(_csv_line, itertools.islice(rows, k)))
+        return
+    head = json.dumps({**dist._json_header(), "entries": []}, indent=2)
+    yield head[: -len("]\n}")] + "\n"  # cut the empty list open: '"entries": [\n'
+    # A label list as the indent encoder spells it two levels into an entry
+    label_text = [json.dumps(list(t), indent=2).replace("\n", "\n      ") for t in dist._labels()]
+    for i, (plus, row) in enumerate(zip(label_text, dist.table.reshape(k, k))):
+        lead = f'    {{\n      "plus": {plus},\n      "minus": '
+        block = ",\n".join(
+            f'{lead}{minus},\n      "re": {re},\n      "im": {im}\n    }}'
+            for minus, re, im in zip(label_text, _json_floats(row.real), _json_floats(row.imag))
+        )
+        yield (",\n" if i else "") + block
+    yield "\n  ]\n}"
+
+
+def _csv_line(fields) -> str:
+    """One row as ``csv.writer`` writes it, for fields that need no quoting."""
+    return ",".join(fields) + "\r\n"
+
+
+def _json_floats(values: np.ndarray) -> list:
+    """JSON spellings of the floats, NaN and Infinity included, from the C encoder."""
+    return json.dumps(values.tolist())[1:-1].split(", ")
 
 
 def _cmd_dist(args) -> int:
@@ -202,7 +242,7 @@ def _cmd_verify(args) -> int:
     grid = _parse_times(args.times)
     dist = full_distribution(scenario, grid)
     report = check_properties(dist, tolerance=args.tolerance)
-    _emit(args, json.dumps(report.to_json_dict(), indent=2), _manifest("verify", cfg, seed))
+    _emit(args, [json.dumps(report.to_json_dict(), indent=2)], _manifest("verify", cfg, seed))
     return 0 if report.all_pass else 1
 
 
@@ -220,7 +260,7 @@ def _cmd_bound(args) -> int:
         "uniform_bound": uni,
         "margin": min(non_uni, uni) - norm,
     }
-    _emit(args, json.dumps(payload, indent=2), _manifest("bound", cfg, seed))
+    _emit(args, [json.dumps(payload, indent=2)], _manifest("bound", cfg, seed))
     return 0
 
 
@@ -238,7 +278,7 @@ def _cmd_refine(args) -> int:
         "norm_coarse": record.norm_coarse,
         "norm_fine": record.norm_fine,
     }
-    _emit(args, json.dumps(payload, indent=2), _manifest("refine", cfg, seed))
+    _emit(args, [json.dumps(payload, indent=2)], _manifest("refine", cfg, seed))
     return 0
 
 
@@ -290,7 +330,7 @@ def _cmd_multiobs(args) -> int:
             "minus": list(minus),
             "value": _complex_dict(value),
         }
-        _emit(args, json.dumps(payload, indent=2), _manifest("multiobs", cfg, seed))
+        _emit(args, [json.dumps(payload, indent=2)], _manifest("multiobs", cfg, seed))
         return 0
     dist = multiobs_distribution(scenario, grid, seq)
     _emit(args, _dist_text(dist, args.format), _manifest("multiobs", cfg, seed))
@@ -307,12 +347,8 @@ def _cmd_opensys(args) -> int:
         except ValueError as exc:
             raise ParseError(f"--study: {exc}") from exc
         points = convergence_study(model, args.time, steps)
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["n_steps", "error"])
-        for pt in points:
-            writer.writerow([pt.n_steps, format_float(pt.error)])
-        _emit(args, buf.getvalue(), _manifest("opensys", args.model, None))
+        lines = [_csv_line((str(pt.n_steps), format_float(pt.error))) for pt in points]
+        _emit(args, [_csv_line(("n_steps", "error"))] + lines, _manifest("opensys", args.model, None))
         return 0
     approx = bitrajectory_map(model, args.time, args.steps)
     exact = exact_joint_map(model, args.time)
@@ -322,7 +358,7 @@ def _cmd_opensys(args) -> int:
         "error": approx.distance(exact),
         "trace_preservation_defect": approx.trace_preservation_defect(),
     }
-    _emit(args, json.dumps(payload, indent=2), _manifest("opensys", args.model, None))
+    _emit(args, [json.dumps(payload, indent=2)], _manifest("opensys", args.model, None))
     return 0
 
 
@@ -347,7 +383,7 @@ def _cmd_comb(args) -> int:
         payload["difference"] = diff
         if not diff <= CROSS_CHECK_TOL:
             code = 1
-    _emit(args, json.dumps(payload, indent=2), _manifest("comb", cfg, seed))
+    _emit(args, [json.dumps(payload, indent=2)], _manifest("comb", cfg, seed))
     return code
 
 
@@ -357,16 +393,14 @@ def _cmd_demo(args) -> int:
     from .model import rabi_scenario
 
     scenario = rabi_scenario(args.omega)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["t", "q_plus", "q_minus"])
+    lines = [_csv_line(("t", "q_plus", "q_minus"))]
     for k in range(1, args.points + 1):
         t = args.tmax * k / args.points
         grid = TimeGrid((t,))
         q_plus = eval_biprob(scenario, grid, BiOutcome((1.0,), (1.0,))).real
         q_minus = eval_biprob(scenario, grid, BiOutcome((-1.0,), (-1.0,))).real
-        writer.writerow([format_float(t), format_float(q_plus), format_float(q_minus)])
-    _emit(args, buf.getvalue(), _manifest("demo rabi", None, None))
+        lines.append(_csv_line(map(format_float, (t, q_plus, q_minus))))
+    _emit(args, lines, _manifest("demo rabi", None, None))
     return 0
 
 

@@ -398,11 +398,18 @@ class QuantumScenario:
         return QuantumScenario(self.dimension, self.schedule, state, self.pvm)
 
 
+def _rabi_hamiltonian(omega: float) -> np.ndarray:
+    """omega * sigma_x / 2; a non-finite omega is rejected before the product warns."""
+    if not math.isfinite(omega):
+        raise ValidationError([DomainMismatch(f"hamiltonian.omega: must be finite, got {omega}")])
+    return 0.5 * omega * PAULI_X
+
+
 def rabi_scenario(omega: float = 1.0) -> QuantumScenario:
     """Qubit precessing under H = omega * sigma_x / 2, probed in sigma_z."""
     return QuantumScenario(
         dimension=2,
-        schedule=HamiltonianSchedule.from_static(0.5 * omega * PAULI_X),
+        schedule=HamiltonianSchedule.from_static(_rabi_hamiltonian(omega)),
         state=DensityOperator.pure([1.0, 0.0]),
         pvm=ObservablePVM.pauli_z(),
     )
@@ -481,7 +488,7 @@ def _schedule_from_config(cfg, d: int) -> HamiltonianSchedule:
             if d != 2:
                 raise ParseError(f"hamiltonian preset 'rabi': requires dimension 2, got {d}")
             omega = serialize.real_from_json(cfg.get("omega", 1.0), "hamiltonian.omega")
-            return HamiltonianSchedule.from_static(0.5 * omega * PAULI_X)
+            return HamiltonianSchedule.from_static(_rabi_hamiltonian(omega))
         raise ParseError(f"hamiltonian preset: unknown name {name!r}")
     raise ParseError(f"hamiltonian: unknown type {kind!r}")
 

@@ -18,6 +18,11 @@ def format_float(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def format_floats(values) -> list:
+    """``format_float`` over Python floats, as one comprehension for whole columns."""
+    return ["%.17g" % v for v in values]
+
+
 def _is_real(obj) -> bool:
     return isinstance(obj, (int, float)) and not isinstance(obj, bool)
 

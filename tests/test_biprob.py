@@ -153,6 +153,30 @@ class TestFullDistribution:
         assert q.real == pytest.approx(-0.25, abs=1e-12)
 
 
+class TestTableOwnership:
+    def test_caller_array_is_copied(self, rabi):
+        mine = bt.full_distribution(rabi, grid(0.5)).table.copy()
+        dist = bt.BiDistribution(grid(0.5), ((1.0, -1.0),), mine)
+        before = dist.table.copy()
+        mine[...] = 7.0
+        assert np.array_equal(dist.table, before)
+
+    def test_engine_table_is_not_copied(self, rabi, monkeypatch):
+        import bitraj.biprob as biprob
+
+        built = []
+        real = biprob._table_from_stacks
+
+        def recording(rho, stacks):
+            built.append(real(rho, stacks))
+            return built[-1]
+
+        monkeypatch.setattr(biprob, "_table_from_stacks", recording)
+        dist = bt.full_distribution(rabi, grid(0.5, 1.0))
+        assert dist.table is built[0]
+        assert not dist.table.flags.writeable
+
+
 class TestDiagonalProbability:
     def test_rabi_at_pi(self, rabi):
         assert bt.diagonal_probability(rabi, grid(np.pi), (1.0,)) == pytest.approx(

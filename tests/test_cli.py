@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -228,7 +229,8 @@ class TestDist:
             "--format", "csv", "--output", str(out_path),
         )
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        with out_path.open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         manifest = json.loads((tmp_path / "table.csv.manifest.json").read_text())
         assert manifest["command"] == "dist"
@@ -503,6 +505,17 @@ def _fuzz_cases(draw):
     paths = list(_paths(FUZZ_BASES[base]))
     mutation = st.tuples(st.sampled_from(paths), st.sampled_from(MUTANTS))
     return base, draw(st.lists(mutation, min_size=1, max_size=3))
+
+
+@pytest.mark.parametrize("omega", [float("inf"), -float("inf"), float("nan")])
+def test_non_finite_omega_exits_2_without_warning(capsys, tmp_path, omega):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_mutated("rabi", [(("hamiltonian", "omega"), omega)])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dist", "--config", str(path), "--times", "0.5,1")
+    assert code == 2
+    assert out == "" and "hamiltonian.omega: must be finite" in err
 
 
 def _pinned(test):
