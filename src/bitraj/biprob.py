@@ -79,8 +79,13 @@ class BiDistribution:
     time); the table axes run latest-first: (f+_n,...,f+_1,f-_n,...,f-_1).
     ``scenario`` and ``pvms`` keep enough provenance to re-evaluate reduced
     grids (needed by the verification module); ``fingerprint`` identifies the
-    generating scenario.  The table is copied on construction, except one the
-    engine builds and hands over as ``_Handover``, which nothing else holds.
+    generating scenario.  A table the engine builds also keeps the engine's
+    slot stacks, one frozen (k_j, d, d) Heisenberg projector stack per slot,
+    as the private ``_stacks``, so the battery does not propagate again; a
+    hand-built distribution has none and they are recomputed from
+    ``scenario`` and ``pvms``.  The table is copied on construction, except
+    one the engine builds and hands over as ``_Handover``, which nothing else
+    holds.
     """
 
     grid: TimeGrid
@@ -89,6 +94,7 @@ class BiDistribution:
     fingerprint: str = ""
     scenario: QuantumScenario | None = None
     pvms: tuple | None = None
+    _stacks = None  # set by _distribution_from_stacks; not a field
 
     def __post_init__(self):
         if isinstance(self.table, _Handover):
@@ -123,7 +129,7 @@ class BiDistribution:
             abs(total - 1.0), TOL_NORMALIZATION, BitrajError,
             f"table sum {total:.12g} has |sum - 1| =")
         if not violations and self.n >= 1:
-            off = float(latest_slot_offdiagonal(self.table).max())
+            off, _ = latest_slot_causality(self.table)
             violations = check_defect(
                 off, TOL_CAUSALITY, BitrajError, "causality: max |Q| at f+_n != f-_n =")
         if violations:
@@ -329,19 +335,36 @@ def _slot_stacks(
     return heisenberg_pvm_stacks(scenario, grid.times, pvms)
 
 
-def latest_slot_offdiagonal(table: np.ndarray) -> np.ndarray:
-    """|Q| with the f+_n = f-_n entries zeroed, for a table with n >= 1.
+def latest_slot_causality(table: np.ndarray) -> tuple:
+    """(max |Q| over f+_n != f-_n, first flat index holding it), for n >= 1.
 
-    What remains is the mass that causality at the latest slot forbids; its
-    max and argmax are the causality deviation and witness.  |table| is the
-    one allocation: axes 0 and n are the plus and minus legs of the latest
-    slot, and the diagonal blocks are zeroed in place through that view.
+    That mass is what causality at the latest slot forbids; the pair is the
+    causality deviation and its witness.  The k(k-1) off-diagonal blocks of
+    the latest slot are scanned one at a time, so the extra memory is one
+    block's |Q|.  Every f+_n = f-_n entry counts as 0: a maximum of 0 (or no
+    off-diagonal block at all) gives flat index 0, and a NaN is the maximum.
     """
-    absq = np.abs(table)
-    n = absq.ndim // 2
-    view = np.moveaxis(absq, (0, n), (0, 1))
-    view[np.eye(absq.shape[0], dtype=bool)] = 0.0
-    return absq
+    best, where = 0.0, 0
+    if not table.size:
+        return best, where
+    k = table.shape[0]
+    cols = math.prod(table.shape[1:table.ndim // 2])
+    v = table.reshape(k, cols, k, cols)
+    for p in range(k):
+        for m in range(k):
+            if p == m:
+                continue
+            block = np.abs(v[p, :, m, :])
+            i = int(block.argmax())
+            val = float(block.flat[i])
+            plus_row, minus_col = divmod(i, cols)
+            flat = ((p * cols + plus_row) * k + m) * cols + minus_col
+            if math.isnan(val):
+                if not math.isnan(best) or flat < where:
+                    best, where = val, flat
+            elif val > best or (val == best and flat < where):
+                best, where = val, flat
+    return best, where
 
 
 def check_enumeration(count: int, what: str) -> None:
@@ -431,6 +454,9 @@ def _distribution_from_stacks(
         scenario=scenario,
         pvms=tuple(pvms),
     )
+    for stack in stacks:
+        stack.setflags(write=False)
+    object.__setattr__(dist, "_stacks", list(stacks))
     dist.assert_well_formed()
     return dist
 
@@ -492,14 +518,30 @@ def marginalize(dist: BiDistribution, position: int) -> BiDistribution:
     """Sum jointly over (f+_j, f-_j); returns the distribution with t_j removed.
 
     ``position`` is 1-based over ascending times.  By bi-consistency the
-    result matches a direct evaluation on the reduced grid.
+    result matches a direct evaluation on the reduced grid.  With the table
+    viewed as (A, k, B, A, k, B), the k^2 slices [:, f+_j, :, :, f-_j, :] are
+    added into one contiguous accumulator, f+_j outer and f-_j inner.  That
+    is not bitwise numpy's reduction over the two strided axes: entries may
+    differ by rounding (about 1e-16).
     """
     n = dist.n
     if not 1 <= position <= n:
         raise IndexOutOfRange(f"position {position} outside 1..{n}")
-    plus_axis = n - position
-    minus_axis = 2 * n - position
-    table = dist.table.sum(axis=(plus_axis, minus_axis))
+    rev = dist.sizes[::-1]
+    axis = n - position  # latest-first axis of slot `position`
+    k = rev[axis]
+    before, after = math.prod(rev[:axis]), math.prod(rev[axis + 1:])
+    v = dist.table.reshape(before, k, after, before, k, after)
+    reduced = rev[:axis] + rev[axis + 1:]
+    if k == 0:
+        table = np.zeros(reduced + reduced, dtype=complex)
+    else:
+        acc = v[:, 0, :, :, 0, :].copy()
+        for p in range(k):
+            for m in range(k):
+                if p or m:
+                    acc += v[:, p, :, :, m, :]
+        table = acc.reshape(reduced + reduced)
     grid = dist.grid.without(position)
     outcome_sets = tuple(
         s for j, s in enumerate(dist.outcome_sets, start=1) if j != position

@@ -17,6 +17,7 @@ Outcome tuples throughout the package are ordered latest-time-first,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -65,9 +66,19 @@ def _as_operator(obj, name: str) -> np.ndarray:
 
 def _spectral_norm(a: np.ndarray) -> float:
     """Largest singular value; inf, with no SVD, if an entry is not finite."""
-    if not np.all(np.isfinite(a)):
-        return math.inf
-    return float(np.linalg.norm(a, 2))
+    return float(_spectral_norms(a[None])[0])
+
+
+def _spectral_norms(stack: np.ndarray) -> np.ndarray:
+    """``_spectral_norm`` of each matrix of an (m, r, c) stack, in one batched SVD.
+
+    Each norm is bitwise what ``np.linalg.norm(a, 2)`` gives for that matrix.
+    """
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    out = np.full(len(stack), math.inf)
+    if finite.any():
+        out[finite] = np.linalg.norm(stack[finite], 2, axis=(1, 2))
+    return out
 
 
 def check_defect(dev: float, tol: float, fault: type, what: str, *args) -> list:
@@ -103,21 +114,26 @@ class HamiltonianSchedule:
     segments: tuple
 
     def __post_init__(self):
-        violations = []
         if not self.segments:
             raise ValidationError([DimensionMismatch("schedule: needs at least one segment")])
+        found = []  # violations of each segment, in segment order
         cleaned = []
+        same_dim = []  # (k, H) of the segments with the schedule's dimension
         dim = None
         prev_end = 0.0
         for k, (a, b, h) in enumerate(self.segments):
             a, b = float(a), float(b)
             h = _as_operator(h, f"schedule segment {k}")
+            violations = []
+            found.append(violations)
             if h.shape[0] != h.shape[1]:
                 violations.append(DimensionMismatch(f"schedule segment {k}: matrix is not square"))
                 continue
             if dim is None:
                 dim = h.shape[0]
-            elif h.shape[0] != dim:
+            if h.shape[0] == dim:
+                same_dim.append((k, h))
+            else:
                 violations.append(
                     DimensionMismatch(
                         f"schedule segment {k}: dimension {h.shape[0]} != {dim}")
@@ -133,9 +149,16 @@ class HamiltonianSchedule:
                 violations.append(DegenerateInterval(f"schedule segment {k}: empty interval [{a}, {b}]"))
             if math.isinf(b) and k != len(self.segments) - 1:
                 violations.append(DegenerateInterval(f"schedule segment {k}: only the last segment may be unbounded"))
-            violations.extend(check_hermitian(h, f"schedule segment {k}"))
             prev_end = b
             cleaned.append((a, b, _frozen(h)))
+        if same_dim:
+            stack = np.stack([h for _, h in same_dim])
+            with np.errstate(over="ignore", invalid="ignore"):
+                defects = _spectral_norms(stack - stack.conj().transpose(0, 2, 1))
+            for (k, _), dev in zip(same_dim, defects.tolist()):
+                found[k] += check_defect(
+                    dev, DEFAULT_TOL, NonHermitian, "schedule segment %d: Hermiticity defect", k)
+        violations = [v for seg in found for v in seg]
         if violations:
             raise ValidationError(violations)
         object.__setattr__(self, "segments", tuple(cleaned))
@@ -385,8 +408,9 @@ class QuantumScenario:
     def horizon(self) -> float:
         return self.schedule.horizon
 
-    @property
+    @functools.cached_property
     def fingerprint(self) -> str:
+        """SHA-256 of the scenario's content, hashed once per (frozen) scenario."""
         h = hashlib.sha256()
         h.update(np.array([self.dimension]).tobytes())
         h.update(self.schedule.content_bytes())

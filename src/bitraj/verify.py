@@ -29,7 +29,7 @@ from .biprob import (
     diagonal_probability,
     eval_biprob,
     full_distribution,
-    latest_slot_offdiagonal,
+    latest_slot_causality,
     marginalize,
 )
 from .errors import (
@@ -120,11 +120,16 @@ def _diag_label(dist: BiDistribution, flat_index: int) -> str:
 
 
 def _source_stacks(dist: BiDistribution) -> list:
-    """Slot stacks of the scenario and observables that generated ``dist``."""
+    """Slot stacks of the scenario and observables that generated ``dist``.
+
+    The engine's own stacks when it built ``dist``; recomputed otherwise.
+    """
     if dist.scenario is None or dist.pvms is None:
         raise DomainMismatch(
             "distribution carries no scenario; bi-consistency cannot be re-evaluated"
         )
+    if dist._stacks is not None:
+        return dist._stacks
     return _slot_stacks(dist.scenario, dist.grid, dist.pvms)
 
 
@@ -182,16 +187,17 @@ def check_properties(
 
     # Q2 causality at the latest slot
     if n >= 1:
-        absq = latest_slot_offdiagonal(table)
-        dev = float(absq.max()) if absq.size else 0.0
-        witness = _entry_label(dist, int(absq.argmax())) if absq.size else "n/a"
+        dev, flat = latest_slot_causality(table)
+        witness = _entry_label(dist, flat) if table.size else "n/a"
         checks.append(
             PropertyCheck("Q2_causality", dev, tolerance, dev <= tolerance, witness)
         )
 
     # Q3 positive semidefiniteness of M[f+, f-]
     m = table.reshape(k_total, k_total)
-    m_h = 0.5 * (m + m.conj().T)
+    m_h = np.conj(m.T, order="C")  # the one K x K temporary
+    m_h += m
+    m_h *= 0.5
     evals = np.linalg.eigvalsh(m_h) if k_total else np.array([0.0])
     lam_min = float(evals[0])
     norm = float(max(-evals[0], evals[-1]))  # spectral norm of the Hermitian m_h

@@ -9,9 +9,11 @@ import bitraj as bt
 from bitraj import errors
 from bitraj.biprob import (
     DEFAULT_ENUMERATION_CAP,
+    BiDistribution,
     _entry_gram,
     _entry_trace,
     _slot_stacks,
+    latest_slot_causality,
 )
 from bitraj.comb import comb_table
 
@@ -244,6 +246,72 @@ class TestMarginalize:
         dist = bt.full_distribution(rabi, grid(1.0))
         with pytest.raises(errors.IndexOutOfRange):
             bt.marginalize(dist, 2)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(sizes=[3], seed=0)
+    def test_slice_sum_matches_numpy_reduction(self, sizes, seed):
+        rng = np.random.default_rng(seed)
+        n = len(sizes)
+        shape = tuple(sizes[::-1]) * 2
+        table = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        sets = tuple(tuple(float(f) for f in range(k)) for k in sizes)
+        dist = BiDistribution(
+            grid=bt.TimeGrid(tuple(0.1 * (j + 1) for j in range(n))),
+            outcome_sets=sets,
+            table=table,
+        )
+        for j in range(1, n + 1):
+            marg = bt.marginalize(dist, j)
+            want = np.sum(table, axis=(n - j, 2 * n - j))
+            assert marg.table.shape == want.shape
+            assert marg.outcome_sets == sets[:j - 1] + sets[j:]
+            assert np.abs(marg.table - want).max(initial=0.0) <= 1e-14
+
+
+def _full_scan_causality(table):
+    """The scan over all of |table| that the per-block scan replaces."""
+    absq = np.abs(table)
+    n = absq.ndim // 2
+    view = np.moveaxis(absq, (0, n), (0, 1))
+    view[np.eye(absq.shape[0], dtype=bool)] = 0.0
+    return float(absq.max()), int(absq.argmax())
+
+
+class TestLatestSlotCausality:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=4),
+        levels=st.integers(min_value=1, max_value=3),
+        nans=st.integers(min_value=0, max_value=2),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_matches_full_scan(self, sizes, levels, nans, seed):
+        # few distinct magnitudes, so the maximum is often tied across blocks
+        rng = np.random.default_rng(seed)
+        shape = tuple(sizes[::-1]) * 2
+        table = rng.integers(0, levels, size=shape) * np.exp(1j * rng.uniform(0, 6, size=shape))
+        for _ in range(nans):
+            table[tuple(int(rng.integers(k)) for k in shape)] = np.nan
+        dev, flat = latest_slot_causality(table)
+        want_dev, want_flat = _full_scan_causality(table)
+        assert (dev == want_dev) or (np.isnan(dev) and np.isnan(want_dev))
+        assert flat == want_flat
+
+    def test_all_zero_off_diagonal_gives_flat_index_zero(self):
+        table = np.zeros((2, 3, 2, 3), dtype=complex)
+        table[1, 2, 1, 0] = 0.7  # a diagonal block of the latest slot
+        assert latest_slot_causality(table) == (0.0, 0)
+        assert latest_slot_causality(np.ones((1, 2, 1, 2))) == (0.0, 0)
+
+    def test_first_flat_index_of_a_tie(self):
+        table = np.zeros((2, 2, 2, 2), dtype=complex)
+        table[1, 0, 0, 0] = 0.5  # block (1, 0), flat index 8
+        table[0, 1, 1, 1] = -0.5j  # block (0, 1), flat index 7
+        assert latest_slot_causality(table) == (0.5, 7)
 
 
 class TestAverage:

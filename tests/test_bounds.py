@@ -78,6 +78,25 @@ class TestUniformBound:
         # integral over [0, 2] = 1*1 + 0.5*1
         assert bt.uniform_bound(sc, 2.0) == pytest.approx(4.0 * math.exp(2 * 1.5), rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["rabi", "drive_640_segments"])
+    def test_batched_norms_equal_per_piece_loop(self, case):
+        if case == "rabi":
+            sc, horizon = bt.rabi_scenario(1.3), 2.5
+        else:
+            schedule = bt.HamiltonianSchedule.from_function(
+                lambda t: np.array([[0.3 * math.cos(t), 0.6], [0.6, -0.3 * math.cos(t)]]),
+                10.0, segments=640,
+            )
+            sc = bt.QuantumScenario(
+                2, schedule, bt.DensityOperator.pure([1.0, 0.0]), bt.ObservablePVM.pauli_z()
+            )
+            horizon = 7.3  # ends inside a segment
+        integral = 0.0
+        for a, b, h in sc.schedule.pieces(0.0, horizon):
+            integral += float(np.linalg.norm(h, 2)) * (b - a)
+        d = sc.dimension
+        assert bt.uniform_bound(sc, horizon) == d * d * math.exp(2.0 * (d - 1) * integral)
+
     def test_out_of_horizon(self):
         sched = bt.HamiltonianSchedule(((0.0, 1.0, np.diag([1.0, -1.0])),))
         sc = bt.QuantumScenario(

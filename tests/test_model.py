@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import bitraj as bt
 from bitraj import errors
+from bitraj.model import check_hermitian
 
 from conftest import SIGMA_X, SIGMA_Z
 
@@ -133,6 +134,29 @@ class TestSchedule:
         assert pieces[0][:2] == (0.5, 1.0)
         assert pieces[1][:2] == (1.0, 1.5)
 
+    def test_batched_hermiticity_defects_match_per_segment_check(self):
+        rng = np.random.default_rng(3)
+        hs = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
+        hs[1] = hs[1] + hs[1].conj().T  # the one Hermitian segment
+        segs = tuple((float(k), float(k + 1), h) for k, h in enumerate(hs))
+        with pytest.raises(errors.ValidationError) as err:
+            bt.HamiltonianSchedule(segs)
+        want = [str(v) for k in (0, 2) for v in check_hermitian(hs[k], f"schedule segment {k}")]
+        assert [str(v) for v in err.value.violations] == want
+
+    def test_violations_stay_in_segment_order(self):
+        segs = ((0.0, 1.0, SIGMA_X + 1e-3j * SIGMA_Z), (1.5, 2.0, SIGMA_Z))
+        with pytest.raises(errors.ValidationError) as err:
+            bt.HamiltonianSchedule(segs)
+        kinds = [type(v) for v in err.value.violations]
+        assert kinds == [errors.NonHermitian, errors.DegenerateInterval]
+
+    def test_wrong_dimension_segment_skips_hermiticity(self):
+        segs = ((0.0, 1.0, SIGMA_X), (1.0, 2.0, np.triu(np.ones((3, 3)))))
+        with pytest.raises(errors.ValidationError) as err:
+            bt.HamiltonianSchedule(segs)
+        assert [type(v) for v in err.value.violations] == [errors.DimensionMismatch]
+
 
 class TestCoarseGraining:
     def test_rank_pattern(self):
@@ -175,6 +199,23 @@ class TestRandomScenario:
         np.testing.assert_array_equal(a.schedule.segments[0][2], b.schedule.segments[0][2])
         for p, q in zip(a.pvm.projectors, b.pvm.projectors):
             np.testing.assert_array_equal(p, q)
+
+    def test_fingerprint_hashed_once_per_scenario(self, monkeypatch):
+        calls = []
+        real = bt.HamiltonianSchedule.content_bytes
+
+        def counted(schedule):
+            calls.append(schedule)
+            return real(schedule)
+
+        monkeypatch.setattr(bt.HamiltonianSchedule, "content_bytes", counted)
+        sc = bt.rabi_scenario()
+        # the value the golden table files carry for this scenario
+        fingerprint = "0dafca36c410c18f8421de508b6d9b821fbedb8bee3b86260b98487fafff9f53"
+        assert sc.fingerprint == fingerprint
+        bt.check_properties(bt.full_distribution(sc, bt.TimeGrid((0.5, 1.0, 1.5))))
+        assert sc.fingerprint == fingerprint
+        assert len(calls) == 1
 
     def test_norm_cap(self):
         sc = bt.random_scenario(4, seed=1, norm_cap=1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import bitraj as bt
-from bitraj import errors
+from bitraj import biprob, errors
 from bitraj.biprob import BiDistribution
 
 from conftest import all_tuples, grid, oracle_biprob, outcome, static_scenario
@@ -74,6 +74,30 @@ class TestCheckProperties:
         rec = bt.classicality_report(dist)
         assert rec.consistency_deviation <= 1e-12
         assert rec.offdiagonal_mass <= 1e-12
+
+    def test_engine_slot_stacks_are_reused(self, monkeypatch):
+        sc = bt.random_scenario(3, seed=11)
+        dist = bt.full_distribution(sc, grid(0.3, 0.8, 1.4))
+        calls = []
+        real = biprob.heisenberg_pvm_stacks
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(biprob, "heisenberg_pvm_stacks", counted)
+        report = bt.check_properties(dist)
+        assert calls == []
+        hand_built = BiDistribution(
+            grid=dist.grid,
+            outcome_sets=dist.outcome_sets,
+            table=dist.table,
+            fingerprint=dist.fingerprint,
+            scenario=dist.scenario,
+            pvms=dist.pvms,
+        )
+        assert bt.check_properties(hand_built) == report
+        assert len(calls) == 1
 
     def test_sourceless_distribution_rejected(self, rabi):
         dist = bt.full_distribution(rabi, grid(0.5))
