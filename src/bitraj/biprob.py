@@ -162,12 +162,9 @@ class BiDistribution:
 
     def diagonal(self) -> np.ndarray:
         """Joint probabilities P(f_n,...,f_1) as a real array (latest-first axes)."""
-        n = self.n
-        if n == 0:
-            return np.real(self.table).copy()
-        labels = list(range(n))
-        diag = np.einsum(self.table, labels + labels, labels)
-        return np.ascontiguousarray(np.real(diag))
+        shape = self.table.shape[:self.n]
+        k = math.prod(shape)
+        return np.real(self.table.reshape(k, k).diagonal()).reshape(shape).copy()
 
     def _labels(self) -> list:
         """The K latest-first outcome tuples (f_n, ..., f_1) in table row order.
@@ -332,7 +329,7 @@ def _slot_stacks(
     pvms: Sequence[ObservablePVM] | None = None,
 ) -> list:
     """Heisenberg projector stacks, one (k_j, d, d) array per slot."""
-    return heisenberg_pvm_stacks(scenario, grid.times, pvms)
+    return list(heisenberg_pvm_stacks(scenario, grid.times, pvms))
 
 
 def latest_slot_causality(table: np.ndarray) -> tuple:

@@ -39,7 +39,7 @@ from .bounds import (
     uniform_bound,
 )
 from .comb import comb_biprob
-from .errors import BitrajError, ParseError
+from .errors import BitrajError, LengthMismatch, ParseError
 from .model import (
     QuantumScenario,
     TimeGrid,
@@ -77,15 +77,20 @@ class RunManifest:
         }
 
 
-def load_config(path: str):
-    """Parse and validate a scenario or open-system model file."""
+def _read_json(path: str):
+    """The JSON document in ``path``; an unreadable or invalid file is a ParseError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def load_config(path: str):
+    """Parse and validate a scenario or open-system model file."""
+    cfg = _read_json(path)
     if isinstance(cfg, dict) and "system" in cfg:
         return OpenModel.from_dict(cfg)
     return validate_scenario(cfg)
@@ -284,19 +289,11 @@ def _cmd_refine(args) -> int:
 
 def _load_observables(args, scenario: QuantumScenario) -> ObservableSequence:
     if args.observables:
-        try:
-            with open(args.observables, "r", encoding="utf-8") as fh:
-                specs = json.load(fh)
-        except OSError as exc:
-            raise ParseError(f"{args.observables}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.observables}: invalid JSON: {exc.msg}") from exc
+        specs = _read_json(args.observables)
     else:
         if not getattr(args, "config", None):
             raise ParseError("multiobs: provide --observables FILE or an 'observables' array in the config")
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-        specs = cfg.get("observables")
+        specs = _read_json(args.config).get("observables")
         if specs is None:
             raise ParseError("multiobs: provide --observables FILE or an 'observables' array in the config")
     if not isinstance(specs, list) or not specs:
@@ -315,6 +312,10 @@ def _cmd_multiobs(args) -> int:
         plus_raw = _parse_outcomes(args.plus, "--plus")
         minus_raw = _parse_outcomes(args.minus, "--minus")
         n = len(grid)
+        if len(seq) != n:
+            raise LengthMismatch(f"{len(seq)} observables for a grid of length {n}")
+        if len(plus_raw) != n or len(minus_raw) != n:
+            raise LengthMismatch(f"{len(plus_raw)} plus, {len(minus_raw)} minus values for a grid of length {n}")
         plus = tuple(
             _match_outcomes((v,), seq.pvms[n - 1 - a].outcomes, "--plus")[0]
             for a, v in enumerate(plus_raw)

@@ -9,10 +9,13 @@ f_j on [t_{j-1}, t_j), measured at the right endpoint), and the discretized
 map is validated against exact joint evolution.
 
 The sum over trajectory pairs factorises: with A_f the system step for
-environment value f, the pair-summed step is kron(T_j^*, T_j) for the joint
-operator T_j = sum_f A_f kron P_{t_j}(f), so the whole map is
-A -> tr_E[V (A kron rho_E) V^dagger] with V = T_n ... T_1, a product of n
-joint-space (D x D) matrices rather than n sums of k^2 superoperators.
+environment value f and the joint operator T_j = sum_f A_f kron P_{t_j}(f),
+the whole map is A -> tr_E[V (A kron rho_E) V^dagger] with V = T_n ... T_1,
+a product of n joint-space (D x D) matrices rather than n sums of k^2
+superoperators.  The exact map has the same form with V the joint
+propagator.  Both reductions read V itself; no D^2 x D^2 joint
+superoperator is formed, so the working memory is O(D^2) plus one
+Heisenberg projector stack of the environment.
 
 Superoperators use column stacking throughout: vec(X A Y) = (Y^T kron X) vec(A).
 """
@@ -95,15 +98,12 @@ class Superoperator:
 
 
 def choi_matrix(s: Superoperator) -> np.ndarray:
-    """Choi matrix sum_ij |i><j| kron S(|i><j|); PSD iff the map is CP."""
+    """Choi matrix sum_ij |i><j| kron S(|i><j|); PSD iff the map is CP.
+
+    Entry (id + a, jd + b) is S(|i><j|)[a, b] = s.matrix[bd + a, jd + i].
+    """
     d = s.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            c += np.kron(unit, s.apply(unit))
-    return c
+    return s.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,25 +246,25 @@ def _bitrajectory_map_contract(model: OpenModel, t: float, n_steps: int) -> Supe
     grid = _uniform_grid(t, n_steps)
     v = np.eye(d_o * d_e, dtype=complex)
     for projs in heisenberg_pvm_stacks(env, grid.times):
-        # T_j = sum_f A_f kron P_{t_j}(f); kron(T^*, T) is the pair-summed step
+        # T_j = sum_f A_f kron P_{t_j}(f)
         v = np.einsum("fab,fij->aibj", steps, projs).reshape(v.shape) @ v
-    return _reduce_to_system(np.kron(v.conj(), v), d_o, d_e, env.state.matrix)
+    return _reduce_to_system(v, d_o, d_e, env.state.matrix)
 
 
-def _reduce_to_system(
-    joint_superop: np.ndarray, d_o: int, d_e: int, rho_env: np.ndarray
-) -> Superoperator:
-    """Columns of tr_env[T(E_ij kron rho_env)] over system matrix units."""
+def _reduce_to_system(v: np.ndarray, d_o: int, d_e: int, rho_env: np.ndarray) -> Superoperator:
+    """The map A -> tr_env[V (A kron rho_env) V^dagger] of a joint operator V.
+
+    Its entry at output (a, c), input (b, d) is
+    sum_{i,j,l} V[ai, bj] rho_env[j, l] conj(V[ci, dl]): one product with
+    rho_env, then one (d_o^2 x d_e^2) by (d_e^2 x d_o^2) product over the
+    (d_o, d_e, d_o, d_e) view of V.
+    """
     d2 = d_o * d_o
-    s = np.empty((d2, d2), dtype=complex)
-    for j in range(d_o):
-        for i in range(d_o):
-            unit = np.zeros((d_o, d_o), dtype=complex)
-            unit[i, j] = 1.0
-            w = unvec(joint_superop @ vec(np.kron(unit, rho_env)), d_o * d_e)
-            reduced = np.einsum("iaja->ij", w.reshape(d_o, d_e, d_o, d_e))
-            s[:, j * d_o + i] = vec(reduced)
-    return Superoperator(s, d_o)
+    x = (v.reshape(-1, d_e) @ rho_env).reshape(d_o, d_e, d_o, d_e)
+    x = x.transpose(0, 2, 1, 3).reshape(d2, d_e * d_e)
+    y = v.conj().reshape(d_o, d_e, d_o, d_e).transpose(0, 2, 1, 3).reshape(d2, d_e * d_e)
+    m = (x @ y.T).reshape(d_o, d_o, d_o, d_o)  # axes (a, b, c, d)
+    return Superoperator(m.transpose(2, 0, 3, 1).reshape(d2, d2), d_o)
 
 
 def exact_joint_map(model: OpenModel, t: float) -> Superoperator:
@@ -290,8 +290,7 @@ def exact_joint_map(model: OpenModel, t: float) -> Superoperator:
     )
     joint_schedule = HamiltonianSchedule(joint_segments)
     u = propagator(joint_schedule, 0.0, float(t)).matrix
-    conj_superop = np.kron(u.conj(), u)  # W -> U W U^dag
-    return _reduce_to_system(conj_superop, d_o, d_e, model.environment.state.matrix)
+    return _reduce_to_system(u, d_o, d_e, model.environment.state.matrix)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -140,15 +141,14 @@ def heisenberg_projector(scenario: QuantumScenario, outcome: float, t: float) ->
     return dagger(u) @ p @ u
 
 
-def heisenberg_pvm_stacks(scenario: QuantumScenario, times, pvms=None) -> list:
-    """Heisenberg projector stacks, one (k_j, d, d) array per ascending time.
+def heisenberg_pvm_stacks(scenario: QuantumScenario, times, pvms=None) -> Iterator[np.ndarray]:
+    """Yield the Heisenberg projector stack, one (k_j, d, d) array, per ascending time.
 
     ``pvms`` gives one observable per time and defaults to the scenario's.
+    A consumer that drops each stack holds one at a time.
     """
     if pvms is None:
         pvms = [scenario.pvm] * len(times)
-    stacks = []
     for u, pvm in zip(propagators_along(scenario.schedule, times), pvms):
         ud = dagger(u.matrix)
-        stacks.append(np.stack([ud @ p @ u.matrix for p in pvm.projectors]))
-    return stacks
+        yield np.stack([ud @ p @ u.matrix for p in pvm.projectors])

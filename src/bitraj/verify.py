@@ -312,13 +312,6 @@ def inconsistency_decomposition(
     return InconsistencyRecord(lhs=float(lhs), offdiag_sum=complex(offdiag))
 
 
-def _complex_diagonal(table: np.ndarray, n: int) -> np.ndarray:
-    if n == 0:
-        return table.copy()
-    labels = list(range(n))
-    return np.einsum(table, labels + labels, labels)
-
-
 def classicality_report(dist: BiDistribution) -> ClassicalityRecord:
     """How far the diagonal statistics are from a classical process.
 
@@ -339,7 +332,8 @@ def classicality_report(dist: BiDistribution) -> ClassicalityRecord:
         dev = float(np.abs(summed - fresh.diagonal()).max())
         worst = max(worst, dev)
     mass_all = float(np.abs(dist.table).sum())
-    mass_diag = float(np.abs(_complex_diagonal(dist.table, n)).sum())
+    k = math.prod(dist.sizes)
+    mass_diag = float(np.abs(dist.table.reshape(k, k).diagonal()).sum())
     return ClassicalityRecord(
         consistency_deviation=worst,
         offdiagonal_mass=mass_all - mass_diag,

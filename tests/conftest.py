@@ -94,6 +94,37 @@ def oracle_biprob(
     return complex(np.trace(a))
 
 
+def oracle_reduced_map(v: np.ndarray, d_o: int, d_e: int, rho_env: np.ndarray) -> np.ndarray:
+    """A -> tr_E[V (A kron rho_E) V^dagger] through the joint superoperator kron(V*, V).
+
+    Column-stacked, one system matrix unit at a time: the column of E_ij is
+    vec tr_E[unvec(kron(V*, V) vec(E_ij kron rho_E))].
+    """
+    d = d_o * d_e
+    superop = np.kron(v.conj(), v)
+    s = np.empty((d_o * d_o, d_o * d_o), dtype=complex)
+    for j in range(d_o):
+        for i in range(d_o):
+            unit = np.zeros((d_o, d_o), dtype=complex)
+            unit[i, j] = 1.0
+            w = (superop @ np.kron(unit, rho_env).T.reshape(-1)).reshape(d, d).T
+            reduced = np.einsum("iaja->ij", w.reshape(d_o, d_e, d_o, d_e))
+            s[:, j * d_o + i] = reduced.T.reshape(-1)
+    return s
+
+
+def oracle_choi(s) -> np.ndarray:
+    """sum_ij |i><j| kron S(|i><j|), one matrix unit at a time."""
+    d = s.dim
+    c = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            c += np.kron(unit, s.apply(unit))
+    return c
+
+
 def all_tuples(outcomes, n):
     """All latest-first outcome tuples of length n, lexicographic order."""
     if n == 0:

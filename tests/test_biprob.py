@@ -270,6 +270,9 @@ class TestMarginalize:
             assert marg.table.shape == want.shape
             assert marg.outcome_sets == sets[:j - 1] + sets[j:]
             assert np.abs(marg.table - want).max(initial=0.0) <= 1e-14
+        labels = list(range(n))
+        want_diag = np.real(np.einsum(table, labels + labels, labels))
+        np.testing.assert_array_equal(dist.diagonal(), want_diag)
 
 
 def _full_scan_causality(table):

@@ -329,6 +329,35 @@ class TestMultiobs:
         doc = json.loads(out)
         assert len(doc["entries"]) == 16
 
+    @pytest.mark.parametrize(
+        "times, plus, minus",
+        [
+            ("0.5,1.0,1.5", "1,1,1", "1,1,1"),  # two observables for three times
+            ("0.5,1.0", "1,1,1,1,1", "1,1"),  # more than 2n plus values
+        ],
+    )
+    def test_length_errors_exit_2(self, capsys, rabi_config, tmp_path, times, plus, minus):
+        path = tmp_path / "obs.json"
+        path.write_text(json.dumps([{"type": "pauli_z"}, {"type": "pauli_z"}]))
+        code, _, err = run_cli(
+            capsys,
+            "multiobs", "--config", rabi_config, "--times", times,
+            "--observables", str(path), "--plus", plus, "--minus", minus,
+        )
+        assert code == 2
+        assert "grid of length" in err
+
+    def test_invalid_observables_file_names_position(self, capsys, rabi_config, tmp_path):
+        path = tmp_path / "obs.json"
+        path.write_text('[\n  {"type": "pauli_z"},\n  oops\n]')
+        code, _, err = run_cli(
+            capsys,
+            "multiobs", "--config", rabi_config, "--times", "0.5",
+            "--observables", str(path),
+        )
+        assert code == 2
+        assert "line 3, column 3" in err
+
 
 class TestLoadConfig:
     def test_scenario(self, rabi_config):

@@ -1,13 +1,24 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.linalg
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bitraj as bt
 from bitraj import errors
 from bitraj._linalg import vec, unvec
 
-from conftest import SIGMA_X, SIGMA_Z, static_scenario
+from conftest import (
+    SIGMA_X,
+    SIGMA_Z,
+    oracle_choi,
+    oracle_heisenberg,
+    oracle_propagator,
+    oracle_reduced_map,
+    static_scenario,
+)
 
 
 def standard_model(coupling=0.5, omega=1.0):
@@ -71,6 +82,128 @@ class TestSuperoperator:
         assert evals.min() >= -1e-12
         assert np.trace(choi) == pytest.approx(2.0, abs=1e-12)
         assert sum(e > 1e-9 for e in evals) == 1  # rank one
+
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(d=st.integers(min_value=1, max_value=4), seed=st.integers(min_value=0, max_value=2**16))
+    def test_choi_is_the_matrix_unit_loop(self, d, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+        s = bt.Superoperator(m, d)
+        np.testing.assert_array_equal(bt.choi_matrix(s), oracle_choi(s))
+
+
+def oracle_exact_operator(model, t):
+    """The joint propagator, from scipy expm of the kron-built joint generator."""
+    eye_o = np.eye(model.system_dim)
+    eye_e = np.eye(model.environment.dimension)
+    f_op = model.coupling_operator
+    segments = tuple(
+        (a, b, np.kron(model.h_sys, eye_e) + np.kron(eye_o, h)
+         + model.coupling * np.kron(model.v_sys, f_op))
+        for a, b, h in model.environment.schedule.segments
+    )
+    return oracle_propagator(bt.HamiltonianSchedule(segments), 0.0, t)
+
+
+def oracle_contract_operator(model, t, n_steps):
+    """T_n ... T_1 with T_j = sum_f expm(-i dt (H_O + lambda f V_O)) kron P_{t_j}(f)."""
+    env = model.environment
+    dt = t / n_steps
+    v = np.eye(model.joint_dim, dtype=complex)
+    for j in range(1, n_steps + 1):
+        t_j = t * (j / n_steps)
+        step = sum(
+            np.kron(
+                scipy.linalg.expm(-1j * dt * (model.h_sys + model.coupling * f * model.v_sys)),
+                oracle_heisenberg(env, f, t_j),
+            )
+            for f in env.pvm.outcomes
+        )
+        v = step @ v
+    return v
+
+
+# (d_e, outcome_groups, pure): mixed and pure states, fine and coarse PVMs
+ORACLE_ENVIRONMENTS = [
+    (2, None, False), (2, None, True), (3, None, False), (3, (2, 1), True),
+    (4, None, False), (4, (2, 2), False), (4, (1, 3), True),
+    (8, None, False), (8, (3, 5), False), (8, (2, 2, 4), True),
+]
+
+
+def oracle_model(d_o, env, driven, seed, t, coupling):
+    d_e, groups, pure = env
+    environment = bt.random_scenario(d_e, seed, pure=pure, outcome_groups=groups)
+    if driven:
+        environment = driven_environment(environment, 1.25 * t, 12, seed)
+    rng = np.random.default_rng(seed + 1)
+    return bt.OpenModel(
+        h_sys=random_hermitian(rng, d_o),
+        v_sys=random_hermitian(rng, d_o),
+        coupling=coupling,
+        environment=environment,
+    )
+
+
+class TestJointOperatorReduction:
+    """Both maps against the kron(V*, V) superoperator reduction of an oracle V."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        d_o=st.integers(min_value=1, max_value=3),
+        env=st.sampled_from(ORACLE_ENVIRONMENTS),
+        driven=st.booleans(),
+        seed=st.integers(min_value=0, max_value=1000),
+        t=st.floats(min_value=0.1, max_value=2.0),
+        coupling=st.floats(min_value=0.0, max_value=1.5),
+    )
+    @example(d_o=3, env=(8, (3, 5), False), driven=True, seed=5, t=1.3, coupling=0.9)
+    def test_exact_map_matches_kron_oracle(self, d_o, env, driven, seed, t, coupling):
+        model = oracle_model(d_o, env, driven, seed, t, coupling)
+        want = oracle_reduced_map(
+            oracle_exact_operator(model, t), d_o, env[0], model.environment.state.matrix
+        )
+        got = bt.exact_joint_map(model, t).matrix
+        assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        d_o=st.integers(min_value=1, max_value=3),
+        env=st.sampled_from(ORACLE_ENVIRONMENTS),
+        driven=st.booleans(),
+        seed=st.integers(min_value=0, max_value=1000),
+        t=st.floats(min_value=0.1, max_value=2.0),
+        n_steps=st.integers(min_value=1, max_value=4),
+        coupling=st.floats(min_value=0.0, max_value=1.5),
+    )
+    @example(d_o=3, env=(8, (3, 5), False), driven=True, seed=5, t=1.3, n_steps=3, coupling=0.9)
+    def test_contract_map_matches_kron_oracle(self, d_o, env, driven, seed, t, n_steps, coupling):
+        model = oracle_model(d_o, env, driven, seed, t, coupling)
+        want = oracle_reduced_map(
+            oracle_contract_operator(model, t, n_steps), d_o, env[0],
+            model.environment.state.matrix,
+        )
+        got = bt.bitrajectory_map(model, t, n_steps, method="contract").matrix
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_joint_dimension_64_stays_small(self):
+        # kron(V*, V) alone is 256 MB at D = 64, and holding all 128 slot
+        # stacks of a 32-outcome environment is 67 MB
+        env = bt.random_scenario(32, seed=7)
+        model = bt.OpenModel(h_sys=0.5 * SIGMA_Z, v_sys=SIGMA_X, coupling=0.5, environment=env)
+        assert model.joint_dim == 64
+        for call in (
+            lambda: bt.exact_joint_map(model, 1.0),
+            lambda: bt.bitrajectory_map(model, 1.0, 128),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * 2**20
 
 
 class TestOpenModel:
