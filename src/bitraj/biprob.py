@@ -469,6 +469,26 @@ def _distribution_for_slots(
     return _distribution_from_stacks(scenario, grid, pvms, _slot_stacks(scenario, grid, pvms))
 
 
+def _entry(
+    scenario: QuantumScenario,
+    grid: TimeGrid,
+    pvms: Sequence[ObservablePVM],
+    outcome: BiOutcome,
+    method: str,
+) -> complex:
+    """One table entry with one PVM per slot: the path of every point query.
+
+    The method and the outcome are checked before anything is propagated.
+    """
+    if method not in ("auto", "trace"):
+        raise DomainMismatch(f"unknown method {method!r}")
+    idx = _lattice_indices(tuple(tuple(p.outcomes) for p in pvms), outcome)
+    n = len(grid)
+    plus_idx, minus_idx = idx[:n][::-1], idx[n:][::-1]  # ascending slots
+    entry = _entry_gram if method == "auto" else _entry_trace
+    return entry(scenario.state.matrix, _slot_stacks(scenario, grid, pvms), plus_idx, minus_idx)
+
+
 # -- public operations -------------------------------------------------------
 
 
@@ -484,19 +504,7 @@ def eval_biprob(
     "trace" multiplies the ordered operator product out, an independent
     evaluation kept as an oracle.  Both agree to ~1e-12.
     """
-    if len(outcome) != len(grid):
-        raise LengthMismatch(
-            f"outcome length {len(outcome)} != grid length {len(grid)}"
-        )
-    stacks = _slot_stacks(scenario, grid)
-    plus_idx = [scenario.pvm.index_of(f) for f in reversed(outcome.plus)]
-    minus_idx = [scenario.pvm.index_of(f) for f in reversed(outcome.minus)]
-
-    if method == "auto":
-        return _entry_gram(scenario.state.matrix, stacks, plus_idx, minus_idx)
-    if method == "trace":
-        return _entry_trace(scenario.state.matrix, stacks, plus_idx, minus_idx)
-    raise DomainMismatch(f"unknown method {method!r}")
+    return _entry(scenario, grid, [scenario.pvm] * len(grid), outcome, method)
 
 
 def full_distribution(scenario: QuantumScenario, grid: TimeGrid) -> BiDistribution:

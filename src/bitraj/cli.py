@@ -39,7 +39,7 @@ from .bounds import (
     uniform_bound,
 )
 from .comb import comb_biprob
-from .errors import BitrajError, LengthMismatch, ParseError
+from .errors import BitrajError, LengthMismatch, OutOfHorizon, ParseError
 from .model import (
     QuantumScenario,
     TimeGrid,
@@ -254,11 +254,13 @@ def _cmd_verify(args) -> int:
 def _cmd_bound(args) -> int:
     scenario, cfg, seed = _scenario_from_args(args)
     grid = _parse_times(args.times)
-    dist = full_distribution(scenario, grid)
     horizon = args.horizon if args.horizon is not None else grid.times[-1]
+    uni = uniform_bound(scenario, horizon)  # checks the horizon itself first
+    if grid.times[-1] > horizon:
+        raise OutOfHorizon(f"grid reaches {grid.times[-1]}, beyond the stated horizon {horizon}")
+    dist = full_distribution(scenario, grid)
     norm = l1_norm(dist)
     non_uni = nonuniform_bound(dist)
-    uni = uniform_bound(scenario, horizon)
     payload = {
         "l1_norm": norm,
         "nonuniform_bound": non_uni,
@@ -516,3 +518,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -23,8 +23,7 @@ from .biprob import (
     BiDistribution,
     BiOutcome,
     _distribution_for_slots,
-    _entry_gram,
-    _slot_stacks,
+    _entry,
     check_enumeration,
 )
 from .errors import (
@@ -75,19 +74,6 @@ class ObservableSequence:
         return self.pvms[0].dimension
 
 
-def _slot_indices(seq: ObservableSequence, leg: tuple, what: str):
-    """Latest-first outcome tuple -> ascending per-slot index list."""
-    n = len(seq)
-    idx = []
-    for j in range(n):  # ascending slots
-        f = leg[n - 1 - j]
-        try:
-            idx.append(seq.pvms[j].index_of(f))
-        except UnknownOutcome as exc:
-            raise UnknownOutcome(f"{what} leg, slot {j + 1}: {exc}") from None
-    return idx
-
-
 def eval_multiobs(
     scenario: QuantumScenario,
     grid: TimeGrid,
@@ -105,12 +91,7 @@ def eval_multiobs(
         raise DimensionMismatch(
             f"observable dimension {seq.dimension} != scenario dimension {scenario.dimension}"
         )
-    if len(outcome) != len(grid):
-        raise LengthMismatch(f"outcome length {len(outcome)} != grid length {len(grid)}")
-    plus_idx = _slot_indices(seq, outcome.plus, "plus")
-    minus_idx = _slot_indices(seq, outcome.minus, "minus")
-    stacks = _slot_stacks(scenario, grid, seq.pvms)
-    return _entry_gram(scenario.state.matrix, stacks, plus_idx, minus_idx)
+    return _entry(scenario, grid, seq.pvms, outcome, "auto")
 
 
 def multiobs_distribution(

@@ -3,10 +3,11 @@
 Propagators are exact products of segment exponentials ``exp(-i H dt)``
 computed by Hermitian eigendecomposition, so unitarity holds to floating
 point regardless of step size.  In the piecewise-constant model the cocycle
-property U(t3,t1) = U(t3,t2) U(t2,t1) is exact up to rounding.
-:func:`propagators_along` is the one way to propagate along an ascending
-grid: it diagonalises each segment once and reproduces :func:`propagator`
-bitwise at every grid time.
+property U(t3,t1) = U(t3,t2) U(t2,t1) is exact up to rounding.  Every
+propagator comes from one lazy segment walk, which diagonalises each segment
+once: :func:`propagator` is its first value (and :func:`heisenberg_projector`
+conjugates by it), :func:`propagators_along` its list, and
+:func:`heisenberg_pvm_stacks` consumes it one time at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._linalg import dagger, expm_from_eigh, expm_hermitian
+from ._linalg import dagger, expm_from_eigh
 from .errors import (
     DegenerateInterval,
     DimensionMismatch,
@@ -72,6 +73,38 @@ def operator_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def _walk(schedule: HamiltonianSchedule, t_from: float, times) -> Iterator[UnitaryMatrix]:
+    """Yield U(t, t_from) for every time of an ascending sequence, lazily.
+
+    Each segment is diagonalised once, when the walk first enters it.  Only
+    whole segment pieces are carried; every U(t, t_from) is the partial
+    exponential exp(-i H_k (t - a_k)) applied to the carry of its piece, so
+    each yielded propagator has the arithmetic of the plain piece-by-piece
+    product from t_from to t, whatever other times are walked.  Chaining
+    steps between the times instead would add one rounding error per step.
+    """
+    t_from = float(t_from)
+    times = [float(t) for t in times]
+    ends = [t_from, *times]
+    if not all(math.isfinite(t) for t in ends):
+        raise NonFiniteTime(f"propagation times must be finite, got {ends}")
+    if min(ends) < 0 or max(ends) > schedule.horizon:
+        raise OutOfHorizon(f"times {ends} outside schedule horizon [0, {schedule.horizon}]")
+    if any(b < a for a, b in zip(ends[:-1], ends[1:])):
+        raise DegenerateInterval(f"propagation times must be ascending from t_from, got {ends}")
+    pieces = ((max(a, t_from), b, h) for a, b, h in schedule.segments if b > t_from)
+    a = b = t_from
+    carry = np.eye(schedule.dimension, dtype=complex)
+    for t in times:
+        while t > b:
+            if b > a:
+                carry = expm_from_eigh(eig, -1j * (b - a)) @ carry
+            a, b, h = next(pieces)
+            eig = np.linalg.eigh(h)
+        u = expm_from_eigh(eig, -1j * (t - a)) @ carry if t > a else carry
+        yield UnitaryMatrix(u, t_from, t)
+
+
 def propagator(
     schedule: HamiltonianSchedule,
     t_from: float,
@@ -81,62 +114,20 @@ def propagator(
 
     Each covered segment piece contributes one exact exponential.
     """
-    t_from, t_to = float(t_from), float(t_to)
-    if not (math.isfinite(t_from) and math.isfinite(t_to)):
-        raise NonFiniteTime(f"propagator endpoints must be finite, got [{t_from}, {t_to}]")
-    if t_from > t_to:
-        raise DegenerateInterval(f"t_from {t_from} exceeds t_to {t_to}")
-    if t_from < 0 or t_to > schedule.horizon:
-        raise OutOfHorizon(
-            f"interval [{t_from}, {t_to}] outside schedule horizon [0, {schedule.horizon}]"
-        )
-    d = schedule.dimension
-    u = np.eye(d, dtype=complex)
-    if t_to > t_from:
-        for a, b, h in schedule.pieces(t_from, t_to):
-            u = expm_hermitian(h, -1j * (b - a)) @ u
-    return UnitaryMatrix(u, t_from, t_to)
+    return next(_walk(schedule, t_from, [t_to]))
 
 
 def propagators_along(schedule: HamiltonianSchedule, times) -> list:
     """U(0, t_j) for every time of an ascending grid, as UnitaryMatrix objects.
 
-    Each segment is diagonalised once.  Only whole segments are carried,
-    as U(0, a_k); every U(0, t_j) is the partial exponential
-    exp(-i H_k (t_j - a_k)) applied to the carry of its segment, which is the
-    arithmetic of ``propagator(schedule, 0.0, t_j)``, so the results are
-    bitwise equal to it.  Chaining grid steps U(t_{j-1}, t_j) instead would
-    add one rounding error per grid step.
+    One walk: bitwise equal to ``propagator(schedule, 0.0, t_j)`` at every time.
     """
-    times = [float(t) for t in times]
-    if not all(math.isfinite(t) for t in times):
-        raise NonFiniteTime(f"propagation times must be finite, got {times}")
-    if any(b < a for a, b in zip(times[:-1], times[1:])):
-        raise DegenerateInterval(f"propagation times must be ascending, got {times}")
-    if times and (times[0] < 0 or times[-1] > schedule.horizon):
-        raise OutOfHorizon(
-            f"times [{times[0]}, {times[-1]}] outside schedule horizon [0, {schedule.horizon}]"
-        )
-    segments = iter(schedule.segments)
-    a, b, h = next(segments)
-    eig = np.linalg.eigh(h)
-    carry = np.eye(schedule.dimension, dtype=complex)
-    out = []
-    for t in times:
-        while t > b:
-            carry = expm_from_eigh(eig, -1j * (b - a)) @ carry
-            a, b, h = next(segments)
-            eig = np.linalg.eigh(h)
-        u = expm_from_eigh(eig, -1j * (t - a)) @ carry if t > a else carry
-        out.append(UnitaryMatrix(u, 0.0, t))
-    return out
+    return list(_walk(schedule, 0.0, times))
 
 
 def heisenberg_projector(scenario: QuantumScenario, outcome: float, t: float) -> np.ndarray:
     """P_t(f) = U(0,t) P(f) U(t,0): the projector evolved to time t."""
     p = scenario.pvm.projector(outcome)  # raises UnknownOutcome
-    if t == 0.0:
-        return p
     u = propagator(scenario.schedule, 0.0, t).matrix
     return dagger(u) @ p @ u
 
@@ -149,6 +140,6 @@ def heisenberg_pvm_stacks(scenario: QuantumScenario, times, pvms=None) -> Iterat
     """
     if pvms is None:
         pvms = [scenario.pvm] * len(times)
-    for u, pvm in zip(propagators_along(scenario.schedule, times), pvms):
+    for u, pvm in zip(_walk(scenario.schedule, 0.0, times), pvms):
         ud = dagger(u.matrix)
         yield np.stack([ud @ p @ u.matrix for p in pvm.projectors])

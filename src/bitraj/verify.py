@@ -25,9 +25,8 @@ from .biprob import (
     _distribution_from_stacks,
     _lattice_indices,
     _slot_stacks,
+    _table_from_stacks,
     average,
-    diagonal_probability,
-    eval_biprob,
     full_distribution,
     latest_slot_causality,
     marginalize,
@@ -287,28 +286,20 @@ def inconsistency_decomposition(
     tup = tuple(float(f) for f in outcomes)
     if len(tup) != n:
         raise LengthMismatch(f"outcome tuple length {len(tup)} != grid length {n}")
-    slot_axis = n - position  # latest-first tuple index of slot `position`
-    reduced_tup = tuple(f for a, f in enumerate(tup) if a != slot_axis)
-
-    reduced = diagonal_probability(scenario, grid.without(position), reduced_tup)
-    outcome_set = scenario.pvm.outcomes
-    summed = 0.0
-    for f in outcome_set:
-        probe = list(tup)
-        probe[slot_axis] = f
-        summed += diagonal_probability(scenario, grid, tuple(probe))
-    lhs = reduced - summed
-
-    offdiag = 0.0 + 0.0j
-    for fp in outcome_set:
-        for fm in outcome_set:
-            if fp == fm:
-                continue
-            plus = list(tup)
-            minus = list(tup)
-            plus[slot_axis] = fp
-            minus[slot_axis] = fm
-            offdiag += eval_biprob(scenario, grid, BiOutcome(tuple(plus), tuple(minus)))
+    # the probed component is ignored: any admissible value stands in for it
+    probe = list(tup)
+    probe[n - position] = scenario.pvm.outcomes[0]
+    outcome_sets = (scenario.pvm.outcomes,) * n
+    idx = _lattice_indices(outcome_sets, BiOutcome(probe, probe))[:n][::-1]  # ascending
+    stacks = _slot_stacks(scenario, grid)
+    paths = [p[i:i + 1] for p, i in zip(stacks, idx)]
+    rho = scenario.state.matrix
+    reduced = _table_from_stacks(rho, paths[:position - 1] + paths[position:]).real.sum()
+    paths[position - 1] = stacks[position - 1]
+    k = stacks[position - 1].shape[0]
+    block = _table_from_stacks(rho, paths).reshape(k, k)
+    lhs = reduced - block.diagonal().real.sum()
+    offdiag = block[~np.eye(k, dtype=bool)].sum()
     return InconsistencyRecord(lhs=float(lhs), offdiag_sum=complex(offdiag))
 
 

@@ -21,6 +21,7 @@ from bitraj import (
     TimeGrid,
     rabi_scenario,
 )
+from bitraj._linalg import expm_hermitian
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -64,6 +65,19 @@ def oracle_propagator(schedule: HamiltonianSchedule, t_from: float, t_to: float)
     u = np.eye(d, dtype=complex)
     for a, b, h in schedule.pieces(t_from, t_to):
         u = scipy.linalg.expm(-1j * (b - a) * h) @ u
+    return u
+
+
+def oracle_piece_propagator(schedule: HamiltonianSchedule, t_from: float, t_to: float) -> np.ndarray:
+    """U(t_to, t_from) as a plain product over the covered segment pieces.
+
+    It uses the package's eigendecomposition exponential on purpose, so that
+    the segment walk behind ``propagator`` can be held to it bitwise; the
+    piece loop is the independent part.
+    """
+    u = np.eye(schedule.dimension, dtype=complex)
+    for a, b, h in schedule.pieces(t_from, t_to):
+        u = expm_hermitian(h, -1j * (b - a)) @ u
     return u
 
 

@@ -3,8 +3,14 @@ import copy
 import csv
 import io
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ import bitraj as bt
 from bitraj.cli import load_config, run
 from bitraj import errors
 
+ROOT = Path(__file__).resolve().parents[1]
 
 RABI_CONFIG = {
     "dimension": 2,
@@ -202,6 +209,14 @@ class TestBoundRefine:
         assert doc["nonuniform_bound"] == 4.0
         assert doc["uniform_bound"] == pytest.approx(4 * np.e, rel=1e-12)
         assert doc["margin"] >= 0.0
+
+    def test_bound_horizon_short_of_the_grid_exits_2(self, capsys, rabi_config):
+        times = ",".join(str(0.375 * k) for k in range(1, 9))
+        code, out, err = run_cli(
+            capsys, "bound", "--config", rabi_config, "--times", times, "--horizon", "0.01"
+        )
+        assert code == 2
+        assert out == "" and "horizon" in err
 
     def test_refine_payload(self, capsys, rabi_config):
         code, out, _ = run_cli(
@@ -558,3 +573,40 @@ def _pinned(test):
 @given(case=_fuzz_cases())
 def test_fuzzed_configs_exit_0_or_2(case):
     _check_case(case)
+
+
+def _readme_commands() -> list:
+    """The ``bitraj ...`` lines of README's "Command line" block, continuations joined."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n.*?```bash\n(.*?)```", text, re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("bitraj ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=[" ".join(a[:2]) for a in README_COMMANDS])
+def test_readme_commands_exit_0(capsys, monkeypatch, argv):
+    monkeypatch.chdir(ROOT)
+    code, out, err = run_cli(capsys, *argv[1:])
+    assert code == 0, err
+    assert out
+
+
+def test_readme_lists_every_command_line_example():
+    assert len(README_COMMANDS) == 8
+
+
+def test_module_entry_point_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "bitraj.cli", "bound", "--random-dim", "2", "--seed", "1",
+         "--times", "0.5"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["margin"] >= 0.0

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 import bitraj as bt
 from bitraj import errors
 
-from conftest import SIGMA_X, SIGMA_Z, oracle_propagator, oracle_heisenberg
+from conftest import (
+    SIGMA_X,
+    SIGMA_Z,
+    oracle_heisenberg,
+    oracle_piece_propagator,
+    oracle_propagator,
+)
 
 
 def two_segment_schedule(seed=0):
@@ -65,6 +71,31 @@ class TestPropagator:
         u = bt.propagator(sched, lo, hi).matrix
         assert np.linalg.norm(u.conj().T @ u - np.eye(2), 2) <= 1e-9
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        d=st.sampled_from([1, 2, 3]),
+        segments=st.integers(min_value=1, max_value=11),
+        data=st.data(),
+    )
+    def test_bitwise_equal_to_piece_loop(self, seed, d, segments, data):
+        rng = np.random.default_rng(seed)
+        edges = [0.0, *np.sort(rng.uniform(0.0, 3.0, segments - 1)).tolist(), 3.0]
+        pieces = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            if b > a:
+                g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                pieces.append((a, b, 0.5 * (g + g.conj().T)))
+        sched = bt.HamiltonianSchedule(tuple(pieces))
+        # segment edges, t_from > 0 and t_from = t_to are all reachable
+        point = st.one_of(st.sampled_from(edges), st.floats(min_value=0.0, max_value=3.0))
+        lo, hi = sorted((data.draw(point), data.draw(point)))
+        if data.draw(st.booleans()):
+            hi = lo
+        u = bt.propagator(sched, lo, hi)
+        assert u.interval == (lo, hi)
+        np.testing.assert_array_equal(u.matrix, oracle_piece_propagator(sched, lo, hi))
+
 
 class TestHeisenbergProjector:
     def test_time_zero_unchanged(self, rabi):
@@ -94,6 +125,19 @@ class TestHeisenbergProjector:
     def test_unknown_outcome(self, rabi):
         with pytest.raises(errors.UnknownOutcome):
             bt.heisenberg_projector(rabi, 3.0, 0.5)
+
+    @pytest.mark.parametrize("t", [0.0, 0.4, 1.0, 1.7, 2.0])
+    def test_conjugation_by_the_propagator(self, t):
+        rng = np.random.default_rng(4)
+        hs = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
+        sched = bt.HamiltonianSchedule(tuple(
+            (a, a + 1.0, 0.5 * (g + g.conj().T)) for a, g in zip((0.0, 1.0), hs)))
+        sc = bt.QuantumScenario(
+            3, sched, bt.DensityOperator(np.eye(3) / 3), bt.ObservablePVM.computational_basis(3))
+        u = bt.propagator(sched, 0.0, t).matrix
+        for f in sc.pvm.outcomes:
+            np.testing.assert_array_equal(
+                bt.heisenberg_projector(sc, f, t), u.conj().T @ sc.pvm.projector(f) @ u)
 
 
 class TestOperatorNorm:

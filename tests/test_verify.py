@@ -144,6 +144,21 @@ class TestInconsistencyDecomposition:
                 minus = (tup[0], fm, tup[2])
                 oracle += oracle_biprob(sc, g.times, plus, minus)
         assert rec.offdiag_sum == pytest.approx(oracle, abs=1e-10)
+        # the probed component is ignored, even when it is not an outcome
+        assert bt.inconsistency_decomposition(sc, g, (2.0, 7.5, 1.0), 2) == rec
+
+    def test_propagates_once(self, monkeypatch):
+        calls = []
+        real = biprob.heisenberg_pvm_stacks
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(biprob, "heisenberg_pvm_stacks", counted)
+        sc = bt.random_scenario(3, seed=4)
+        bt.inconsistency_decomposition(sc, grid(0.3, 0.7, 1.1, 1.6), (0.0, 1.0, 2.0, 1.0), 3)
+        assert len(calls) == 1
 
     def test_bad_position(self, rabi):
         with pytest.raises(errors.IndexOutOfRange):
