@@ -42,6 +42,9 @@ from .errors import (
 from .model import QuantumScenario, TimeGrid
 
 DEFAULT_PROPERTY_TOL = 1e-9
+_SKETCH_WIDTH = 16  # first width p of the Q3 sketch
+_SKETCH_DOUBLINGS = 4  # widths tried: p, 2p, ..., 2^4 p, each at most K/8
+_BLOCK_ROWS = 256  # rows per block of the Q3 residual and the P2 scan
 
 
 @dataclass(frozen=True)
@@ -152,6 +155,74 @@ def _reduced_distribution(
     )
 
 
+def _psd_check(m_h: np.ndarray, tolerance: float) -> PropertyCheck:
+    """Q3 on the Hermitian part ``m_h`` of the reshaped table.
+
+    An engine table is a Gram matrix of rank at most d r, far below K, so a
+    seeded randomised range finder (Halko, Martinsson & Tropp, SIAM Review 53,
+    2011) usually certifies it.  With Q (K x p) orthonormal, B = Q^H m_h Q and
+    E = m_h - Q B Q^H, Weyl gives lambda_min(m_h) >= min(lambda_min(B), 0) -
+    ||E||_F, and ||B||_2 <= ||m_h||_2 makes the relative tolerance no looser.
+    When no sketch certifies, the exact ``eigvalsh`` decides, so a failing
+    record is always the exact one.  A non-finite ``m_h`` fails outright.
+    """
+    name = "Q3_positive_semidefinite"
+    k = m_h.shape[0]
+    finite = np.isfinite(m_h)
+    if not finite.all():
+        i, j = divmod(int(finite.argmin()), k)
+        return PropertyCheck(
+            name, math.nan, tolerance, False,
+            f"non-finite entry at row {i}, column {j} of the {k}x{k} reshaped table",
+        )
+    # a sketch wider than K/8 costs about as much as eigvalsh itself, and a
+    # zero tolerance would need a residual of exactly zero
+    widths = [_SKETCH_WIDTH << a for a in range(_SKETCH_DOUBLINGS + 1)]
+    widths = [p for p in widths if p <= k // 8] if tolerance > 0 else []
+    rng = np.random.default_rng(0)  # the same table always gets the same report
+    y = np.empty((k, 0), dtype=complex)
+    for p in widths:
+        # each wider sketch keeps the columns already drawn
+        y = np.hstack([y, m_h @ rng.standard_normal((k, p - y.shape[1]))])
+        q, r = np.linalg.qr(y)
+        r_diag = np.abs(r.diagonal())
+        if p < widths[-1] and r_diag[-1] > tolerance * r_diag[0]:
+            continue  # rank(m_h) >= p is likely, so the residual would fail
+        q = np.linalg.qr(m_h @ q)[0]  # one power step
+        b = q.conj().T @ (m_h @ q)
+        b = 0.5 * (b + b.conj().T)
+        if not np.isfinite(b).all():
+            break  # overflow; the exact path scales the matrix
+        evals = np.linalg.eigvalsh(b)
+        norm = float(max(-evals[0], evals[-1]))
+        tol_eff = tolerance * max(norm, 1e-300)
+        if evals[0] < -tol_eff:
+            break  # by interlacing lambda_min(m_h) <= lambda_min(B): it fails
+        bq = b @ q.conj().T
+        err2 = 0.0
+        for i in range(0, k, _BLOCK_ROWS):
+            e = m_h[i:i + _BLOCK_ROWS] - q[i:i + _BLOCK_ROWS] @ bq
+            err2 += np.vdot(e, e).real
+        err = math.sqrt(err2)
+        dev = max(0.0, -float(evals[0])) + err
+        if dev <= tol_eff:
+            return PropertyCheck(
+                name, dev, tol_eff, True,
+                f"min eigenvalue >= {-dev:.3e} of the {k}x{k} reshaped table, certified "
+                f"by a sketch of width p={p} (residual ||E||_F {err:.3e}, sketch norm {norm:.3e})",
+            )
+    evals = np.linalg.eigvalsh(m_h) if k else np.array([0.0])
+    lam_min = float(evals[0])
+    norm = float(max(-evals[0], evals[-1]))  # spectral norm of the Hermitian m_h
+    dev = max(0.0, -lam_min)
+    tol_eff = tolerance * max(norm, 1e-300)
+    return PropertyCheck(
+        name, dev, tol_eff, dev <= tol_eff,
+        f"min eigenvalue {lam_min:.3e} of the {k}x{k} reshaped table (norm {norm:.3e})",
+    )
+
+
+@np.errstate(invalid="ignore", over="ignore")
 def check_properties(
     dist: BiDistribution, tolerance: float = DEFAULT_PROPERTY_TOL
 ) -> PropertyReport:
@@ -159,13 +230,15 @@ def check_properties(
 
     Covers table normalization (Q1), causality at the latest slot (Q2),
     positive semidefiniteness of the reshaped table (Q3, via the minimum
-    eigenvalue relative to the spectral norm), bi-consistency against fresh
-    evaluation on every reduced grid (Q4), and the diagonal's probability
-    properties (P1), the Cauchy-Schwarz envelope |Q| <= sqrt(P+ P-) (P2),
-    and causality of measurements (P3).  A report is always produced; each
-    record carries the worst-case witness.  ``tolerance`` must be finite and
-    non-negative: any other value would fail or pass every check regardless
-    of the table.
+    eigenvalue relative to the spectral norm, certified from a seeded
+    low-rank sketch when one suffices and computed exactly otherwise),
+    bi-consistency against fresh evaluation on every reduced grid (Q4), and
+    the diagonal's probability properties (P1), the Cauchy-Schwarz envelope
+    |Q| <= sqrt(P+ P-) (P2), and causality of measurements (P3).  A report is
+    always produced, without numpy warnings; each record carries the
+    worst-case witness, and a non-finite entry fails every check that reads
+    it.  ``tolerance`` must be finite and non-negative: any other value
+    would fail or pass every check regardless of the table.
     """
     tolerance = float(tolerance)
     if not (math.isfinite(tolerance) and tolerance >= 0):
@@ -194,20 +267,10 @@ def check_properties(
 
     # Q3 positive semidefiniteness of M[f+, f-]
     m = table.reshape(k_total, k_total)
-    m_h = np.conj(m.T, order="C")  # the one K x K temporary
+    m_h = np.conj(m.T, order="C")  # the one complex K x K temporary
     m_h += m
     m_h *= 0.5
-    evals = np.linalg.eigvalsh(m_h) if k_total else np.array([0.0])
-    lam_min = float(evals[0])
-    norm = float(max(-evals[0], evals[-1]))  # spectral norm of the Hermitian m_h
-    dev = max(0.0, -lam_min)
-    tol_eff = tolerance * max(norm, 1e-300)
-    checks.append(
-        PropertyCheck(
-            "Q3_positive_semidefinite", dev, tol_eff, dev <= tol_eff,
-            f"min eigenvalue {lam_min:.3e} of the {k_total}x{k_total} reshaped table (norm {norm:.3e})",
-        )
-    )
+    checks.append(_psd_check(m_h, tolerance))
 
     # Q4 bi-consistency, every slot: each reduced table is evaluated afresh
     stacks = _source_stacks(dist) if n >= 1 else []
@@ -221,7 +284,8 @@ def check_properties(
         diff = np.abs(marg.table - fresh.table)
         if diff.size:
             dev_j = float(diff.max())
-            if dev_j >= worst:
+            # a NaN is the worst deviation, and the first one is kept
+            if dev_j >= worst or math.isnan(dev_j) > math.isnan(worst):
                 worst = dev_j
                 witness = f"slot {j}, {_entry_label(fresh, int(diff.argmax()))}"
     checks.append(
@@ -230,7 +294,7 @@ def check_properties(
 
     # P1 diagonal is a probability distribution
     diag = dist.diagonal()
-    neg = float(max(0.0, -diag.min())) if diag.size else 0.0
+    neg = float(np.maximum(0.0, -diag.min())) if diag.size else 0.0  # keeps a NaN
     total_dev = abs(diag.sum() - 1.0)
     dev = max(neg, total_dev)
     witness = f"min diagonal at {_diag_label(dist, int(diag.argmin()))}" if diag.size else "n/a"
@@ -238,14 +302,18 @@ def check_properties(
         PropertyCheck("P1_joint_probability", float(dev), tolerance, dev <= tolerance, witness)
     )
 
-    # P2 |Q| <= sqrt(P+ P-)
-    p_clip = np.clip(diag, 0.0, None)
-    envelope = np.sqrt(
-        p_clip.reshape(-1)[:, None] * p_clip.reshape(-1)[None, :]
-    )
-    excess = np.abs(m) - envelope
-    dev = float(max(0.0, excess.max())) if excess.size else 0.0
-    flat = int(excess.argmax()) if excess.size else 0
+    # P2 |Q| <= sqrt(P+ P-), one block of rows at a time; the witness is the
+    # first flat argmax of the excess, a NaN counting as the maximum
+    p_clip = np.clip(diag, 0.0, None).reshape(-1)
+    best, flat = -math.inf, 0
+    for i in range(0, k_total, _BLOCK_ROWS):
+        rows = p_clip[i:i + _BLOCK_ROWS]
+        excess = np.abs(m[i:i + _BLOCK_ROWS]) - np.sqrt(rows[:, None] * p_clip[None, :])
+        j = int(excess.argmax())
+        val = float(excess.flat[j])
+        if val > best or math.isnan(val) > math.isnan(best):
+            best, flat = val, i * k_total + j
+    dev = float(np.maximum(0.0, best))
     checks.append(
         PropertyCheck(
             "P2_bounding", dev, tolerance, dev <= tolerance,

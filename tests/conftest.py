@@ -187,6 +187,45 @@ def p4_max_deviation(dist) -> float:
     return worst
 
 
+def hermitian_part(table) -> np.ndarray:
+    """(M + M^dagger) / 2 of the K x K reshape M[f+, f-] of a table."""
+    k = int(round(np.sqrt(table.size)))
+    m = table.reshape(k, k)
+    return 0.5 * (m + m.conj().T)
+
+
+def oracle_psd_check(m_h, tolerance):
+    """Q3 from the dense ``eigvalsh`` of the whole Hermitian part ``m_h``.
+
+    This is the record the battery reports whenever no sketch certifies Q3.
+    """
+    from bitraj.verify import PropertyCheck
+
+    k = m_h.shape[0]
+    evals = np.linalg.eigvalsh(m_h) if k else np.array([0.0])
+    lam_min = float(evals[0])
+    norm = float(max(-evals[0], evals[-1]))
+    dev = max(0.0, -lam_min)
+    tol_eff = tolerance * max(norm, 1e-300)
+    return PropertyCheck(
+        "Q3_positive_semidefinite", dev, tol_eff, dev <= tol_eff,
+        f"min eigenvalue {lam_min:.3e} of the {k}x{k} reshaped table (norm {norm:.3e})",
+    )
+
+
+def oracle_bounding_check(dist, tolerance):
+    """P2 |Q| <= sqrt(P+ P-) over the whole K x K envelope at once."""
+    from bitraj.verify import PropertyCheck, _entry_label
+
+    k = int(np.prod(dist.sizes)) if dist.sizes else 1
+    p_clip = np.clip(dist.diagonal(), 0.0, None).reshape(-1)
+    envelope = np.sqrt(p_clip[:, None] * p_clip[None, :])
+    excess = np.abs(dist.table.reshape(k, k)) - envelope
+    dev = float(max(0.0, excess.max())) if excess.size else 0.0
+    flat = int(excess.argmax()) if excess.size else 0
+    return PropertyCheck("P2_bounding", dev, tolerance, dev <= tolerance, _entry_label(dist, flat))
+
+
 def static_scenario(h, state, pvm) -> QuantumScenario:
     h = np.asarray(h, dtype=complex)
     return QuantumScenario(

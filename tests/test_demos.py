@@ -1,4 +1,8 @@
-"""Every demo script runs to completion against the library in ``src``."""
+"""Every demo script runs to completion against the library in ``src``.
+
+Each runs with RuntimeWarning turned into an error, as the rest of the suite
+does, since a subprocess does not inherit pytest's warning filters.
+"""
 
 import os
 import subprocess
@@ -18,7 +22,7 @@ def test_demo_runs(script):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -1,11 +1,27 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bitraj as bt
-from bitraj import biprob, errors
+from bitraj import biprob, errors, verify
 from bitraj.biprob import BiDistribution
 
-from conftest import all_tuples, grid, oracle_biprob, outcome, static_scenario
+from conftest import (
+    all_tuples,
+    grid,
+    hermitian_part,
+    oracle_biprob,
+    oracle_bounding_check,
+    oracle_psd_check,
+    outcome,
+    static_scenario,
+)
+
+TOL = verify.DEFAULT_PROPERTY_TOL
 
 
 def random_grid(n, rng, horizon=1.5):
@@ -109,6 +125,138 @@ class TestCheckProperties:
         )
         with pytest.raises(errors.DomainMismatch):
             bt.check_properties(bare)
+
+
+def with_table(dist, table):
+    """A hand-built copy of the engine distribution ``dist`` holding ``table``."""
+    return BiDistribution(
+        grid=dist.grid,
+        outcome_sets=dist.outcome_sets,
+        table=table,
+        fingerprint=dist.fingerprint,
+        scenario=dist.scenario,
+        pvms=dist.pvms,
+    )
+
+
+# checks that read one entry of a Rabi n=2 table, off and on the diagonal
+READS_OFF_DIAGONAL = {"Q1_normalization", "Q3_positive_semidefinite", "Q4_biconsistency", "P2_bounding"}
+READS_DIAGONAL = READS_OFF_DIAGONAL | {"P1_joint_probability", "P3_measurement_causality"}
+
+
+class TestNonFiniteEntries:
+    @pytest.mark.parametrize(
+        "index, value, failed",
+        [
+            ((0, 1, 0, 0), np.nan, READS_OFF_DIAGONAL),
+            ((0, 0, 0, 0), np.nan, READS_DIAGONAL),
+            ((0, 1, 0, 0), np.inf, READS_OFF_DIAGONAL),
+            ((0, 0, 0, 0), -np.inf, READS_DIAGONAL),
+        ],
+        ids=["nan_off_diagonal", "nan_on_diagonal", "plus_inf", "minus_inf"],
+    )
+    def test_fails_every_check_that_reads_it(self, rabi, monkeypatch, index, value, failed):
+        dist = bt.full_distribution(rabi, grid(np.pi / 2, np.pi))
+        table = np.array(dist.table)
+        table[index] = value
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("Q3 called LAPACK on a non-finite table")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+        monkeypatch.setattr(np.linalg, "qr", no_lapack)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = bt.check_properties(with_table(dist, table))
+        assert not report.all_pass
+        assert {c.name for c in report.checks if not c.passed} == failed
+        assert math.isnan(report["Q3_positive_semidefinite"].max_deviation)
+
+
+class TestBoundingScan:
+    @pytest.mark.parametrize(
+        "d, n, corrupt",
+        [(2, 2, None), (2, 9, None), (3, 6, None), (3, 6, (600, 100)), (3, 6, (300, 700))],
+    )
+    def test_matches_dense_oracle(self, d, n, corrupt):
+        sc = bt.rabi_scenario(1.0) if d == 2 else bt.random_scenario(d, seed=5)
+        dist = bt.full_distribution(sc, bt.TimeGrid(tuple(np.linspace(0.3, 2.4, n))))
+        if corrupt is not None:  # an entry beyond its envelope, in a later row block
+            k = d ** n
+            table = np.array(dist.table)
+            table.reshape(k, k)[corrupt] += 0.5
+            dist = with_table(dist, table)
+        p2 = bt.check_properties(dist)["P2_bounding"]
+        assert p2 == oracle_bounding_check(dist, TOL)
+        assert p2.passed == (corrupt is None)
+
+
+# (d, n) of random engine tables with K = d^n >= 128, where Q3 tries a sketch
+ENGINE_SHAPES = [(2, 7), (2, 8), (3, 5), (4, 4), (5, 4), (6, 3), (7, 3), (8, 3)]
+
+
+class TestQ3Certificate:
+    @pytest.mark.parametrize(
+        "build, n, width",
+        [
+            (lambda: bt.rabi_scenario(1.0), 10, 16),
+            (lambda: bt.random_scenario(8, seed=3), 3, 64),
+            (lambda: bt.random_scenario(3, seed=5), 6, 16),
+        ],
+        ids=["rabi_n10", "random_d8_n3", "random_d3_n6"],
+    )
+    def test_certified_verdict_matches_eigvalsh(self, build, n, width):
+        dist = bt.full_distribution(build(), bt.TimeGrid(tuple(np.linspace(0.3, 2.7, n))))
+        report = bt.check_properties(dist)
+        q3 = report["Q3_positive_semidefinite"]
+        exact = oracle_psd_check(hermitian_part(dist.table), TOL)
+        assert q3.passed and exact.passed
+        assert f"p={width} " in q3.witness and "||E||_F" in q3.witness
+        assert q3.tolerance <= exact.tolerance * (1 + 1e-12)
+        assert bt.check_properties(dist) == report  # the sketch is seeded
+
+    @pytest.mark.parametrize("n, tolerance", [(3, TOL), (8, 0.0)], ids=["k_below_p", "zero_tolerance"])
+    def test_direct_eigvalsh(self, rabi, monkeypatch, n, tolerance):
+        dist = bt.full_distribution(rabi, bt.TimeGrid(tuple(np.linspace(0.3, 2.4, n))))
+
+        def no_sketch(*args, **kwargs):
+            raise AssertionError("Q3 sketched")
+
+        monkeypatch.setattr(np.linalg, "qr", no_sketch)
+        q3 = bt.check_properties(dist, tolerance)["Q3_positive_semidefinite"]
+        assert q3 == oracle_psd_check(hermitian_part(dist.table), tolerance)
+
+    def test_sketch_overflow_falls_back(self):
+        # finite entries whose sketch overflows to a non-finite B
+        g = np.random.default_rng(1).standard_normal((256, 8)).view(complex)
+        m_h = hermitian_part(g @ g.conj().T * 2.5e305)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert verify._psd_check(m_h, TOL) == oracle_psd_check(m_h, TOL)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        source=st.one_of(
+            st.sampled_from(ENGINE_SHAPES),
+            st.integers(128, 320),  # K of a full-rank hand-built matrix
+        ),
+        seed=st.integers(0, 2**16),
+        depth=st.sampled_from([1e-8, 2e-9]),
+    )
+    def test_planted_negative_eigenvalue_is_never_certified(self, source, seed, depth):
+        rng = np.random.default_rng(seed)
+        if isinstance(source, tuple):
+            d, n = source
+            dist = bt.full_distribution(bt.random_scenario(d, seed=seed), random_grid(n, rng))
+            m_h = hermitian_part(dist.table)
+        else:
+            g = rng.standard_normal((source, source)) + 1j * rng.standard_normal((source, source))
+            m_h = g @ g.conj().T / source
+        w, v = np.linalg.eigh(m_h)
+        shift = w[0] + depth * max(-w[0], w[-1])  # lambda_min becomes -depth ||m||
+        planted = hermitian_part(m_h - shift * np.outer(v[:, 0], v[:, 0].conj()))
+        exact = oracle_psd_check(planted, TOL)
+        assert not exact.passed
+        assert verify._psd_check(planted, TOL) == exact
 
 
 class TestInconsistencyDecomposition:
