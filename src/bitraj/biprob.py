@@ -94,7 +94,7 @@ class BiDistribution:
     fingerprint: str = ""
     scenario: QuantumScenario | None = None
     pvms: tuple | None = None
-    _stacks = None  # set by _distribution_from_stacks; not a field
+    _stacks = None  # set by _distribution_for_slots; not a field
 
     def __post_init__(self):
         if isinstance(self.table, _Handover):
@@ -332,6 +332,18 @@ def _slot_stacks(
     return list(heisenberg_pvm_stacks(scenario, grid.times, pvms))
 
 
+def _worse(val: float, at, best: float, best_at) -> bool:
+    """Whether ``val`` at ``at`` beats the worst case ``best`` at ``best_at``.
+
+    The one worst-case rule of every scan: a NaN beats any number, a larger
+    value beats a smaller one, and equal values (or two NaNs) go to the
+    smaller slot or flat index.
+    """
+    if math.isnan(val) or math.isnan(best):
+        return math.isnan(val) and (not math.isnan(best) or at < best_at)
+    return val > best or (val == best and at < best_at)
+
+
 def latest_slot_causality(table: np.ndarray) -> tuple:
     """(max |Q| over f+_n != f-_n, first flat index holding it), for n >= 1.
 
@@ -356,10 +368,7 @@ def latest_slot_causality(table: np.ndarray) -> tuple:
             val = float(block.flat[i])
             plus_row, minus_col = divmod(i, cols)
             flat = ((p * cols + plus_row) * k + m) * cols + minus_col
-            if math.isnan(val):
-                if not math.isnan(best) or flat < where:
-                    best, where = val, flat
-            elif val > best or (val == best and flat < where):
+            if _worse(val, flat, best, where):
                 best, where = val, flat
     return best, where
 
@@ -435,13 +444,15 @@ def _entry_trace(rho: np.ndarray, stacks: list, plus_idx, minus_idx) -> complex:
     return complex(np.trace(a))
 
 
-def _distribution_from_stacks(
+def _distribution_for_slots(
     scenario: QuantumScenario,
     grid: TimeGrid,
     pvms: Sequence[ObservablePVM],
-    stacks: list,
 ) -> BiDistribution:
-    """Dense table from precomputed slot stacks, one per PVM."""
+    """Dense table with a (possibly different) PVM per time slot."""
+    if len(pvms) != len(grid):
+        raise LengthMismatch(f"{len(pvms)} observables for a grid of length {len(grid)}")
+    stacks = _slot_stacks(scenario, grid, pvms)
     table = _table_from_stacks(scenario.state.matrix, stacks)
     dist = BiDistribution(
         grid=grid,
@@ -453,20 +464,9 @@ def _distribution_from_stacks(
     )
     for stack in stacks:
         stack.setflags(write=False)
-    object.__setattr__(dist, "_stacks", list(stacks))
+    object.__setattr__(dist, "_stacks", stacks)
     dist.assert_well_formed()
     return dist
-
-
-def _distribution_for_slots(
-    scenario: QuantumScenario,
-    grid: TimeGrid,
-    pvms: Sequence[ObservablePVM],
-) -> BiDistribution:
-    """Dense table with a (possibly different) PVM per time slot."""
-    if len(pvms) != len(grid):
-        raise LengthMismatch(f"{len(pvms)} observables for a grid of length {len(grid)}")
-    return _distribution_from_stacks(scenario, grid, pvms, _slot_stacks(scenario, grid, pvms))
 
 
 def _entry(

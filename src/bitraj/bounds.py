@@ -17,7 +17,7 @@ import numpy as np
 
 from .biprob import BiDistribution, full_distribution
 from .errors import LengthMismatch, NonFiniteTime, OutOfHorizon, TooCoarse
-from .model import QuantumScenario, TimeGrid
+from .model import HamiltonianSchedule, QuantumScenario, TimeGrid, _spectral_norms
 
 REFINEMENT_SCAN_CAP = 10 ** 6
 
@@ -35,14 +35,36 @@ def nonuniform_bound(dist: BiDistribution) -> float:
     return out
 
 
+def _norm_integral(schedule: HamiltonianSchedule, horizon: float) -> float:
+    """int_0^horizon ||H(s)||_op ds, segment-exactly.
+
+    The pieces' norms come from one batched SVD and are summed in time order,
+    so no quadrature error can under-report the integral.
+    """
+    pieces = list(schedule.pieces(0.0, horizon))
+    if not pieces:
+        return 0.0
+    norms = _spectral_norms(np.stack([h for _, _, h in pieces]))
+    integral = 0.0
+    for (a, b, _), norm in zip(pieces, norms.tolist()):
+        integral += norm * (b - a)
+    return integral
+
+
+def _norm_bound(d: int, integral: float) -> float:
+    """d^2 exp[2(d-1) integral]; ``math.inf``, still an upper bound, past the float range."""
+    try:
+        return d * d * math.exp(2.0 * (d - 1) * integral)
+    except OverflowError:
+        return math.inf
+
+
 def uniform_bound(scenario: QuantumScenario, horizon: float) -> float:
     """Grid-independent norm bound d^2 exp[2(d-1) * int_0^T ||H(s)|| ds].
 
     The integral is evaluated segment-exactly over the piecewise-constant
-    schedule, so the bound is never under-reported by quadrature error; the
-    pieces' norms come from one batched SVD and are summed in time order.
-    An exponent beyond the float range gives ``math.inf``, still an upper
-    bound.
+    schedule.  An exponent beyond the float range gives ``math.inf``, still
+    an upper bound.
     """
     horizon = float(horizon)
     if not math.isfinite(horizon):
@@ -51,17 +73,7 @@ def uniform_bound(scenario: QuantumScenario, horizon: float) -> float:
         raise OutOfHorizon(
             f"requested horizon {horizon} outside schedule horizon [0, {scenario.schedule.horizon}]"
         )
-    pieces = list(scenario.schedule.pieces(0.0, horizon))
-    integral = 0.0
-    if pieces:
-        norms = np.linalg.norm(np.stack([h for _, _, h in pieces]), 2, axis=(1, 2))
-        for (a, b, _), norm in zip(pieces, norms.tolist()):
-            integral += norm * (b - a)
-    d = scenario.dimension
-    try:
-        return d * d * math.exp(2.0 * (d - 1) * integral)
-    except OverflowError:
-        return math.inf
+    return _norm_bound(scenario.dimension, _norm_integral(scenario.schedule, horizon))
 
 
 @dataclass(frozen=True)
@@ -155,9 +167,9 @@ def build_refinement(grid: TimeGrid, size: int, horizon: float | None = None) ->
     if horizon is not None and t_n > float(horizon):
         raise OutOfHorizon(f"grid reaches {t_n}, beyond the stated horizon {horizon}")
     size = int(size)
-    minimum = minimum_refinement_size(grid)
-    ks = _snap_positions(grid, size) if size >= minimum else None
+    ks = _snap_positions(grid, size) if size >= n else None  # a smaller size never snaps
     if ks is None:
+        minimum = minimum_refinement_size(grid)
         raise TooCoarse(
             f"size {size} is not an admissible refinement size for grid {grid.times}"
             f" (minimum {minimum})",

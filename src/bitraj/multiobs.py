@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import dagger, expm_hermitian
+from ._linalg import dagger
 from .biprob import (
     BiDistribution,
     BiOutcome,
@@ -26,6 +26,7 @@ from .biprob import (
     _entry,
     check_enumeration,
 )
+from .bounds import _norm_bound, _norm_integral
 from .errors import (
     DegenerateInterval,
     DimensionMismatch,
@@ -37,13 +38,13 @@ from .errors import (
     ValidationError,
 )
 from .model import (
+    HamiltonianSchedule,
     ObservablePVM,
     QuantumScenario,
     TimeGrid,
     _as_operator,
     _spectral_norm,
     check_defect,
-    check_hermitian,
 )
 from .propagate import TOL_UNITARY, propagators_along
 
@@ -283,7 +284,8 @@ class UnitaryPath:
     ``segments`` are (duration, V) pairs with Hermitian generators, durations
     summing to 1; ``anchor`` is the starting unitary.  Later segments act on
     the left, so the curve is the time-ordered exponential of the generators
-    applied to the anchor.
+    applied to the anchor.  The generators form a private Hamiltonian
+    schedule on [0, 1], which the propagation layer walks.
     """
 
     segments: tuple
@@ -297,18 +299,16 @@ class UnitaryPath:
         if not segs:
             raise LengthMismatch("path needs at least one segment")
         d = segs[0][1].shape[0]
+        ends = list(itertools.accumulate(w for w, _ in segs))
         violations = []
-        total = 0.0
-        for i, (w, v) in enumerate(segs):
-            if not w > 0:
-                violations.append(DegenerateInterval(f"segment {i}: duration {w} must be positive"))
-            if v.shape != (d, d):
-                violations.append(DimensionMismatch(f"segment {i}: generator shape {v.shape} != {(d, d)}"))
-            else:
-                violations += check_hermitian(v, f"segment {i}: generator")
-            total += w
+        try:  # the generators as a Hamiltonian schedule on [0, 1]
+            schedule = HamiltonianSchedule(
+                tuple((a, b, v) for a, b, (_, v) in zip([0.0] + ends, ends, segs))
+            )
+        except ValidationError as err:
+            violations += err.violations
         violations += check_defect(
-            abs(total - 1.0), 1e-9, DomainMismatch, f"durations sum to {total}, |sum - 1| =")
+            abs(ends[-1] - 1.0), 1e-9, DomainMismatch, f"durations sum to {ends[-1]}, |sum - 1| =")
         anchor = _as_operator(self.anchor, "anchor")
         if anchor.shape != (d, d):
             violations.append(DimensionMismatch(f"anchor shape {anchor.shape} != {(d, d)}"))
@@ -320,26 +320,27 @@ class UnitaryPath:
             raise ValidationError(violations)
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "_schedule", schedule)
 
     @property
     def dimension(self) -> int:
         return self.anchor.shape[0]
 
+    def _points(self, taus) -> list:
+        """The curve points at ascending parameters in [0, 1], from one propagation walk."""
+        taus = [float(t) for t in taus]
+        for tau in taus:
+            if not 0.0 <= tau <= 1.0 + 1e-12:
+                raise IndexOutOfRange(f"path parameter {tau} outside [0, 1]")
+        horizon = self._schedule.horizon  # within 1e-9 of 1
+        return [
+            u.matrix @ self.anchor
+            for u in propagators_along(self._schedule, [min(t, horizon) for t in taus])
+        ]
+
     def unitary(self, tau: float) -> np.ndarray:
         """The curve point at parameter tau in [0, 1]."""
-        tau = float(tau)
-        if not 0.0 <= tau <= 1.0 + 1e-12:
-            raise IndexOutOfRange(f"path parameter {tau} outside [0, 1]")
-        u = self.anchor.copy()
-        done = 0.0
-        for w, v in self.segments:
-            step = min(w, max(0.0, tau - done))
-            if step > 0:
-                u = expm_hermitian(v, -1j * step) @ u
-            done += w
-            if done >= tau:
-                break
-        return u
+        return self._points([tau])[0]
 
     def endpoint(self) -> np.ndarray:
         return self.unitary(1.0)
@@ -359,7 +360,7 @@ class UnitaryPath:
 
 def path_length(path: UnitaryPath) -> float:
     """Arc length: sum of duration * ||V||_op over the segments (exact)."""
-    return float(sum(w * np.linalg.norm(v, 2) for w, v in path.segments))
+    return _norm_integral(path._schedule, path._schedule.horizon)
 
 
 @dataclass(frozen=True)
@@ -384,7 +385,5 @@ def path_bound_check(
         taus = [float(t) for t in taus]
         if not all(b > a for a, b in zip(taus[:-1], taus[1:])):
             raise DegenerateInterval(f"parameter tuple {taus} must be strictly increasing")
-        unitaries = [path.unitary(t) for t in taus]
-        worst = max(worst, generic_l1_norm(unitaries))
-    bound = d * d * float(np.exp(2.0 * (d - 1) * path_length(path)))
-    return PathBoundRecord(max_l1=worst, bound=bound)
+        worst = max(worst, generic_l1_norm(path._points(taus)))
+    return PathBoundRecord(max_l1=worst, bound=_norm_bound(d, path_length(path)))

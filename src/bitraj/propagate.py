@@ -22,12 +22,13 @@ from ._linalg import dagger, expm_from_eigh
 from .errors import (
     DegenerateInterval,
     DimensionMismatch,
+    DomainMismatch,
     NonFiniteTime,
     NotUnitary,
     OutOfHorizon,
     ValidationError,
 )
-from .model import HamiltonianSchedule, QuantumScenario, check_defect
+from .model import HamiltonianSchedule, QuantumScenario, _spectral_norm, check_defect
 
 TOL_UNITARY = 1e-9
 
@@ -70,7 +71,9 @@ def operator_norm(m) -> float:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"operator_norm: expected a square matrix, got shape {a.shape}")
-    return float(np.linalg.norm(a, 2))
+    if not np.isfinite(a).all():
+        raise DomainMismatch("operator_norm: entries must be finite")
+    return _spectral_norm(a)
 
 
 def _walk(schedule: HamiltonianSchedule, t_from: float, times) -> Iterator[UnitaryMatrix]:
@@ -141,5 +144,4 @@ def heisenberg_pvm_stacks(scenario: QuantumScenario, times, pvms=None) -> Iterat
     if pvms is None:
         pvms = [scenario.pvm] * len(times)
     for u, pvm in zip(_walk(scenario.schedule, 0.0, times), pvms):
-        ud = dagger(u.matrix)
-        yield np.stack([ud @ p @ u.matrix for p in pvm.projectors])
+        yield dagger(u.matrix) @ np.stack(pvm.projectors) @ u.matrix

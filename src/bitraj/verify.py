@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,10 +22,10 @@ from .biprob import (
     BiDistribution,
     BiOutcome,
     TupleFunction,
-    _distribution_from_stacks,
     _lattice_indices,
     _slot_stacks,
     _table_from_stacks,
+    _worse,
     average,
     full_distribution,
     latest_slot_causality,
@@ -103,56 +103,40 @@ class ClassicalityRecord:
     offdiagonal_mass: float
 
 
-def _entry_label(dist: BiDistribution, flat_index: int) -> str:
-    sizes = dist.sizes[::-1] + dist.sizes[::-1]
-    idx = np.unravel_index(flat_index, sizes) if sizes else ()
-    n = dist.n
-    sets_rev = dist.outcome_sets[::-1]
-    plus = tuple(sets_rev[a][idx[a]] for a in range(n))
-    minus = tuple(sets_rev[a][idx[n + a]] for a in range(n))
-    return f"plus={plus}, minus={minus}"
+def _label(outcome_sets: tuple, flat_index: int, legs: int = 2) -> str:
+    """The outcome tuples at a flat index of a table (``legs=2``) or its diagonal (1).
 
-
-def _diag_label(dist: BiDistribution, flat_index: int) -> str:
-    sizes = dist.sizes[::-1]
-    idx = np.unravel_index(flat_index, sizes) if sizes else ()
-    sets_rev = dist.outcome_sets[::-1]
-    tup = tuple(sets_rev[a][idx[a]] for a in range(dist.n))
-    return f"tuple={tup}"
-
-
-def _source_stacks(dist: BiDistribution) -> list:
-    """Slot stacks of the scenario and observables that generated ``dist``.
-
-    The engine's own stacks when it built ``dist``; recomputed otherwise.
+    ``outcome_sets`` run in ascending slot order; the tuples are latest-first.
     """
+    rev = outcome_sets[::-1]
+    n = len(rev)
+    idx = np.unravel_index(flat_index, tuple(len(s) for s in rev) * legs) if n else ()
+    values = [rev[a % n][i] for a, i in enumerate(idx)]
+    if legs == 1:
+        return f"tuple={tuple(values)}"
+    return f"plus={tuple(values[:n])}, minus={tuple(values[n:])}"
+
+
+def _reduced_tables(dist: BiDistribution) -> Iterator[tuple]:
+    """``(j, table on the grid of dist without slot j)`` for j = 1..n, each evaluated afresh.
+
+    The slot stacks are the engine's own when it built ``dist``, recomputed
+    from its scenario and observables otherwise.  Each slot's stack depends
+    on its own time only, so dropping one is bitwise what recomputing the
+    reduced grid's stacks gives.
+    """
+    if not dist.n:
+        return
     if dist.scenario is None or dist.pvms is None:
         raise DomainMismatch(
             "distribution carries no scenario; bi-consistency cannot be re-evaluated"
         )
-    if dist._stacks is not None:
-        return dist._stacks
-    return _slot_stacks(dist.scenario, dist.grid, dist.pvms)
-
-
-def _reduced_distribution(
-    dist: BiDistribution, position: int, stacks: list | None = None
-) -> BiDistribution:
-    """Direct evaluation on the grid of ``dist`` with slot ``position`` removed.
-
-    ``stacks`` are the full grid's slot stacks (computed when omitted); each
-    slot's stack depends on its own time only, so dropping one is bitwise what
-    recomputing the reduced grid's stacks gives.
-    """
+    stacks = dist._stacks
     if stacks is None:
-        stacks = _source_stacks(dist)
-    keep = [j for j in range(dist.n) if j != position - 1]
-    return _distribution_from_stacks(
-        dist.scenario,
-        dist.grid.without(position),
-        tuple(dist.pvms[j] for j in keep),
-        [stacks[j] for j in keep],
-    )
+        stacks = _slot_stacks(dist.scenario, dist.grid, dist.pvms)
+    rho = dist.scenario.state.matrix
+    for j in range(1, dist.n + 1):
+        yield j, _table_from_stacks(rho, stacks[:j - 1] + stacks[j:])
 
 
 def _psd_check(m_h: np.ndarray, tolerance: float) -> PropertyCheck:
@@ -237,8 +221,10 @@ def check_properties(
     |Q| <= sqrt(P+ P-) (P2), and causality of measurements (P3).  A report is
     always produced, without numpy warnings; each record carries the
     worst-case witness, and a non-finite entry fails every check that reads
-    it.  ``tolerance`` must be finite and non-negative: any other value
-    would fail or pass every check regardless of the table.
+    it.  Every scan keeps the worst case by one rule: a NaN beats any number,
+    and equal values go to the first slot or flat index.  ``tolerance`` must
+    be finite and non-negative: any other value would fail or pass every
+    check regardless of the table.
     """
     tolerance = float(tolerance)
     if not (math.isfinite(tolerance) and tolerance >= 0):
@@ -260,7 +246,7 @@ def check_properties(
     # Q2 causality at the latest slot
     if n >= 1:
         dev, flat = latest_slot_causality(table)
-        witness = _entry_label(dist, flat) if table.size else "n/a"
+        witness = _label(dist.outcome_sets, flat) if table.size else "n/a"
         checks.append(
             PropertyCheck("Q2_causality", dev, tolerance, dev <= tolerance, witness)
         )
@@ -273,21 +259,19 @@ def check_properties(
     checks.append(_psd_check(m_h, tolerance))
 
     # Q4 bi-consistency, every slot: each reduced table is evaluated afresh
-    stacks = _source_stacks(dist) if n >= 1 else []
-    worst = 0.0
-    witness = "n/a"
-    for j in range(1, n + 1):
-        marg = marginalize(dist, j)
-        fresh = _reduced_distribution(dist, j, stacks)
+    worst, at = -math.inf, None
+    for j, fresh in _reduced_tables(dist):
         if j == n:
             without_latest = fresh  # reused by P3
-        diff = np.abs(marg.table - fresh.table)
-        if diff.size:
-            dev_j = float(diff.max())
-            # a NaN is the worst deviation, and the first one is kept
-            if dev_j >= worst or math.isnan(dev_j) > math.isnan(worst):
-                worst = dev_j
-                witness = f"slot {j}, {_entry_label(fresh, int(diff.argmax()))}"
+        diff = np.abs(marginalize(dist, j).table - fresh)
+        flat = int(diff.argmax())
+        if _worse(float(diff.flat[flat]), (j, flat), worst, at):
+            worst, at = float(diff.flat[flat]), (j, flat)
+    if at is None:  # an empty grid has no slot to drop
+        worst, witness = 0.0, "n/a"
+    else:
+        j, flat = at
+        witness = f"slot {j}, {_label(dist.outcome_sets[:j - 1] + dist.outcome_sets[j:], flat)}"
     checks.append(
         PropertyCheck("Q4_biconsistency", worst, tolerance, worst <= tolerance, witness)
     )
@@ -297,37 +281,36 @@ def check_properties(
     neg = float(np.maximum(0.0, -diag.min())) if diag.size else 0.0  # keeps a NaN
     total_dev = abs(diag.sum() - 1.0)
     dev = max(neg, total_dev)
-    witness = f"min diagonal at {_diag_label(dist, int(diag.argmin()))}" if diag.size else "n/a"
+    witness = (
+        f"min diagonal at {_label(dist.outcome_sets, int(diag.argmin()), 1)}" if diag.size else "n/a"
+    )
     checks.append(
         PropertyCheck("P1_joint_probability", float(dev), tolerance, dev <= tolerance, witness)
     )
 
-    # P2 |Q| <= sqrt(P+ P-), one block of rows at a time; the witness is the
-    # first flat argmax of the excess, a NaN counting as the maximum
+    # P2 |Q| <= sqrt(P+ P-), one block of rows at a time
     p_clip = np.clip(diag, 0.0, None).reshape(-1)
-    best, flat = -math.inf, 0
+    best, at = -math.inf, 0
     for i in range(0, k_total, _BLOCK_ROWS):
         rows = p_clip[i:i + _BLOCK_ROWS]
         excess = np.abs(m[i:i + _BLOCK_ROWS]) - np.sqrt(rows[:, None] * p_clip[None, :])
         j = int(excess.argmax())
-        val = float(excess.flat[j])
-        if val > best or math.isnan(val) > math.isnan(best):
-            best, flat = val, i * k_total + j
+        if _worse(float(excess.flat[j]), i * k_total + j, best, at):
+            best, at = float(excess.flat[j]), i * k_total + j
     dev = float(np.maximum(0.0, best))
     checks.append(
         PropertyCheck(
             "P2_bounding", dev, tolerance, dev <= tolerance,
-            _entry_label(dist, flat),
+            _label(dist.outcome_sets, at),
         )
     )
 
     # P3 causality of measurements: marginal of the diagonal over the latest slot
     if n >= 1:
-        reduced_diag = without_latest.diagonal()
-        summed = diag.sum(axis=0)
-        diff = np.abs(summed - reduced_diag)
-        dev = float(diff.max()) if diff.size else float(abs(diag.sum() - 1.0))
-        witness = _diag_label(without_latest, int(diff.argmax())) if diff.size else "empty grid"
+        summed = diag.sum(axis=0).reshape(-1)
+        diff = np.abs(summed - without_latest.reshape(summed.size, -1).diagonal().real)
+        dev = float(diff.max())
+        witness = _label(dist.outcome_sets[:-1], int(diff.argmax()), 1)
         checks.append(
             PropertyCheck("P3_measurement_causality", dev, tolerance, dev <= tolerance, witness)
         )
@@ -375,21 +358,21 @@ def classicality_report(dist: BiDistribution) -> ClassicalityRecord:
     """How far the diagonal statistics are from a classical process.
 
     ``consistency_deviation`` is the worst single-slot marginalization defect
-    of the joint probabilities; ``offdiagonal_mass`` the total |Q| carried by
-    trajectory pairs that disagree somewhere.  Both vanish for dynamics that
-    commute with the probed observable.
+    of the joint probabilities, NaN if any compared probability is NaN;
+    ``offdiagonal_mass`` the total |Q| carried by trajectory pairs that
+    disagree somewhere.  Both vanish for dynamics that commute with the
+    probed observable.
     """
     n = dist.n
     if n < 2:
         raise LengthMismatch(f"classicality diagnostics need n >= 2, got {n}")
     diag = dist.diagonal()
-    stacks = _source_stacks(dist)
-    worst = 0.0
-    for j in range(1, n + 1):
-        fresh = _reduced_distribution(dist, j, stacks)
-        summed = diag.sum(axis=n - j)
-        dev = float(np.abs(summed - fresh.diagonal()).max())
-        worst = max(worst, dev)
+    worst, at = -math.inf, 0
+    for j, fresh in _reduced_tables(dist):
+        summed = diag.sum(axis=n - j).reshape(-1)
+        dev = float(np.abs(summed - fresh.reshape(summed.size, -1).diagonal().real).max())
+        if _worse(dev, j, worst, at):
+            worst, at = dev, j
     mass_all = float(np.abs(dist.table).sum())
     k = math.prod(dist.sizes)
     mass_diag = float(np.abs(dist.table.reshape(k, k).diagonal()).sum())

@@ -17,8 +17,11 @@ from bitraj import (
     DensityOperator,
     HamiltonianSchedule,
     ObservablePVM,
+    ObservableSequence,
     QuantumScenario,
     TimeGrid,
+    full_distribution,
+    multiobs_distribution,
     rabi_scenario,
 )
 from bitraj._linalg import expm_hermitian
@@ -161,15 +164,19 @@ def p4_max_deviation(dist) -> float:
 
     Checks that every slotwise violation of classical consistency by the
     diagonal equals the corresponding off-diagonal table mass (with a real
-    value), vectorized over the full lattice.
+    value), vectorized over the full lattice.  Each reduced table is a fresh
+    public ``multiobs_distribution`` on the grid without slot j (or the
+    trivial ``full_distribution`` when no slot remains).
     """
-    from bitraj.verify import _reduced_distribution
-
     n = dist.n
     diag = dist.diagonal()
     worst = 0.0
     for j in range(1, n + 1):
-        fresh = _reduced_distribution(dist, j)
+        grid, pvms = dist.grid.without(j), dist.pvms[:j - 1] + dist.pvms[j:]
+        fresh = (
+            multiobs_distribution(dist.scenario, grid, ObservableSequence(pvms))
+            if pvms else full_distribution(dist.scenario, grid)  # the empty grid
+        )
         lhs = fresh.diagonal() - diag.sum(axis=n - j)
         labels_plus = list(range(n))
         labels_minus = list(range(n))
@@ -215,7 +222,7 @@ def oracle_psd_check(m_h, tolerance):
 
 def oracle_bounding_check(dist, tolerance):
     """P2 |Q| <= sqrt(P+ P-) over the whole K x K envelope at once."""
-    from bitraj.verify import PropertyCheck, _entry_label
+    from bitraj.verify import PropertyCheck, _label
 
     k = int(np.prod(dist.sizes)) if dist.sizes else 1
     p_clip = np.clip(dist.diagonal(), 0.0, None).reshape(-1)
@@ -223,7 +230,8 @@ def oracle_bounding_check(dist, tolerance):
     excess = np.abs(dist.table.reshape(k, k)) - envelope
     dev = float(max(0.0, excess.max())) if excess.size else 0.0
     flat = int(excess.argmax()) if excess.size else 0
-    return PropertyCheck("P2_bounding", dev, tolerance, dev <= tolerance, _entry_label(dist, flat))
+    witness = _label(dist.outcome_sets, flat)
+    return PropertyCheck("P2_bounding", dev, tolerance, dev <= tolerance, witness)
 
 
 def static_scenario(h, state, pvm) -> QuantumScenario:

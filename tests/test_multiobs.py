@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -246,6 +248,14 @@ class TestUnitaryPath:
 
 
 class TestPathBound:
+    def test_overflowing_bound_is_inf_without_warning(self):
+        path = bt.UnitaryPath(((1.0, 400.0 * SIGMA_X),), np.eye(2))
+        assert bt.path_length(path) == pytest.approx(400.0, rel=1e-14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = bt.path_bound_check(path, [(0.5,)])
+        assert rec.bound == math.inf
+
     def test_zero_generator_classical(self):
         path = bt.UnitaryPath(((1.0, np.zeros((2, 2))),), np.eye(2))
         rec = bt.path_bound_check(path, [(0.2, 0.5), (0.1, 0.4, 0.9)])

@@ -163,6 +163,13 @@ class TestOperatorNorm:
         with pytest.raises(errors.DimensionMismatch):
             bt.operator_norm(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        m = np.eye(2)
+        m[0, 1] = value
+        with pytest.raises(errors.DomainMismatch):
+            bt.operator_norm(m)
+
 
 def driven_schedule(segments=640, horizon=10.0):
     return bt.HamiltonianSchedule.from_function(

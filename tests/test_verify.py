@@ -173,6 +173,43 @@ class TestNonFiniteEntries:
         assert math.isnan(report["Q3_positive_semidefinite"].max_deviation)
 
 
+# H = 0, rho = |0><0| and a Z measurement: the n=2 table is exactly 1 at
+# Q(+,+;+,+) and 0 elsewhere, so equal planted values tie exactly
+OFF_DIAGONAL = ((0, 1, 1, 0), (1, 0, 0, 1))  # flat 6 and 9, both with f+_2 != f-_2
+ON_DIAGONAL = ((0, 1, 0, 1), (1, 0, 1, 0))
+
+
+class TestWorstCaseRule:
+    """Every scan keeps a NaN over any number and the first of equal values."""
+
+    @pytest.mark.parametrize("value", [0.25, math.nan], ids=["tie", "nan"])
+    @pytest.mark.parametrize(
+        "check, entries, witness",
+        [
+            ("Q2_causality", OFF_DIAGONAL, "plus=(1.0, -1.0), minus=(-1.0, 1.0)"),
+            ("P2_bounding", OFF_DIAGONAL, "plus=(1.0, -1.0), minus=(-1.0, 1.0)"),
+            # slot 1 and slot 2 deviate equally; slot 1 names the flat-6 entry
+            ("Q4_biconsistency", OFF_DIAGONAL, "slot 1, plus=(1.0,), minus=(-1.0,)"),
+            ("classicality", ON_DIAGONAL, None),
+        ],
+        ids=["Q2", "P2", "Q4", "classicality"],
+    )
+    def test_one_rule(self, check, entries, witness, value):
+        sc = static_scenario(np.zeros((2, 2)), np.diag([1.0, 0.0]), bt.ObservablePVM.pauli_z())
+        dist = bt.full_distribution(sc, grid(0.5, 1.0))
+        table = np.array(dist.table)
+        for index in entries:
+            table[index] = value
+        planted = with_table(dist, table)
+        if check == "classicality":
+            dev = bt.classicality_report(planted).consistency_deviation
+        else:
+            record = bt.check_properties(planted)[check]
+            dev = record.max_deviation
+            assert record.witness == witness
+        assert dev == value or math.isnan(dev) and math.isnan(value)
+
+
 class TestBoundingScan:
     @pytest.mark.parametrize(
         "d, n, corrupt",
