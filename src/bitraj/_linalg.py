@@ -19,12 +19,9 @@ def vec(a: np.ndarray) -> np.ndarray:
     return np.asarray(a).T.reshape(-1)
 
 
-def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec` for square matrices."""
-    v = np.asarray(v).reshape(-1)
-    if dim is None:
-        dim = int(round(np.sqrt(v.size)))
-    return v.reshape(dim, dim).T
+def unvec(v: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`vec` for square ``dim`` x ``dim`` matrices."""
+    return np.asarray(v).reshape(dim, dim).T
 
 
 def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:

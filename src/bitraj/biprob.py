@@ -6,9 +6,13 @@ The central object is the complex table
         = tr[ P_{t_n}(f+_n) ... P_{t_1}(f+_1)  rho  P_{t_1}(f-_1) ... P_{t_n}(f-_n) ]
 
 whose diagonal (f+ = f-) is the joint probability of a projective measurement
-sequence.  Tables are enumerated densely up to a fixed entry cap; entries are
-stored in lexicographic order over (f+_n,...,f+_1,f-_n,...,f-_1) with outcomes
-in declared PVM order, so serialization is reproducible.
+sequence.  Tables are enumerated densely; entries are stored in lexicographic
+order over (f+_n,...,f+_1,f-_n,...,f-_1) with outcomes in declared PVM order,
+so serialization is reproducible.
+
+One working-memory budget, ``MEMORY_BUDGET`` bytes, bounds every large array
+in the package: each guarded call counts the bytes of its largest
+intermediate and passes them to :func:`check_budget` before allocating it.
 
 Tables, single entries and multi-observable tables all come from one Gram
 engine: with rho = sum_r lambda_r |psi_r><psi_r| and path vectors
@@ -40,7 +44,7 @@ from .model import ObservablePVM, QuantumScenario, TimeGrid, check_defect
 from .propagate import heisenberg_pvm_stacks
 from .serialize import format_floats
 
-DEFAULT_ENUMERATION_CAP = 4 ** 10
+MEMORY_BUDGET = 64 * 2**20  # bytes
 
 TOL_NORMALIZATION = 1e-9
 TOL_CAUSALITY = 1e-9
@@ -323,15 +327,6 @@ def _lattice_indices(outcome_sets: tuple, outcome: BiOutcome) -> tuple:
     return tuple(idx)
 
 
-def _slot_stacks(
-    scenario: QuantumScenario,
-    grid: TimeGrid,
-    pvms: Sequence[ObservablePVM] | None = None,
-) -> list:
-    """Heisenberg projector stacks, one (k_j, d, d) array per slot."""
-    return list(heisenberg_pvm_stacks(scenario, grid.times, pvms))
-
-
 def _worse(val: float, at, best: float, best_at) -> bool:
     """Whether ``val`` at ``at`` beats the worst case ``best`` at ``best_at``.
 
@@ -373,11 +368,11 @@ def latest_slot_causality(table: np.ndarray) -> tuple:
     return best, where
 
 
-def check_enumeration(count: int, what: str) -> None:
-    """Raise EnumerationTooLarge if ``count`` entries exceed the entry cap."""
-    if count > DEFAULT_ENUMERATION_CAP:
+def check_budget(nbytes: int, what: str) -> None:
+    """Raise EnumerationTooLarge, before the array exists, if ``nbytes`` exceed the budget."""
+    if nbytes > MEMORY_BUDGET:
         raise EnumerationTooLarge(
-            f"{what} would hold {count} entries, beyond the cap {DEFAULT_ENUMERATION_CAP}"
+            f"{what} would take {nbytes} bytes, beyond the budget of {MEMORY_BUDGET} bytes"
         )
 
 
@@ -413,13 +408,13 @@ def _table_from_stacks(rho: np.ndarray, stacks: list) -> np.ndarray:
     With C(f) = P_tn(f_n)...P_t1(f_1) and rho = F S F^dagger, every entry is
     Q(f+; f-) = tr[C(f+) rho C(f-)^dagger] = <w(f-)| S |w(f+)>, so the whole
     table is the one product (W S) W^dagger, already in latest-first layout.
-    Working memory is the table plus W, of shape (K, d r).
+    Working memory is the table plus W, of shape (K, d, d): the factor F
+    keeps all d eigenvectors, so r = d.  Both are counted against the budget
+    before W exists.
     """
     sizes = tuple(s.shape[0] for s in stacks)
-    entries = 1
-    for k in sizes:
-        entries *= k * k
-    check_enumeration(entries, "table")
+    rows = math.prod(sizes)
+    check_budget(16 * rows * (rows + rho.size), "table")
 
     factor, sign = _state_factor(rho)
     w = _gram_rows(factor, stacks)
@@ -452,7 +447,7 @@ def _distribution_for_slots(
     """Dense table with a (possibly different) PVM per time slot."""
     if len(pvms) != len(grid):
         raise LengthMismatch(f"{len(pvms)} observables for a grid of length {len(grid)}")
-    stacks = _slot_stacks(scenario, grid, pvms)
+    stacks = list(heisenberg_pvm_stacks(scenario, grid.times, pvms))
     table = _table_from_stacks(scenario.state.matrix, stacks)
     dist = BiDistribution(
         grid=grid,
@@ -486,7 +481,8 @@ def _entry(
     n = len(grid)
     plus_idx, minus_idx = idx[:n][::-1], idx[n:][::-1]  # ascending slots
     entry = _entry_gram if method == "auto" else _entry_trace
-    return entry(scenario.state.matrix, _slot_stacks(scenario, grid, pvms), plus_idx, minus_idx)
+    stacks = list(heisenberg_pvm_stacks(scenario, grid.times, pvms))
+    return entry(scenario.state.matrix, stacks, plus_idx, minus_idx)
 
 
 # -- public operations -------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import vec
-from .biprob import BiOutcome, check_enumeration
+from .biprob import BiOutcome, check_budget
 from .errors import LengthMismatch
 from .model import QuantumScenario, TimeGrid
 from .opensys import Superoperator
@@ -74,7 +74,7 @@ def comb_table(scenario: QuantumScenario, grid: TimeGrid) -> np.ndarray:
     n = len(grid)
     d = scenario.dimension
     k = scenario.pvm.size
-    check_enumeration((k * k) ** n, "table")
+    check_budget(16 * (k * k) ** n * d * d, "comb state stack")  # the last (k^2)^n x d^2 stack
     v = vec(scenario.state.matrix)[None, :]
     # ascending slots, slot 1 applied first
     for projs in heisenberg_pvm_stacks(scenario, grid.times):

@@ -100,11 +100,10 @@ class DomainMismatch(BitrajError):
 # -- sizes -------------------------------------------------------------------
 
 class EnumerationTooLarge(BitrajError):
-    """An enumeration would exceed the entry cap."""
+    """An array would exceed the working-memory budget, or a decomposition its term bound.
 
-
-class DimensionTooLarge(BitrajError):
-    """A joint dimension exceeds what the exact reference evolution supports."""
+    The message names the bytes (or terms) asked for and the limit.
+    """
 
 
 # -- events and grids ----------------------------------------------------------

@@ -140,14 +140,16 @@ class HamiltonianSchedule:
                 )
             if k == 0 and a != 0.0:
                 violations.append(DegenerateInterval(f"schedule: first segment starts at {a}, not 0"))
-            if k > 0 and a != prev_end:
+            # one bad time is one violation: a non-finite end is not compared with
+            # the next start, and a non-finite start is not an empty interval
+            if k > 0 and math.isfinite(prev_end) and a != prev_end:
                 violations.append(
                     DegenerateInterval(
                         f"schedule segment {k}: starts at {a}, previous ends at {prev_end}")
                 )
-            if not b > a:
+            if math.isfinite(a) and not b > a:
                 violations.append(DegenerateInterval(f"schedule segment {k}: empty interval [{a}, {b}]"))
-            if math.isinf(b) and k != len(self.segments) - 1:
+            elif b == math.inf and k != len(self.segments) - 1:
                 violations.append(DegenerateInterval(f"schedule segment {k}: only the last segment may be unbounded"))
             prev_end = b
             cleaned.append((a, b, _frozen(h)))

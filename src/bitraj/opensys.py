@@ -15,7 +15,10 @@ a product of n joint-space (D x D) matrices rather than n sums of k^2
 superoperators.  The exact map has the same form with V the joint
 propagator.  Both reductions read V itself; no D^2 x D^2 joint
 superoperator is formed, so the working memory is O(D^2) plus one
-Heisenberg projector stack of the environment.
+Heisenberg projector stack of the environment.  Before it exists, each
+map's largest array counts against the working-memory budget: V with one
+projector stack (contract), the joint schedule (exact), the trajectory
+table (enumerate).
 
 Superoperators use column stacking throughout: vec(X A Y) = (Y^T kron X) vec(A).
 """
@@ -30,11 +33,10 @@ import numpy as np
 
 from . import serialize
 from ._linalg import dagger, expm_hermitian, vec, unvec
-from .biprob import full_distribution
+from .biprob import check_budget, full_distribution
 from .errors import (
     DegenerateInterval,
     DimensionMismatch,
-    DimensionTooLarge,
     DomainMismatch,
     ParseError,
     ValidationError,
@@ -48,8 +50,6 @@ from .model import (
     validate_scenario,
 )
 from .propagate import heisenberg_pvm_stacks, propagator
-
-MAX_JOINT_DIMENSION = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,10 +82,6 @@ class Superoperator:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.matrix @ vec(np.asarray(rho, dtype=complex)), self.dim)
-
-    def compose(self, other: "Superoperator") -> "Superoperator":
-        """self after other."""
-        return Superoperator(self.matrix @ other.matrix, self.dim)
 
     def trace_preservation_defect(self) -> float:
         """Norm of the identity-costate condition residual."""
@@ -201,10 +197,11 @@ def bitrajectory_map(
     Trajectory pairs are piecewise constant on the uniform n_steps grid and
     weighted by the environment bi-probability at the grid times; the system
     factors are the ordered step exponentials.  ``method`` "enumerate"
-    materializes the trajectory table (subject to the enumeration cap) and is
+    materializes the trajectory table (within the memory budget) and is
     kept as an independent oracle; "contract" evaluates the identical sum as
     the joint-space product V = T_n ... T_1, T_j = sum_f A_f kron P_{t_j}(f),
-    followed by the partial trace of V (A kron rho_E) V^dagger, with no cap.
+    followed by the partial trace of V (A kron rho_E) V^dagger, at any step
+    count; only V and one projector stack count against the budget.
     "auto" picks "contract".  At t = 0 every method gives the identity map,
     as the exact evolution does.
     """
@@ -242,6 +239,9 @@ def _bitrajectory_map_contract(model: OpenModel, t: float, n_steps: int) -> Supe
     env = model.environment
     d_o = model.system_dim
     d_e = env.dimension
+    # V coexists with the environment's current (k, d_e, d_e) projector stack
+    nbytes = 16 * (model.joint_dim ** 2 + env.pvm.size * d_e * d_e)
+    check_budget(nbytes, "joint operator and projector stack")
     steps = _system_step_stack(model, t / n_steps)
     grid = _uniform_grid(t, n_steps)
     v = np.eye(d_o * d_e, dtype=complex)
@@ -269,10 +269,8 @@ def _reduce_to_system(v: np.ndarray, d_o: int, d_e: int, rho_env: np.ndarray) ->
 
 def exact_joint_map(model: OpenModel, t: float) -> Superoperator:
     """Reference map: joint unitary evolution followed by the partial trace."""
-    if model.joint_dim > MAX_JOINT_DIMENSION:
-        raise DimensionTooLarge(
-            f"joint dimension {model.joint_dim} exceeds {MAX_JOINT_DIMENSION}"
-        )
+    segments = model.environment.schedule.segments
+    check_budget(16 * len(segments) * model.joint_dim ** 2, "joint schedule")
     d_o = model.system_dim
     d_e = model.environment.dimension
     eye_o = np.eye(d_o, dtype=complex)
@@ -286,7 +284,7 @@ def exact_joint_map(model: OpenModel, t: float) -> Superoperator:
             + np.kron(eye_o, h)
             + model.coupling * np.kron(model.v_sys, f_op),
         )
-        for a, b, h in model.environment.schedule.segments
+        for a, b, h in segments
     )
     joint_schedule = HamiltonianSchedule(joint_segments)
     u = propagator(joint_schedule, 0.0, float(t)).matrix

@@ -62,9 +62,6 @@ class UnitaryMatrix:
     def interval(self) -> tuple:
         return (self.t_from, self.t_to)
 
-    def reversed(self) -> "UnitaryMatrix":
-        return UnitaryMatrix(dagger(self.matrix), self.t_to, self.t_from)
-
 
 def operator_norm(m) -> float:
     """Largest singular value (for Hermitian input, the max |eigenvalue|)."""

@@ -23,7 +23,6 @@ from .biprob import (
     BiOutcome,
     TupleFunction,
     _lattice_indices,
-    _slot_stacks,
     _table_from_stacks,
     _worse,
     average,
@@ -40,6 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .model import QuantumScenario, TimeGrid
+from .propagate import heisenberg_pvm_stacks
 
 DEFAULT_PROPERTY_TOL = 1e-9
 _SKETCH_WIDTH = 16  # first width p of the Q3 sketch
@@ -133,7 +133,7 @@ def _reduced_tables(dist: BiDistribution) -> Iterator[tuple]:
         )
     stacks = dist._stacks
     if stacks is None:
-        stacks = _slot_stacks(dist.scenario, dist.grid, dist.pvms)
+        stacks = list(heisenberg_pvm_stacks(dist.scenario, dist.grid.times, dist.pvms))
     rho = dist.scenario.state.matrix
     for j in range(1, dist.n + 1):
         yield j, _table_from_stacks(rho, stacks[:j - 1] + stacks[j:])
@@ -342,7 +342,7 @@ def inconsistency_decomposition(
     probe[n - position] = scenario.pvm.outcomes[0]
     outcome_sets = (scenario.pvm.outcomes,) * n
     idx = _lattice_indices(outcome_sets, BiOutcome(probe, probe))[:n][::-1]  # ascending
-    stacks = _slot_stacks(scenario, grid)
+    stacks = list(heisenberg_pvm_stacks(scenario, grid.times))
     paths = [p[i:i + 1] for p, i in zip(stacks, idx)]
     rho = scenario.state.matrix
     reduced = _table_from_stacks(rho, paths[:position - 1] + paths[position:]).real.sum()

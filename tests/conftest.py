@@ -38,14 +38,15 @@ PAULI_X_PVM = ObservablePVM(
 
 @pytest.fixture
 def no_gram_rows_past_cap(monkeypatch):
-    """Fail if path vectors W are grown for a table beyond the entry cap."""
+    """Fail if path vectors W are grown when the table plus W exceed the memory budget."""
     import bitraj.biprob as biprob
 
     real = biprob._gram_rows
 
     def guarded(factor, stacks):
         rows = int(np.prod([p.shape[0] for p in stacks]))
-        assert rows * rows <= biprob.DEFAULT_ENUMERATION_CAP, "W built past the cap"
+        nbytes = 16 * rows * rows + 16 * rows * factor.size  # the table, then W
+        assert nbytes <= biprob.MEMORY_BUDGET, "W built past the budget"
         return real(factor, stacks)
 
     monkeypatch.setattr(biprob, "_gram_rows", guarded)
@@ -125,6 +126,23 @@ def oracle_reduced_map(v: np.ndarray, d_o: int, d_e: int, rho_env: np.ndarray) -
             unit = np.zeros((d_o, d_o), dtype=complex)
             unit[i, j] = 1.0
             w = (superop @ np.kron(unit, rho_env).T.reshape(-1)).reshape(d, d).T
+            reduced = np.einsum("iaja->ij", w.reshape(d_o, d_e, d_o, d_e))
+            s[:, j * d_o + i] = reduced.T.reshape(-1)
+    return s
+
+
+def oracle_unit_reduced_map(v: np.ndarray, d_o: int, d_e: int, rho_env: np.ndarray) -> np.ndarray:
+    """A -> tr_E[V (A kron rho_E) V^dagger] from D x D products, one system matrix unit at a time.
+
+    No joint superoperator is formed, so it reaches joint dimensions where
+    :func:`oracle_reduced_map`'s kron(V*, V) does not fit in memory.
+    """
+    s = np.empty((d_o * d_o, d_o * d_o), dtype=complex)
+    for j in range(d_o):
+        for i in range(d_o):
+            unit = np.zeros((d_o, d_o), dtype=complex)
+            unit[i, j] = 1.0
+            w = v @ np.kron(unit, rho_env) @ v.conj().T
             reduced = np.einsum("iaja->ij", w.reshape(d_o, d_e, d_o, d_e))
             s[:, j * d_o + i] = reduced.T.reshape(-1)
     return s

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 import bitraj as bt
 from bitraj import errors
 from bitraj.biprob import (
-    DEFAULT_ENUMERATION_CAP,
+    MEMORY_BUDGET,
     BiDistribution,
     _entry_gram,
     _entry_trace,
-    _slot_stacks,
     latest_slot_causality,
 )
 from bitraj.comb import comb_table
+from bitraj.propagate import heisenberg_pvm_stacks
 
 from conftest import (
     PAULI_X_PVM,
@@ -130,9 +130,16 @@ class TestFullDistribution:
             assert q == complex(flat[k])
 
     def test_enumeration_cap(self, rabi, no_gram_rows_past_cap):
-        # 4^11 entries, one slot past the cap
-        with pytest.raises(errors.EnumerationTooLarge):
+        # 4^11 entries: a 64 MiB table plus W, just past the budget
+        with pytest.raises(errors.EnumerationTooLarge, match="bytes"):
             bt.full_distribution(rabi, grid(*(0.1 * k for k in range(1, 12))))
+
+    def test_budget_counts_the_path_vectors(self, no_gram_rows_past_cap):
+        # 4^10 entries are a 16 MiB table, but a mixed d = 256 state makes W
+        # (1024, 256, 256): 1 GiB, refused before any of it is built
+        sc = bt.random_scenario(256, seed=0, outcome_groups=(128, 128))
+        with pytest.raises(errors.EnumerationTooLarge, match="bytes"):
+            bt.full_distribution(sc, grid(*(0.1 * k for k in range(1, 11))))
 
     def test_matches_oracle_entrywise(self):
         sc = bt.random_scenario(2, seed=9)
@@ -482,7 +489,7 @@ class TestGramEngineCrossCheck:
         g = bt.TimeGrid(tuple(np.cumsum(rng.uniform(0.1, 0.8, size=n))))
         table = bt.full_distribution(sc, g).table
         assert np.abs(comb_table(sc, g) - table).max() <= 1e-12
-        _assert_table_matches_oracles(sc, g, table, _slot_stacks(sc, g), rng)
+        _assert_table_matches_oracles(sc, g, table, list(heisenberg_pvm_stacks(sc, g.times)), rng)
 
     def test_mixed_slot_multiobs(self):
         sc = bt.random_scenario(2, seed=3)
@@ -490,15 +497,15 @@ class TestGramEngineCrossCheck:
         pvms = (bt.ObservablePVM.pauli_z(), PAULI_X_PVM) * 2
         seq = bt.ObservableSequence(pvms)
         table = bt.multiobs_distribution(sc, g, seq).table
-        stacks = _slot_stacks(sc, g, pvms)
+        stacks = list(heisenberg_pvm_stacks(sc, g.times, pvms))
         _assert_table_matches_oracles(sc, g, table, stacks, np.random.default_rng(0), pvms)
         o = outcome((1.0, -1.0, -1.0, 1.0), (1.0, 1.0, -1.0, -1.0))
         assert abs(bt.eval_multiobs(sc, g, seq, o) - oracle_biprob(sc, g.times, o.plus, o.minus, pvms)) <= 1e-12
 
 
 def test_table_memory_bounded_at_the_cap():
-    # 32^4 = 4^10 entries sits exactly at the cap; a (k^n, k^n, d, d)
-    # intermediate would need about 17 GB for this table
+    # 32^4 = 4^10 entries: a 16 MiB table plus a 16 MiB W, within the
+    # budget; a (k^n, k^n, d, d) intermediate would need about 17 GB
     sc = bt.random_scenario(32, seed=0)
     tracemalloc.start()
     try:
@@ -506,5 +513,5 @@ def test_table_memory_bounded_at_the_cap():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert dist.table.size == DEFAULT_ENUMERATION_CAP
-    assert peak < 128 * 2**20
+    assert dist.table.size == 4**10
+    assert peak < 2 * MEMORY_BUDGET  # 128 MiB

@@ -42,7 +42,6 @@ TRIGGERS = {
         _rabi(), grid(1.0), outcome((1.0,), (1.0,)), method="amplitude"),
     errors.EnumerationTooLarge: lambda: bt.full_distribution(
         _rabi(), grid(*(0.1 * k for k in range(1, 12)))),
-    errors.DimensionTooLarge: lambda: bt.exact_joint_map(_open_model(33), 1.0),
     errors.OverlappingEvents: lambda: bt.grade2_check(
         bt.full_distribution(_rabi(), grid(1.0)), [(1.0,)], [(1.0,)], []),
     errors.NotNested: lambda: bt.cauchy_stabilization(
@@ -71,8 +70,9 @@ def _fault_classes():
 
 def test_vocabulary_size_and_merged_classes():
     names = {cls.__name__ for cls in _fault_classes()}
-    assert len(names) == 21
-    assert not names & {"EmptyGroup", "SlotOutcomeMismatch", "BadPosition", "NonSquare"}
+    assert len(names) == 20
+    assert not names & {
+        "EmptyGroup", "SlotOutcomeMismatch", "BadPosition", "NonSquare", "DimensionTooLarge"}
     assert set(TRIGGERS) == set(_fault_classes())
 
 
@@ -99,15 +99,19 @@ class TestRelabelledFaults:
         assert err.value.has(errors.DegenerateInterval)
 
     def test_schedule_ordering(self):
+        # one bad time is one violation: later segments are not compared
+        # against a non-finite end
         for segments in (
             ((0.5, 1.0, SIGMA_Z),),
             ((0.0, 1.0, SIGMA_Z), (1.5, 2.0, SIGMA_Z)),
             ((0.0, 0.0, SIGMA_Z),),
             ((0.0, np.inf, SIGMA_Z), (np.inf, np.inf, SIGMA_Z)),
+            ((0, 1, SIGMA_Z), (1, np.nan, SIGMA_Z), (2, 3, SIGMA_Z)),
         ):
             with pytest.raises(errors.ValidationError) as err:
                 bt.HamiltonianSchedule(segments)
-            assert err.value.has(errors.DegenerateInterval), segments
+            assert [type(v) for v in err.value.violations] == [errors.DegenerateInterval], segments
+        assert "segment 1: empty interval" in str(err.value)
 
     def test_unknown_method_is_one_class(self):
         model = _open_model(2)
@@ -143,6 +147,13 @@ class TestRelabelledFaults:
         with pytest.raises(errors.ValidationError) as err:
             bt.UnitaryPath(((0.5, SIGMA_X),), np.eye(2))
         assert err.value.has(errors.DomainMismatch)
+        # a rejected duration is the one violation: no cascade into later
+        # segments, and no durations-sum check
+        for bad in (np.nan, np.inf):
+            with pytest.raises(errors.ValidationError) as err:
+                bt.UnitaryPath(((0.5, SIGMA_X), (bad, SIGMA_X), (0.5, SIGMA_X)), np.eye(2))
+            assert [type(v) for v in err.value.violations] == [errors.DegenerateInterval], bad
+            assert "schedule segment 1:" in str(err.value.violations[0])
         path = bt.UnitaryPath(((1.0, SIGMA_X),), np.eye(2))
         with pytest.raises(errors.DegenerateInterval):
             bt.path_bound_check(path, [(0.5, 0.2)])

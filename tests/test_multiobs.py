@@ -203,6 +203,22 @@ class TestDecomposition:
         rec = bt.decompose_multiobs(sc, g, seq, outcome((0.0, 1.0), (0.0, 0.0)))
         assert abs(rec.direct - rec.reconstructed) <= 1e-9
 
+    def test_term_bound_checked_before_any_term(self, monkeypatch):
+        # 8 levels in two blocks of 4: (4 * 4)^4 slot terms times 8^2 state
+        # terms is 4^11 generic terms, one slot past the bound
+        blocks = {float(f): float(f >= 4) for f in range(8)}
+        pvm = bt.coarse_grain_pvm(bt.ObservablePVM.computational_basis(8), blocks)
+        sc = bt.random_scenario(8, seed=3)
+        seq = bt.ObservableSequence((pvm,) * 4)
+
+        def no_term(*args):
+            raise AssertionError("a generic term was built")
+
+        monkeypatch.setattr("bitraj.multiobs.GenericTuple", no_term)
+        with pytest.raises(errors.EnumerationTooLarge, match="4194304 generic terms"):
+            bt.decompose_multiobs(
+                sc, grid(0.3, 0.6, 0.9, 1.2), seq, outcome((0.0, 1.0) * 2, (1.0, 0.0) * 2))
+
 
 class TestUnitaryPath:
     def test_zero_generator(self):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bitraj as bt
-from bitraj import errors
+from bitraj import biprob, errors
 from bitraj._linalg import vec, unvec
 
 from conftest import (
@@ -17,6 +17,7 @@ from conftest import (
     oracle_heisenberg,
     oracle_propagator,
     oracle_reduced_map,
+    oracle_unit_reduced_map,
     static_scenario,
 )
 
@@ -275,13 +276,40 @@ class TestExactJointMap:
         evals = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
         assert evals.min() >= -1e-9
 
-    def test_dimension_guard(self):
-        env = bt.random_scenario(9, seed=0)
-        model = bt.OpenModel(
-            h_sys=np.zeros((8, 8)), v_sys=np.eye(8), coupling=0.1, environment=env
-        )
-        with pytest.raises(errors.DimensionTooLarge):
-            bt.exact_joint_map(model, 1.0)
+    def test_joint_dimension_128_within_the_budget(self):
+        # a qubit on a 64-level environment; kron(V*, V) alone would be 4 GiB
+        env = bt.random_scenario(64, seed=7)
+        model = bt.OpenModel(h_sys=0.5 * SIGMA_Z, v_sys=SIGMA_X, coupling=0.5, environment=env)
+        assert model.joint_dim == 128
+        tracemalloc.start()
+        try:
+            exact = bt.exact_joint_map(model, 1.0)
+            study = bt.convergence_study(model, 1.0, [8, 16, 32, 64])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < biprob.MEMORY_BUDGET
+        want = oracle_unit_reduced_map(
+            oracle_exact_operator(model, 1.0), 2, 64, env.state.matrix)
+        assert np.abs(exact.matrix - want).max() <= 1e-12
+        errs = [p.error for p in study]
+        assert all(b < a for a, b in zip(errs, errs[1:])), errs
+
+    def test_budget_counts_the_joint_arrays(self, monkeypatch):
+        # the exact map counts its joint schedule, the contract map its D x D
+        # operator and one (k, d_e, d_e) projector stack; one byte less than
+        # that count refuses either
+        model = standard_model()  # D = 4, a 2-outcome qubit environment
+        segments = len(model.environment.schedule.segments)
+        for call, nbytes in (
+            (lambda: bt.exact_joint_map(model, 1.0), 16 * segments * 4 * 4),
+            (lambda: bt.bitrajectory_map(model, 1.0, 8, method="contract"), 16 * (4 * 4 + 2 * 2 * 2)),
+        ):
+            monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes)
+            call()
+            monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes - 1)
+            with pytest.raises(errors.EnumerationTooLarge, match=f"{nbytes} bytes"):
+                call()
 
 
 class TestBitrajectoryMap:

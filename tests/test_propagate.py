@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import bitraj as bt
 from bitraj import errors
+from bitraj.propagate import heisenberg_pvm_stacks
 
 from conftest import (
     SIGMA_X,
@@ -213,8 +214,6 @@ class TestPropagatorsAlong:
             bt.propagators_along(two_segment_schedule(), times)
 
     def test_each_segment_diagonalised_at_most_once(self, monkeypatch):
-        from bitraj.biprob import _slot_stacks
-
         sc = bt.QuantumScenario(
             2, driven_schedule(), bt.DensityOperator.pure([1.0, 0.0]), bt.ObservablePVM.pauli_z()
         )
@@ -227,7 +226,7 @@ class TestPropagatorsAlong:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        _slot_stacks(sc, grid)
+        list(heisenberg_pvm_stacks(sc, grid.times))
         assert 0 < len(calls) <= 640
 
 

@@ -24,6 +24,20 @@ from conftest import (
 TOL = verify.DEFAULT_PROPERTY_TOL
 
 
+def count_stack_walks(monkeypatch) -> list:
+    """Record every Heisenberg stack walk that the engine or the battery starts."""
+    calls = []
+    real = biprob.heisenberg_pvm_stacks
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (biprob, verify):
+        monkeypatch.setattr(module, "heisenberg_pvm_stacks", counted)
+    return calls
+
+
 def random_grid(n, rng, horizon=1.5):
     # jittered uniform placement keeps times separated
     base = np.linspace(0.2, horizon, n)
@@ -94,14 +108,7 @@ class TestCheckProperties:
     def test_engine_slot_stacks_are_reused(self, monkeypatch):
         sc = bt.random_scenario(3, seed=11)
         dist = bt.full_distribution(sc, grid(0.3, 0.8, 1.4))
-        calls = []
-        real = biprob.heisenberg_pvm_stacks
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(biprob, "heisenberg_pvm_stacks", counted)
+        calls = count_stack_walks(monkeypatch)
         report = bt.check_properties(dist)
         assert calls == []
         hand_built = BiDistribution(
@@ -333,14 +340,7 @@ class TestInconsistencyDecomposition:
         assert bt.inconsistency_decomposition(sc, g, (2.0, 7.5, 1.0), 2) == rec
 
     def test_propagates_once(self, monkeypatch):
-        calls = []
-        real = biprob.heisenberg_pvm_stacks
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(biprob, "heisenberg_pvm_stacks", counted)
+        calls = count_stack_walks(monkeypatch)
         sc = bt.random_scenario(3, seed=4)
         bt.inconsistency_decomposition(sc, grid(0.3, 0.7, 1.1, 1.6), (0.0, 1.0, 2.0, 1.0), 3)
         assert len(calls) == 1
