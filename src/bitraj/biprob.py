@@ -10,9 +10,9 @@ sequence.  Tables are enumerated densely; entries are stored in lexicographic
 order over (f+_n,...,f+_1,f-_n,...,f-_1) with outcomes in declared PVM order,
 so serialization is reproducible.
 
-One working-memory budget, ``MEMORY_BUDGET`` bytes, bounds every large array
-in the package: each guarded call counts the bytes of its largest
-intermediate and passes them to :func:`check_budget` before allocating it.
+One working-memory budget, ``MEMORY_BUDGET`` bytes, guards the package's
+large arrays: each guarded call counts the bytes of the arrays it holds at
+once, and passes them to :func:`check_budget` before allocating any of them.
 
 Tables, single entries and multi-observable tables all come from one Gram
 engine: with rho = sum_r lambda_r |psi_r><psi_r| and path vectors
@@ -69,10 +69,6 @@ class BiOutcome:
 
     def __len__(self) -> int:
         return len(self.plus)
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.plus == self.minus
 
 
 @dataclass(frozen=True, eq=False)

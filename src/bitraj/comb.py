@@ -74,7 +74,10 @@ def comb_table(scenario: QuantumScenario, grid: TimeGrid) -> np.ndarray:
     n = len(grid)
     d = scenario.dimension
     k = scenario.pvm.size
-    check_budget(16 * (k * k) ** n * d * d, "comb state stack")  # the last (k^2)^n x d^2 stack
+    # each slot's (k, k, d^2, d^2) instruments exist twice while they are
+    # stacked; the last (k^2)^n x d^2 state stack sits beside the one before
+    # it, or beside the table and its reordered copy: at most twice over
+    check_budget(32 * ((k * k) * d**4 + (k * k) ** n * d * d), "comb instruments and state stack")
     v = vec(scenario.state.matrix)[None, :]
     # ascending slots, slot 1 applied first
     for projs in heisenberg_pvm_stacks(scenario, grid.times):

@@ -339,10 +339,6 @@ class DensityOperator:
         v = v / nrm
         return cls(np.outer(v, v.conj()))
 
-    @classmethod
-    def maximally_mixed(cls, d: int) -> "DensityOperator":
-        return cls(np.eye(d) / d)
-
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]

@@ -13,12 +13,12 @@ environment value f and the joint operator T_j = sum_f A_f kron P_{t_j}(f),
 the whole map is A -> tr_E[V (A kron rho_E) V^dagger] with V = T_n ... T_1,
 a product of n joint-space (D x D) matrices rather than n sums of k^2
 superoperators.  The exact map has the same form with V the joint
-propagator.  Both reductions read V itself; no D^2 x D^2 joint
-superoperator is formed, so the working memory is O(D^2) plus one
-Heisenberg projector stack of the environment.  Before it exists, each
-map's largest array counts against the working-memory budget: V with one
-projector stack (contract), the joint schedule (exact), the trajectory
-table (enumerate).
+propagator, built one environment segment at a time.  Both reductions read
+V itself; no D^2 x D^2 joint superoperator is formed, so the working memory
+is a few D x D arrays, two Heisenberg projector stacks of the environment,
+and the d_o^2 x d_o^2 reduced map twice while it is reordered.  Before any
+of them exists, each map counts the bytes it holds at its peak against the
+working-memory budget; the enumerate method counts its trajectory table.
 
 Superoperators use column stacking throughout: vec(X A Y) = (Y^T kron X) vec(A).
 """
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,7 +43,6 @@ from .errors import (
     ValidationError,
 )
 from .model import (
-    HamiltonianSchedule,
     QuantumScenario,
     TimeGrid,
     _as_operator,
@@ -201,7 +201,8 @@ def bitrajectory_map(
     kept as an independent oracle; "contract" evaluates the identical sum as
     the joint-space product V = T_n ... T_1, T_j = sum_f A_f kron P_{t_j}(f),
     followed by the partial trace of V (A kron rho_E) V^dagger, at any step
-    count; only V and one projector stack count against the budget.
+    count; its peak, V with the projector stacks or the reduced map, counts
+    against the budget.
     "auto" picks "contract".  At t = 0 every method gives the identity map,
     as the exact evolution does.
     """
@@ -235,19 +236,40 @@ def _bitrajectory_map_enumerate(model: OpenModel, t: float, n_steps: int) -> Sup
     return Superoperator(s.reshape(d_o * d_o, d_o * d_o), d_o)
 
 
+def _reduction_bytes(d_o: int, d_e: int) -> int:
+    # V beside three D x D arrays (its transposed copies), then beside two of
+    # them and the d_o^2 x d_o^2 product, then beside two reduced maps
+    d2 = (d_o * d_e) ** 2
+    return 16 * (d2 + max(3 * d2, 2 * d2 + d_o**4, 2 * d_o**4))
+
+
+def _contract_bytes(model: OpenModel) -> int:
+    # the system steps, beside the reduction or beside V, T_j and their
+    # product with two projector stacks (the current one and the next while
+    # it is formed) and the environment walk's few d_e x d_e arrays
+    d_o, d_e, k = model.system_dim, model.environment.dimension, model.environment.pvm.size
+    loop = 16 * (3 * model.joint_dim**2 + (2 * k + 4) * d_e * d_e)
+    return 16 * k * d_o * d_o + max(loop, _reduction_bytes(d_o, d_e))
+
+
+def _exact_bytes(model: OpenModel) -> int:
+    # the walk peaks near ten D x D arrays, eigh's workspace included, at
+    # D = 256 to 1024; twelve leave a margin
+    return max(16 * 12 * model.joint_dim**2, _reduction_bytes(model.system_dim, model.environment.dimension))
+
+
 def _bitrajectory_map_contract(model: OpenModel, t: float, n_steps: int) -> Superoperator:
+    check_budget(_contract_bytes(model), "contract map")
     env = model.environment
     d_o = model.system_dim
     d_e = env.dimension
-    # V coexists with the environment's current (k, d_e, d_e) projector stack
-    nbytes = 16 * (model.joint_dim ** 2 + env.pvm.size * d_e * d_e)
-    check_budget(nbytes, "joint operator and projector stack")
     steps = _system_step_stack(model, t / n_steps)
     grid = _uniform_grid(t, n_steps)
     v = np.eye(d_o * d_e, dtype=complex)
     for projs in heisenberg_pvm_stacks(env, grid.times):
         # T_j = sum_f A_f kron P_{t_j}(f)
         v = np.einsum("fab,fij->aibj", steps, projs).reshape(v.shape) @ v
+        del projs  # not held while the walk forms the next stack
     return _reduce_to_system(v, d_o, d_e, env.state.matrix)
 
 
@@ -264,31 +286,30 @@ def _reduce_to_system(v: np.ndarray, d_o: int, d_e: int, rho_env: np.ndarray) ->
     x = x.transpose(0, 2, 1, 3).reshape(d2, d_e * d_e)
     y = v.conj().reshape(d_o, d_e, d_o, d_e).transpose(0, 2, 1, 3).reshape(d2, d_e * d_e)
     m = (x @ y.T).reshape(d_o, d_o, d_o, d_o)  # axes (a, b, c, d)
-    return Superoperator(m.transpose(2, 0, 3, 1).reshape(d2, d2), d_o)
+    del x, y
+    m = m.transpose(2, 0, 3, 1).reshape(d2, d2)  # frees the product before the map copies m
+    return Superoperator(m, d_o)
+
+
+def _joint_schedule(model: OpenModel) -> SimpleNamespace:
+    """Joint generators for :func:`propagator`, each built as the walk enters its segment.
+
+    Unlike a HamiltonianSchedule, it holds one and checks none: each is Hermitian.
+    """
+    env = model.environment
+    eye_o = np.eye(model.system_dim, dtype=complex)
+    h_o = np.kron(model.h_sys, np.eye(env.dimension, dtype=complex))
+    coupling = model.coupling * np.kron(model.v_sys, model.coupling_operator)
+    segments = ((a, b, h_o + np.kron(eye_o, h) + coupling) for a, b, h in env.schedule.segments)
+    return SimpleNamespace(dimension=model.joint_dim, horizon=env.horizon, segments=segments)
 
 
 def exact_joint_map(model: OpenModel, t: float) -> Superoperator:
     """Reference map: joint unitary evolution followed by the partial trace."""
-    segments = model.environment.schedule.segments
-    check_budget(16 * len(segments) * model.joint_dim ** 2, "joint schedule")
-    d_o = model.system_dim
-    d_e = model.environment.dimension
-    eye_o = np.eye(d_o, dtype=complex)
-    eye_e = np.eye(d_e, dtype=complex)
-    f_op = model.coupling_operator
-    joint_segments = tuple(
-        (
-            a,
-            b,
-            np.kron(model.h_sys, eye_e)
-            + np.kron(eye_o, h)
-            + model.coupling * np.kron(model.v_sys, f_op),
-        )
-        for a, b, h in segments
-    )
-    joint_schedule = HamiltonianSchedule(joint_segments)
-    u = propagator(joint_schedule, 0.0, float(t)).matrix
-    return _reduce_to_system(u, d_o, d_e, model.environment.state.matrix)
+    check_budget(_exact_bytes(model), "exact map")
+    u = propagator(_joint_schedule(model), 0.0, float(t)).matrix
+    env = model.environment
+    return _reduce_to_system(u, model.system_dim, env.dimension, env.state.matrix)
 
 
 @dataclass(frozen=True)
@@ -310,9 +331,13 @@ def convergence_study(
     steps = [int(n) for n in steps]
     if any(b <= a for a, b in zip(steps[:-1], steps[1:])):
         raise DegenerateInterval(f"step counts must be ascending, got {steps}")
+    # the exact map stays live beside each discretized map, then both beside
+    # their difference and the SVD's copy of it
+    d4 = 16 * model.system_dim**4
+    check_budget(max(_exact_bytes(model), d4 + _contract_bytes(model), 4 * d4), "convergence study")
     exact = exact_joint_map(model, t)
     out = []
     for n in steps:
-        approx = bitrajectory_map(model, t, n)
-        out.append(ConvergencePoint(n_steps=n, error=approx.distance(exact)))
+        error = bitrajectory_map(model, t, n).distance(exact)
+        out.append(ConvergencePoint(n_steps=n, error=error))
     return out

@@ -112,37 +112,29 @@ def oracle_biprob(
     return complex(np.trace(a))
 
 
-def oracle_reduced_map(v: np.ndarray, d_o: int, d_e: int, rho_env: np.ndarray) -> np.ndarray:
-    """A -> tr_E[V (A kron rho_E) V^dagger] through the joint superoperator kron(V*, V).
+def oracle_reduced_map(
+    v: np.ndarray, d_o: int, d_e: int, rho_env: np.ndarray, via_kron: bool = True
+) -> np.ndarray:
+    """A -> tr_E[V (A kron rho_E) V^dagger], one system matrix unit at a time.
 
-    Column-stacked, one system matrix unit at a time: the column of E_ij is
-    vec tr_E[unvec(kron(V*, V) vec(E_ij kron rho_E))].
+    Column-stacked: the column of E_ij is vec tr_E[V (E_ij kron rho_E) V^dagger].
+    With ``via_kron`` that image comes from the joint superoperator
+    kron(V*, V) on vec(E_ij kron rho_E), which also checks the vec
+    convention; without it, from the D x D products alone, which reach joint
+    dimensions where kron(V*, V) does not fit in memory.
     """
     d = d_o * d_e
-    superop = np.kron(v.conj(), v)
+    superop = np.kron(v.conj(), v) if via_kron else None
     s = np.empty((d_o * d_o, d_o * d_o), dtype=complex)
     for j in range(d_o):
         for i in range(d_o):
             unit = np.zeros((d_o, d_o), dtype=complex)
             unit[i, j] = 1.0
-            w = (superop @ np.kron(unit, rho_env).T.reshape(-1)).reshape(d, d).T
-            reduced = np.einsum("iaja->ij", w.reshape(d_o, d_e, d_o, d_e))
-            s[:, j * d_o + i] = reduced.T.reshape(-1)
-    return s
-
-
-def oracle_unit_reduced_map(v: np.ndarray, d_o: int, d_e: int, rho_env: np.ndarray) -> np.ndarray:
-    """A -> tr_E[V (A kron rho_E) V^dagger] from D x D products, one system matrix unit at a time.
-
-    No joint superoperator is formed, so it reaches joint dimensions where
-    :func:`oracle_reduced_map`'s kron(V*, V) does not fit in memory.
-    """
-    s = np.empty((d_o * d_o, d_o * d_o), dtype=complex)
-    for j in range(d_o):
-        for i in range(d_o):
-            unit = np.zeros((d_o, d_o), dtype=complex)
-            unit[i, j] = 1.0
-            w = v @ np.kron(unit, rho_env) @ v.conj().T
+            x = np.kron(unit, rho_env)
+            if via_kron:
+                w = (superop @ x.T.reshape(-1)).reshape(d, d).T
+            else:
+                w = v @ x @ v.conj().T
             reduced = np.einsum("iaja->ij", w.reshape(d_o, d_e, d_o, d_e))
             s[:, j * d_o + i] = reduced.T.reshape(-1)
     return s

@@ -81,6 +81,13 @@ class TestCombBiprob:
         with pytest.raises(errors.EnumerationTooLarge):
             comb_table(rabi, grid(*(0.1 * k for k in range(1, 12))))
 
+    def test_comb_table_counts_the_instruments(self, monkeypatch):
+        # at d = 16, n = 1 the state stack is 1 MiB, but the slot's
+        # (16, 16, 256, 256) instruments are 256 MiB and exist twice
+        monkeypatch.setattr("bitraj.comb.heisenberg_pvm_stacks", None)
+        with pytest.raises(errors.EnumerationTooLarge, match="instruments"):
+            comb_table(bt.random_scenario(16, seed=0), grid(0.5))
+
     def test_length_mismatch(self, rabi):
         with pytest.raises(errors.LengthMismatch):
             bt.comb_biprob(rabi, grid(0.5, 1.0), outcome((1.0,), (1.0,)))

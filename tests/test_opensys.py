@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bitraj as bt
-from bitraj import biprob, errors
+from bitraj import biprob, errors, opensys
 from bitraj._linalg import vec, unvec
 
 from conftest import (
@@ -17,7 +18,6 @@ from conftest import (
     oracle_heisenberg,
     oracle_propagator,
     oracle_reduced_map,
-    oracle_unit_reduced_map,
     static_scenario,
 )
 
@@ -289,27 +289,71 @@ class TestExactJointMap:
         finally:
             tracemalloc.stop()
         assert peak < biprob.MEMORY_BUDGET
-        want = oracle_unit_reduced_map(
-            oracle_exact_operator(model, 1.0), 2, 64, env.state.matrix)
+        want = oracle_reduced_map(
+            oracle_exact_operator(model, 1.0), 2, 64, env.state.matrix, via_kron=False)
         assert np.abs(exact.matrix - want).max() <= 1e-12
         errs = [p.error for p in study]
         assert all(b < a for a, b in zip(errs, errs[1:])), errs
 
-    def test_budget_counts_the_joint_arrays(self, monkeypatch):
-        # the exact map counts its joint schedule, the contract map its D x D
-        # operator and one (k, d_e, d_e) projector stack; one byte less than
-        # that count refuses either
-        model = standard_model()  # D = 4, a 2-outcome qubit environment
-        segments = len(model.environment.schedule.segments)
-        for call, nbytes in (
-            (lambda: bt.exact_joint_map(model, 1.0), 16 * segments * 4 * 4),
-            (lambda: bt.bitrajectory_map(model, 1.0, 8, method="contract"), 16 * (4 * 4 + 2 * 2 * 2)),
+    @pytest.mark.parametrize("d_o, d_e", [(2, 64), (16, 8)])
+    def test_counts_bound_the_traced_peak(self, d_o, d_e, monkeypatch):
+        # the joint walk dominates at (2, 64), the reduced map at (16, 8); each
+        # call runs at exactly its count, within it up to a few KiB of small
+        # objects, and is refused one byte below it
+        rng = np.random.default_rng(d_o)
+        model = bt.OpenModel(
+            h_sys=random_hermitian(rng, d_o), v_sys=random_hermitian(rng, d_o),
+            coupling=0.5, environment=bt.random_scenario(d_e, seed=7),
+        )
+        for call in (
+            lambda: bt.exact_joint_map(model, 1.0),
+            lambda: bt.bitrajectory_map(model, 1.0, 8, method="contract"),
+            lambda: bt.convergence_study(model, 1.0, [4, 8]),
         ):
+            nbytes = counted_bytes(call, monkeypatch)
             monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes)
-            call()
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= nbytes + 16 * 2**10
             monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes - 1)
             with pytest.raises(errors.EnumerationTooLarge, match=f"{nbytes} bytes"):
                 call()
+
+    @pytest.mark.parametrize("d_o", [64, 128])
+    def test_large_system_refused_before_any_work(self, d_o, monkeypatch):
+        # a qubit environment keeps D at 128 or 256, but the reduced map has
+        # d_o^4 entries and exists twice: 2 x 256 MiB at d_o = 64, 2 x 4 GiB
+        # at d_o = 128
+        model = bt.OpenModel(
+            h_sys=np.diag(np.linspace(-1.0, 1.0, d_o)), v_sys=np.eye(d_o),
+            coupling=0.5, environment=bt.rabi_scenario(),
+        )
+
+        def fail(*args, **kwargs):
+            raise AssertionError("work began before the budget check")
+
+        for name in ("_reduce_to_system", "_system_step_stack", "propagator", "heisenberg_pvm_stacks"):
+            monkeypatch.setattr(opensys, name, fail)
+        for call in (
+            lambda: bt.exact_joint_map(model, 1.0),
+            lambda: bt.bitrajectory_map(model, 1.0, 8, method="contract"),
+            lambda: bt.convergence_study(model, 1.0, [4, 8]),
+        ):
+            with pytest.raises(errors.EnumerationTooLarge, match="bytes"):
+                call()
+
+
+def counted_bytes(call, monkeypatch) -> int:
+    """The bytes a call counts against the budget, read from its refusal under a zero budget."""
+    with monkeypatch.context() as patch:
+        patch.setattr(biprob, "MEMORY_BUDGET", 0)
+        with pytest.raises(errors.EnumerationTooLarge) as err:
+            call()
+    return int(re.search(r"take (\d+) bytes", str(err.value)).group(1))
 
 
 class TestBitrajectoryMap:
