@@ -43,6 +43,7 @@ from .errors import (
 
 DEFAULT_TOL = 1e-10
 SEGMENTS_PER_UNIT_TIME = 64
+_HERMITICITY_CHUNK_BYTES = 2**18
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -153,11 +154,14 @@ class HamiltonianSchedule:
                 violations.append(DegenerateInterval(f"schedule segment {k}: only the last segment may be unbounded"))
             prev_end = b
             cleaned.append((a, b, _frozen(h)))
-        if same_dim:
-            stack = np.stack([h for _, h in same_dim])
+        # the check holds about four copies of each chunk of segments it stacks
+        per_chunk = max(1, _HERMITICITY_CHUNK_BYTES // (16 * (dim or 1) ** 2))
+        for i in range(0, len(same_dim), per_chunk):
+            chunk = same_dim[i:i + per_chunk]
+            stack = np.stack([h for _, h in chunk])
             with np.errstate(over="ignore", invalid="ignore"):
                 defects = _spectral_norms(stack - stack.conj().transpose(0, 2, 1))
-            for (k, _), dev in zip(same_dim, defects.tolist()):
+            for (k, _), dev in zip(chunk, defects.tolist()):
                 found[k] += check_defect(
                     dev, DEFAULT_TOL, NonHermitian, "schedule segment %d: Hermiticity defect", k)
         violations = [v for seg in found for v in seg]
@@ -251,9 +255,12 @@ class ObservablePVM:
                     f"projector({f}): ||P^2 - P|| ="))
             for i in range(len(projectors)):
                 for j in range(i + 1, len(projectors)):
+                    # a pair within tol in the Frobenius norm is so in the spectral one
+                    overlap = projectors[i] @ projectors[j]
+                    dev = np.linalg.norm(overlap)
                     violations.extend(check_defect(
-                        _spectral_norm(projectors[i] @ projectors[j]), DEFAULT_TOL, IncompletePVM,
-                        f"projectors({outcomes[i]},{outcomes[j]}): overlap"))
+                        dev if dev <= DEFAULT_TOL else _spectral_norm(overlap), DEFAULT_TOL,
+                        IncompletePVM, f"projectors({outcomes[i]},{outcomes[j]}): overlap"))
             violations.extend(check_defect(
                 _spectral_norm(sum(projectors) - np.eye(d)), DEFAULT_TOL, IncompletePVM,
                 "pvm: ||sum P - 1|| ="))

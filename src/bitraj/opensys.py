@@ -9,16 +9,17 @@ f_j on [t_{j-1}, t_j), measured at the right endpoint), and the discretized
 map is validated against exact joint evolution.
 
 The sum over trajectory pairs factorises: with A_f the system step for
-environment value f and the joint operator T_j = sum_f A_f kron P_{t_j}(f),
-the whole map is A -> tr_E[V (A kron rho_E) V^dagger] with V = T_n ... T_1,
-a product of n joint-space (D x D) matrices rather than n sums of k^2
-superoperators.  The exact map has the same form with V the joint
-propagator, built one environment segment at a time.  Both reductions read
-V itself; no D^2 x D^2 joint superoperator is formed, so the working memory
-is a few D x D arrays, two Heisenberg projector stacks of the environment,
-and the d_o^2 x d_o^2 reduced map twice while it is reordered.  Before any
-of them exists, each map counts the bytes it holds at its peak against the
-working-memory budget; the enumerate method counts its trajectory table.
+environment value f and T_j = sum_f A_f kron P_{t_j}(f), the whole map is
+A -> tr_E[V (A kron rho_E) V^dagger] with V = T_n ... T_1.  As
+P_{t_j}(f) = U_j^dagger P(f) U_j, V is (1 kron U_n^dagger), which the trace
+drops, times the ordered product of G (1 kron dU_j), with the fixed
+G = sum_f A_f kron P(f) and dU_j = U(t_j, t_{j-1}).  The steps inside one
+environment segment share dU, so each run of them is one matrix power.  The
+exact map has V the joint propagator, built one environment segment at a
+time.  Neither forms a D^2 x D^2 superoperator: the working memory, a few
+D x D arrays and the d_o^2 x d_o^2 reduced map twice while it is reordered,
+counts against the working-memory budget before any of it exists; the
+enumerate method counts its trajectory table.
 
 Superoperators use column stacking throughout: vec(X A Y) = (Y^T kron X) vec(A).
 """
@@ -49,7 +50,7 @@ from .model import (
     check_hermitian,
     validate_scenario,
 )
-from .propagate import heisenberg_pvm_stacks, propagator
+from .propagate import propagator, uniform_step_runs
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,12 +181,6 @@ def _system_step_stack(model: OpenModel, dt: float) -> np.ndarray:
     )
 
 
-def _uniform_grid(t: float, n_steps: int) -> TimeGrid:
-    # t * (k / n) rather than t * k / n: the last point is then exactly t,
-    # never one ulp past a horizon equal to t
-    return TimeGrid(tuple(t * (k / n_steps) for k in range(1, n_steps + 1)))
-
-
 def bitrajectory_map(
     model: OpenModel,
     t: float,
@@ -199,10 +194,10 @@ def bitrajectory_map(
     factors are the ordered step exponentials.  ``method`` "enumerate"
     materializes the trajectory table (within the memory budget) and is
     kept as an independent oracle; "contract" evaluates the identical sum as
-    the joint-space product V = T_n ... T_1, T_j = sum_f A_f kron P_{t_j}(f),
-    followed by the partial trace of V (A kron rho_E) V^dagger, at any step
-    count; its peak, V with the projector stacks or the reduced map, counts
-    against the budget.
+    V = T_n ... T_1 in the module's step-run form (interior steps use dt = t/n,
+    a step across segment edges is a run of its own), then the partial trace
+    of V (A kron rho_E) V^dagger, at any step count; its peak, V with G and
+    matrix_power's temporaries or the reduced map, counts against the budget.
     "auto" picks "contract".  At t = 0 every method gives the identity map,
     as the exact evolution does.
     """
@@ -220,7 +215,9 @@ def bitrajectory_map(
 
 def _bitrajectory_map_enumerate(model: OpenModel, t: float, n_steps: int) -> Superoperator:
     k = model.environment.pvm.size
-    grid = _uniform_grid(t, n_steps)
+    # t * (j / n) rather than t * j / n: the last point is then exactly t,
+    # never one ulp past a horizon equal to t
+    grid = TimeGrid(tuple(t * (j / n_steps) for j in range(1, n_steps + 1)))
     dist = full_distribution(model.environment, grid)
     big_k = k ** n_steps
     q = dist.table.reshape(big_k, big_k)
@@ -244,12 +241,11 @@ def _reduction_bytes(d_o: int, d_e: int) -> int:
 
 
 def _contract_bytes(model: OpenModel) -> int:
-    # the system steps, beside the reduction or beside V, T_j and their
-    # product with two projector stacks (the current one and the next while
-    # it is formed) and the environment walk's few d_e x d_e arrays
-    d_o, d_e, k = model.system_dim, model.environment.dimension, model.environment.pvm.size
-    loop = 16 * (3 * model.joint_dim**2 + (2 * k + 4) * d_e * d_e)
-    return 16 * k * d_o * d_o + max(loop, _reduction_bytes(d_o, d_e))
+    # G and V beside matrix_power's base, square, result and next square,
+    # with the walk's few d_e x d_e arrays (building G beside the system
+    # steps holds less), or the reduction of V
+    d_o, d_e = model.system_dim, model.environment.dimension
+    return max(16 * (6 * model.joint_dim**2 + 6 * d_e * d_e), _reduction_bytes(d_o, d_e))
 
 
 def _exact_bytes(model: OpenModel) -> int:
@@ -261,16 +257,15 @@ def _exact_bytes(model: OpenModel) -> int:
 def _bitrajectory_map_contract(model: OpenModel, t: float, n_steps: int) -> Superoperator:
     check_budget(_contract_bytes(model), "contract map")
     env = model.environment
-    d_o = model.system_dim
     d_e = env.dimension
-    steps = _system_step_stack(model, t / n_steps)
-    grid = _uniform_grid(t, n_steps)
-    v = np.eye(d_o * d_e, dtype=complex)
-    for projs in heisenberg_pvm_stacks(env, grid.times):
-        # T_j = sum_f A_f kron P_{t_j}(f)
-        v = np.einsum("fab,fij->aibj", steps, projs).reshape(v.shape) @ v
-        del projs  # not held while the walk forms the next stack
-    return _reduce_to_system(v, d_o, d_e, env.state.matrix)
+    # V up to the environment unitary the trace drops; G (1 kron dU) is G's
+    # environment columns times dU
+    g = sum(np.kron(a, p) for a, p in zip(_system_step_stack(model, t / n_steps), env.pvm.projectors))
+    v = np.eye(model.joint_dim, dtype=complex)
+    for du, m in uniform_step_runs(env.schedule, t, n_steps):
+        v = np.linalg.matrix_power((g.reshape(-1, d_e) @ du).reshape(g.shape), m) @ v
+    del g
+    return _reduce_to_system(v, model.system_dim, d_e, env.state.matrix)
 
 
 def _reduce_to_system(v: np.ndarray, d_o: int, d_e: int, rho_env: np.ndarray) -> Superoperator:

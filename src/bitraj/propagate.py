@@ -7,11 +7,13 @@ property U(t3,t1) = U(t3,t2) U(t2,t1) is exact up to rounding.  Every
 propagator comes from one lazy segment walk, which diagonalises each segment
 once: :func:`propagator` is its first value (and :func:`heisenberg_projector`
 conjugates by it), :func:`propagators_along` its list, and
-:func:`heisenberg_pvm_stacks` consumes it one time at a time.
+:func:`heisenberg_pvm_stacks` consumes it one time at a time;
+:func:`uniform_step_runs` walks a uniform grid the same way.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -123,6 +125,42 @@ def propagators_along(schedule: HamiltonianSchedule, times) -> list:
     One walk: bitwise equal to ``propagator(schedule, 0.0, t_j)`` at every time.
     """
     return list(_walk(schedule, 0.0, times))
+
+
+def uniform_step_runs(schedule: HamiltonianSchedule, t: float, n_steps: int) -> Iterator[tuple]:
+    """Yield ``(dU, m)`` runs over the steps [t (j-1)/n, t j/n] of [0, t], earliest first.
+
+    The ordered product of the dU^m is U(t, 0).  The m steps inside one
+    segment share dU = exp(-i H t/n) from its single eigendecomposition; a
+    step across segment edges is a run of length 1, bitwise the product of
+    its pieces that :func:`propagator` forms.
+    """
+    t = float(t)
+    if not math.isfinite(t):
+        raise NonFiniteTime(f"propagation time must be finite, got {t}")
+    if not 0 <= t <= schedule.horizon:
+        raise OutOfHorizon(f"time {t} outside schedule horizon [0, {schedule.horizon}]")
+
+    def end(i):  # t_i, never one ulp past t at i = n
+        return t * (i / n_steps)
+
+    j, carry = 0, None  # carry: the pieces so far of step j, which crosses an edge
+    for a, b, h in schedule.segments:
+        if j == n_steps:
+            return
+        eig = np.linalg.eigh(h)
+        if carry is not None:
+            if end(j + 1) > b:
+                carry = expm_from_eigh(eig, -1j * (b - a)) @ carry
+                continue
+            yield expm_from_eigh(eig, -1j * (end(j + 1) - a)) @ carry, 1
+            j, carry = j + 1, None
+        m = bisect.bisect_right(range(n_steps + 1), b, j + 1, key=end) - j - 1  # steps ending by b
+        if m:
+            yield expm_from_eigh(eig, -1j * (t / n_steps)), m
+            j += m
+        if j < n_steps and end(j) < b:
+            carry = expm_from_eigh(eig, -1j * (b - end(j)))
 
 
 def heisenberg_projector(scenario: QuantumScenario, outcome: float, t: float) -> np.ndarray:

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import bitraj as bt
 from bitraj.cli import load_config, run
-from bitraj import errors
+from bitraj import biprob, errors
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -299,6 +300,31 @@ class TestOpensys:
         doc = json.loads(out)
         assert doc["n_steps"] == 8
         assert doc["trace_preservation_defect"] <= 1e-8
+
+    def test_single_run_fits_its_count(self, capsys, tmp_path, monkeypatch):
+        # a 16-level system on the Rabi qubit: the reduced maps dominate, and
+        # one contract map held beside the exact one used to go uncounted
+        d_o = 16
+        v_o = np.eye(d_o, k=1) + np.eye(d_o, k=-1)
+        path = tmp_path / "model16.json"
+        path.write_text(json.dumps(dict(OPEN_MODEL_CONFIG, system={
+            "h_o": np.diag(np.linspace(-1.0, 1.0, d_o)).tolist(), "v_o": v_o.tolist(), "lambda": 0.5})))
+        argv = ("opensys", "--model", str(path), "--time", "1.0", "--steps", "8")
+        monkeypatch.setattr(biprob, "MEMORY_BUDGET", 0)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        nbytes = int(re.search(r"take (\d+) bytes", err).group(1))
+        monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes)
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and json.loads(out)["n_steps"] == 8
+        assert peak <= nbytes + 64 * 2**10
+        monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes - 1)
+        assert run_cli(capsys, *argv)[0] == 2
 
     def test_scenario_file_rejected(self, capsys, rabi_config):
         code, _, err = run_cli(

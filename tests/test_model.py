@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bitraj as bt
-from bitraj import errors
+from bitraj import errors, model
 from bitraj.model import check_hermitian
 
 from conftest import SIGMA_X, SIGMA_Z
@@ -32,6 +33,14 @@ class TestValidateScenario:
         with pytest.raises(errors.ValidationError) as err:
             bt.ObservablePVM((1.0, 2.0), (np.diag([1.0, 0.0]), np.diag([1.0, 0.0])))
         assert err.value.has(errors.IncompletePVM)
+
+    def test_overlap_reports_the_spectral_norm(self):
+        # the overlap diag(1, 1, 0) has spectral norm 1 and Frobenius norm sqrt 2
+        p = np.diag([1.0, 1.0, 0.0])
+        with pytest.raises(errors.ValidationError) as err:
+            bt.ObservablePVM((1.0, 2.0), (p, p))
+        overlaps = [str(v) for v in err.value.violations if "overlap" in str(v)]
+        assert overlaps == ["projectors(1.0,2.0): overlap 1.000e+00 exceeds tol 1.0e-10"]
 
     def test_bad_trace(self):
         cfg = textbook_config()
@@ -150,6 +159,44 @@ class TestSchedule:
             bt.HamiltonianSchedule(segs)
         kinds = [type(v) for v in err.value.violations]
         assert kinds == [errors.NonHermitian, errors.DegenerateInterval]
+
+    @staticmethod
+    def random_segments(n, d, seed=0):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+        return [(k / n, (k + 1) / n, 0.5 * (x + x.conj().T)) for k, x in enumerate(g)]
+
+    def test_hermiticity_check_peak_is_chunk_bounded(self):
+        # 640 16x16 segments are 2.5 MiB; stacked whole, the check peaked at
+        # 10.3 MiB, about four copies of them beside the schedule's own
+        segs = tuple(self.random_segments(640, 16))
+        nbytes = 640 * 16 * 16 * 16
+        tracemalloc.start()
+        try:
+            bt.HamiltonianSchedule(segs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= nbytes + 6 * model._HERMITICITY_CHUNK_BYTES
+
+    @pytest.mark.parametrize("d, chunks", [(2, 1), (16, 10)])
+    def test_hermiticity_chunks(self, d, chunks, monkeypatch):
+        # 640 qubit segments, as a from_function schedule of 10 time units
+        # has, are one chunk
+        calls = []
+        spectral_norms = model._spectral_norms
+        monkeypatch.setattr(model, "_spectral_norms", lambda s: calls.append(len(s)) or spectral_norms(s))
+        bt.HamiltonianSchedule(tuple(self.random_segments(640, d)))
+        assert len(calls) == chunks and sum(calls) == 640
+
+    def test_non_hermitian_segment_found_in_a_later_chunk(self):
+        segs = self.random_segments(640, 16)
+        a, b, h = segs[500]
+        segs[500] = (a, b, h + 1e-3j * np.eye(16))
+        with pytest.raises(errors.ValidationError) as err:
+            bt.HamiltonianSchedule(tuple(segs))
+        assert [str(v) for v in err.value.violations] == [
+            str(v) for v in check_hermitian(segs[500][2], "schedule segment 500")]
 
     def test_wrong_dimension_segment_skips_hermiticity(self):
         segs = ((0.0, 1.0, SIGMA_X), (1.0, 2.0, np.triu(np.ones((3, 3)))))

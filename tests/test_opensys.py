@@ -1,6 +1,7 @@
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -123,6 +124,44 @@ def oracle_contract_operator(model, t, n_steps):
         )
         v = step @ v
     return v
+
+
+def mp_contract_operator(model, t, n_steps):
+    """T_n ... T_1 of ``oracle_contract_operator`` in 40-digit mpmath, as complex128.
+
+    Every propagator is the piece-by-piece product from time 0, and every
+    exponential is mpmath's expm of the exact float inputs.
+    """
+    env = model.environment
+
+    def mat(a):
+        return mpmath.matrix(np.asarray(a, dtype=complex).tolist())
+
+    def kron(a, b):
+        return mpmath.matrix([[a[i // b.rows, j // b.cols] * b[i % b.rows, j % b.cols]
+                               for j in range(a.cols * b.cols)] for i in range(a.rows * b.rows)])
+
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        h_o, v_o, lam = mat(model.h_sys), mat(model.v_sys), mpmath.mpf(model.coupling)
+        steps = [mpmath.expm(-1j * (t / n_steps) * (h_o + lam * mpmath.mpf(f) * v_o))
+                 for f in env.pvm.outcomes]
+        projs = [mat(p) for p in env.pvm.projectors]
+        segments = iter(env.schedule.segments)
+        a, b, h = next(segments)
+        carry = mpmath.eye(env.dimension)  # U(a, 0)
+        v = mpmath.eye(model.joint_dim)
+        for j in range(1, n_steps + 1):
+            t_j = t * j / n_steps
+            while t_j > b:
+                carry = mpmath.expm(-1j * (mpmath.mpf(b) - a) * mat(h)) * carry
+                a, b, h = next(segments)
+            u = mpmath.expm(-1j * (t_j - mpmath.mpf(a)) * mat(h)) * carry
+            step = mpmath.zeros(model.joint_dim)
+            for s, p in zip(steps, projs):
+                step += kron(s, u.H * p * u)
+            v = step * v
+        return np.array(v.tolist(), dtype=complex)
 
 
 # (d_e, outcome_groups, pure): mixed and pure states, fine and coarse PVMs
@@ -295,6 +334,27 @@ class TestExactJointMap:
         errs = [p.error for p in study]
         assert all(b < a for a, b in zip(errs, errs[1:])), errs
 
+    def test_128_outcome_environment_within_the_budget(self, monkeypatch):
+        # D = 256 with a 128-outcome PVM, once refused: the two Heisenberg
+        # projector stacks of the old contract map were 64 MiB alone
+        model = bt.OpenModel(
+            h_sys=0.5 * SIGMA_Z, v_sys=SIGMA_X, coupling=0.5,
+            environment=bt.random_scenario(128, seed=7),
+        )
+        assert model.joint_dim == 256 and model.environment.pvm.size == 128
+        def call():
+            return bt.convergence_study(model, 1.0, [8, 16, 32, 64])
+
+        tracemalloc.start()
+        try:
+            study = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < counted_bytes(call, monkeypatch) <= biprob.MEMORY_BUDGET
+        errs = [p.error for p in study]
+        assert all(b < a for a, b in zip(errs, errs[1:])), errs
+
     @pytest.mark.parametrize("d_o, d_e", [(2, 64), (16, 8)])
     def test_counts_bound_the_traced_peak(self, d_o, d_e, monkeypatch):
         # the joint walk dominates at (2, 64), the reduced map at (16, 8); each
@@ -336,7 +396,7 @@ class TestExactJointMap:
         def fail(*args, **kwargs):
             raise AssertionError("work began before the budget check")
 
-        for name in ("_reduce_to_system", "_system_step_stack", "propagator", "heisenberg_pvm_stacks"):
+        for name in ("_reduce_to_system", "_system_step_stack", "propagator", "uniform_step_runs"):
             monkeypatch.setattr(opensys, name, fail)
         for call in (
             lambda: bt.exact_joint_map(model, 1.0),
@@ -429,6 +489,38 @@ class TestBitrajectoryMap:
         a = bt.bitrajectory_map(model, t, n_steps, method="contract")
         b = bt.bitrajectory_map(model, t, n_steps, method="enumerate")
         assert np.abs(a.matrix - b.matrix).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        d_e=st.sampled_from([2, 3]),
+        segments=st.integers(min_value=2, max_value=5),
+        seed=st.integers(min_value=0, max_value=1000),
+        t=st.floats(min_value=0.1, max_value=2.0),
+        n_steps=st.integers(min_value=4, max_value=6),
+        coupling=st.floats(min_value=0.0, max_value=1.5),
+    )
+    def test_contract_matches_enumerate_on_mixed_runs(self, d_e, segments, seed, t, n_steps, coupling):
+        # a few segments under 4-6 steps: runs of several steps inside a
+        # segment between steps that cross its edges
+        environment = driven_environment(bt.random_scenario(d_e, seed), 1.25 * t, segments, seed)
+        rng = np.random.default_rng(seed + 1)
+        model = bt.OpenModel(
+            h_sys=random_hermitian(rng, 2), v_sys=random_hermitian(rng, 2),
+            coupling=coupling, environment=environment,
+        )
+        a = bt.bitrajectory_map(model, t, n_steps, method="contract")
+        b = bt.bitrajectory_map(model, t, n_steps, method="enumerate")
+        assert np.abs(a.matrix - b.matrix).max() <= 1e-12
+
+    def test_driven_map_matches_40_digit_reference(self):
+        # 512 steps across 128 segments; the Heisenberg-stack form of this
+        # map was 1.9e-12 from the reference
+        model = standard_model()
+        env = driven_environment(model.environment, 2.5, 160, seed=3)
+        model = bt.OpenModel(model.h_sys, model.v_sys, model.coupling, env)
+        want = oracle_reduced_map(mp_contract_operator(model, 2.0, 512), 2, 2, env.state.matrix)
+        got = bt.bitrajectory_map(model, 2.0, 512, method="contract").matrix
+        assert np.abs(got - want).max() <= 1e-13
 
     @pytest.mark.parametrize("driven", [False, True])
     def test_trace_preservation_at_512_steps(self, driven):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import bitraj as bt
 from bitraj import errors
-from bitraj.propagate import heisenberg_pvm_stacks
+from bitraj._linalg import expm_hermitian
+from bitraj.propagate import heisenberg_pvm_stacks, uniform_step_runs
 
 from conftest import (
     SIGMA_X,
@@ -228,6 +229,65 @@ class TestPropagatorsAlong:
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         list(heisenberg_pvm_stacks(sc, grid.times))
         assert 0 < len(calls) <= 640
+
+
+def expand_runs(runs) -> list:
+    """One step exponential per step, from ``(dU, m)`` runs."""
+    return [du for du, m in runs for _ in range(m)]
+
+
+class TestUniformStepRuns:
+    CASES = [
+        (bt.rabi_scenario().schedule, 1.0, 512),
+        (two_segment_schedule(seed=19), 2.0, 7),
+        (driven_schedule(segments=8, horizon=2.0), 1.9, 19),  # runs and crossings
+        (driven_schedule(segments=12, horizon=2.0), 1.6, 3),  # steps across several edges
+        (driven_schedule(segments=8, horizon=2.0), 2.0, 8),  # steps end on the edges
+    ]
+
+    @pytest.mark.parametrize("schedule, t, n", CASES)
+    def test_each_step_is_its_segment_exponential_or_the_walk(self, schedule, t, n):
+        steps = expand_runs(uniform_step_runs(schedule, t, n))
+        assert len(steps) == n
+        for j, du in enumerate(steps, start=1):
+            lo, hi = t * ((j - 1) / n), t * (j / n)
+            inside = [h for a, b, h in schedule.segments if a <= lo and hi <= b]
+            want = expm_hermitian(inside[0], -1j * (t / n)) if inside else bt.propagator(schedule, lo, hi).matrix
+            np.testing.assert_array_equal(du, want)
+
+    @pytest.mark.parametrize("schedule, t, n", CASES)
+    def test_runs_compose_to_the_propagator(self, schedule, t, n):
+        u = np.eye(schedule.dimension, dtype=complex)
+        for du, m in uniform_step_runs(schedule, t, n):
+            u = np.linalg.matrix_power(du, m) @ u
+        np.testing.assert_allclose(u, oracle_propagator(schedule, 0.0, t), rtol=0, atol=1e-12)
+
+    def test_run_lengths(self):
+        assert [m for _, m in uniform_step_runs(bt.rabi_scenario().schedule, 1.0, 512)] == [512]
+        # segments of 0.25 and steps of 0.1: two whole steps per segment at
+        # most, between the steps that cross an edge
+        runs = [m for _, m in uniform_step_runs(driven_schedule(segments=8, horizon=2.0), 1.9, 19)]
+        assert sum(runs) == 19 and max(runs) == 2 and runs.count(1) > 1
+
+    def test_each_covered_segment_diagonalised_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        list(uniform_step_runs(driven_schedule(), 9.7, 512))
+        assert len(calls) == 621  # segments of 1/64 cover [0, 9.7] with 621
+
+    @pytest.mark.parametrize(
+        "t, error",
+        [
+            (float("nan"), errors.NonFiniteTime),
+            (float("inf"), errors.NonFiniteTime),
+            (-0.1, errors.OutOfHorizon),
+            (2.5, errors.OutOfHorizon),
+        ],
+    )
+    def test_invalid_time_raises(self, t, error):
+        with pytest.raises(error):
+            list(uniform_step_runs(two_segment_schedule(), t, 4))
 
 
 class TestUnitaryMatrix:
