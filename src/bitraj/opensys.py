@@ -40,6 +40,7 @@ from .errors import (
     DegenerateInterval,
     DimensionMismatch,
     DomainMismatch,
+    NotUnitary,
     ParseError,
     ValidationError,
 )
@@ -264,6 +265,8 @@ def _bitrajectory_map_contract(model: OpenModel, t: float, n_steps: int) -> Supe
     v = np.eye(model.joint_dim, dtype=complex)
     for du, m in uniform_step_runs(env.schedule, t, n_steps):
         v = np.linalg.matrix_power((g.reshape(-1, d_e) @ du).reshape(g.shape), m) @ v
+    if not np.isfinite(v).all():  # only an overflowing segment exponential makes V so
+        raise ValidationError([NotUnitary(f"contract map on [0, {t}]: the step product is not finite")])
     del g
     return _reduce_to_system(v, model.system_dim, d_e, env.state.matrix)
 

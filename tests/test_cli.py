@@ -302,8 +302,8 @@ class TestOpensys:
         assert doc["trace_preservation_defect"] <= 1e-8
 
     def test_single_run_fits_its_count(self, capsys, tmp_path, monkeypatch):
-        # a 16-level system on the Rabi qubit: the reduced maps dominate, and
-        # one contract map held beside the exact one used to go uncounted
+        # a 16-level system on the Rabi qubit, where the reduced maps dominate:
+        # the error needs one contract map beside the exact one
         d_o = 16
         v_o = np.eye(d_o, k=1) + np.eye(d_o, k=-1)
         path = tmp_path / "model16.json"

@@ -167,8 +167,8 @@ class TestSchedule:
         return [(k / n, (k + 1) / n, 0.5 * (x + x.conj().T)) for k, x in enumerate(g)]
 
     def test_hermiticity_check_peak_is_chunk_bounded(self):
-        # 640 16x16 segments are 2.5 MiB; stacked whole, the check peaked at
-        # 10.3 MiB, about four copies of them beside the schedule's own
+        # 640 16x16 segments are 2.5 MiB; the check holds about four copies
+        # of what it stacks, beside the schedule's own copy
         segs = tuple(self.random_segments(640, 16))
         nbytes = 640 * 16 * 16 * 16
         tracemalloc.start()

@@ -335,8 +335,8 @@ class TestExactJointMap:
         assert all(b < a for a, b in zip(errs, errs[1:])), errs
 
     def test_128_outcome_environment_within_the_budget(self, monkeypatch):
-        # D = 256 with a 128-outcome PVM, once refused: the two Heisenberg
-        # projector stacks of the old contract map were 64 MiB alone
+        # D = 256 with a 128-outcome PVM, whose (k, d_e, d_e) projector stack
+        # alone is 32 MiB
         model = bt.OpenModel(
             h_sys=0.5 * SIGMA_Z, v_sys=SIGMA_X, coupling=0.5,
             environment=bt.random_scenario(128, seed=7),
@@ -513,8 +513,8 @@ class TestBitrajectoryMap:
         assert np.abs(a.matrix - b.matrix).max() <= 1e-12
 
     def test_driven_map_matches_40_digit_reference(self):
-        # 512 steps across 128 segments; the Heisenberg-stack form of this
-        # map was 1.9e-12 from the reference
+        # 512 steps across 128 segments: runs of a few steps between steps
+        # that cross an edge
         model = standard_model()
         env = driven_environment(model.environment, 2.5, 160, seed=3)
         model = bt.OpenModel(model.h_sys, model.v_sys, model.coupling, env)
@@ -530,6 +530,15 @@ class TestBitrajectoryMap:
             model = bt.OpenModel(model.h_sys, model.v_sys, model.coupling, env)
         approx = bt.bitrajectory_map(model, 2.0, 512)
         assert approx.trace_preservation_defect() <= 1e-10
+
+    def test_overflowing_environment_exponential_rejected(self):
+        # finite and Hermitian, but its eigenvalue 2e308 overflows to inf
+        h = np.full((2, 2), 1e308, dtype=complex)
+        env = static_scenario(h, np.diag([1.0, 0.0]), bt.ObservablePVM.pauli_z())
+        model = bt.OpenModel(h_sys=0.5 * SIGMA_Z, v_sys=SIGMA_X, coupling=0.5, environment=env)
+        with np.errstate(all="ignore"), pytest.raises(errors.ValidationError) as err:
+            bt.bitrajectory_map(model, 0.5, 3, method="contract")
+        assert err.value.has(errors.NotUnitary)
 
     def test_enumeration_cap(self):
         model = standard_model()
