@@ -45,6 +45,7 @@ from .propagate import heisenberg_pvm_stacks
 from .serialize import format_floats
 
 MEMORY_BUDGET = 64 * 2**20  # bytes
+_TABLE_BLOCK_BYTES = 2**20  # the rows of W that one column block of a table reads
 
 TOL_NORMALIZATION = 1e-9
 TOL_CAUSALITY = 1e-9
@@ -404,18 +405,34 @@ def _table_from_stacks(rho: np.ndarray, stacks: list) -> np.ndarray:
     With C(f) = P_tn(f_n)...P_t1(f_1) and rho = F S F^dagger, every entry is
     Q(f+; f-) = tr[C(f+) rho C(f-)^dagger] = <w(f-)| S |w(f+)>, so the whole
     table is the one product (W S) W^dagger, already in latest-first layout.
-    Working memory is the table plus W, of shape (K, d, d): the factor F
-    keeps all d eigenvectors, so r = d.  Both are counted against the budget
-    before W exists.
+    W has shape (K, d, d): the factor F keeps all d eigenvectors, so r = d.
+    The product is written one column block at a time, from a conjugated
+    block of W's rows with the real sign folded in.  Working memory peaks at
+    the table, W and one block, or, while W grows by its last slot, at W and
+    the rows it grows from; both are counted against the budget before W
+    exists.
     """
     sizes = tuple(s.shape[0] for s in stacks)
     rows = math.prod(sizes)
-    check_budget(16 * rows * (rows + rho.size), "table")
+    step = max(1, _TABLE_BLOCK_BYTES // (16 * rho.size))  # rows of W per block
+    grown_from = rows // sizes[-1] if sizes else 0
+    # F and W beside the table and one block, or beside the rows W grows from
+    held = max(rows * rows + min(step, rows) * rho.size, grown_from * rho.size)
+    check_budget(16 * ((1 + rows) * rho.size + held), "table")
 
     factor, sign = _state_factor(rho)
     w = _gram_rows(factor, stacks)
-    rows = w.shape[0]
-    q = (w * sign).reshape(rows, -1) @ w.reshape(rows, -1).conj().T
+    flat = w.reshape(rows, -1)
+    q = np.empty((rows, rows), dtype=complex)
+    block = np.empty((min(step, rows), *factor.shape), dtype=complex)
+    for i in range(0, rows, step):
+        b = np.conjugate(w[i:i + step], out=block[:min(step, rows - i)])
+        # conj(W S) = conj(W) S, as S is real, and a zero sign goes with a zero
+        # column of F; negating columns in place avoids the buffer that a
+        # broadcast product with S would take
+        for r in np.flatnonzero(sign < 0):
+            np.negative(b[..., r], out=b[..., r])
+        np.matmul(flat, b.reshape(len(b), -1).T, out=q[:, i:i + step])
     return q.reshape(sizes[::-1] + sizes[::-1])
 
 

@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -108,21 +108,24 @@ def _parse_times(raw: str) -> TimeGrid:
     return TimeGrid(values)
 
 
-def _parse_outcomes(raw: str, flag: str) -> tuple:
-    try:
-        return tuple(float(x) for x in raw.split(",") if x.strip() != "")
-    except ValueError as exc:
-        raise ParseError(f"{flag}: {exc}") from exc
-
-
-def _match_outcomes(values: tuple, admissible: tuple, flag: str) -> tuple:
-    matched = []
-    for v in values:
-        hits = [f for f in admissible if abs(f - v) <= 1e-9]
-        if not hits:
-            raise ParseError(f"{flag}: value {v} is not an outcome of the observable {admissible}")
-        matched.append(hits[0])
-    return tuple(matched)
+def _read_outcome(args, sets: Sequence[tuple]) -> BiOutcome:
+    """``--plus`` and ``--minus``, each value matched to its slot's outcomes (``sets``, latest first)."""
+    legs = []
+    for flag, raw in (("--plus", args.plus), ("--minus", args.minus)):
+        try:
+            values = [float(x) for x in raw.split(",") if x.strip() != ""]
+        except ValueError as exc:
+            raise ParseError(f"{flag}: {exc}") from exc
+        if len(values) != len(sets):
+            raise LengthMismatch(f"{flag}: {len(values)} values for a grid of length {len(sets)}")
+        leg = []
+        for v, admissible in zip(values, sets):
+            hits = [f for f in admissible if abs(f - v) <= 1e-9]
+            if not hits:
+                raise ParseError(f"{flag}: value {v} is not an outcome of the observable {admissible}")
+            leg.append(hits[0])
+        legs.append(tuple(leg))
+    return BiOutcome(*legs)
 
 
 def _scenario_from_args(args) -> tuple:
@@ -182,13 +185,12 @@ def _complex_dict(z: complex) -> dict:
 def _cmd_eval(args) -> int:
     scenario, cfg, seed = _scenario_from_args(args)
     grid = _parse_times(args.times)
-    plus = _match_outcomes(_parse_outcomes(args.plus, "--plus"), scenario.pvm.outcomes, "--plus")
-    minus = _match_outcomes(_parse_outcomes(args.minus, "--minus"), scenario.pvm.outcomes, "--minus")
-    value = eval_biprob(scenario, grid, BiOutcome(plus, minus), method=args.method)
+    outcome = _read_outcome(args, (scenario.pvm.outcomes,) * len(grid))
+    value = eval_biprob(scenario, grid, outcome, method=args.method)
     payload = {
         "times": list(grid.times),
-        "plus": list(plus),
-        "minus": list(minus),
+        "plus": list(outcome.plus),
+        "minus": list(outcome.minus),
         "method": args.method,
         "value": _complex_dict(value),
     }
@@ -311,26 +313,14 @@ def _cmd_multiobs(args) -> int:
     if args.plus or args.minus:
         if not (args.plus and args.minus):
             raise ParseError("multiobs: --plus and --minus must be given together")
-        plus_raw = _parse_outcomes(args.plus, "--plus")
-        minus_raw = _parse_outcomes(args.minus, "--minus")
-        n = len(grid)
-        if len(seq) != n:
-            raise LengthMismatch(f"{len(seq)} observables for a grid of length {n}")
-        if len(plus_raw) != n or len(minus_raw) != n:
-            raise LengthMismatch(f"{len(plus_raw)} plus, {len(minus_raw)} minus values for a grid of length {n}")
-        plus = tuple(
-            _match_outcomes((v,), seq.pvms[n - 1 - a].outcomes, "--plus")[0]
-            for a, v in enumerate(plus_raw)
-        )
-        minus = tuple(
-            _match_outcomes((v,), seq.pvms[n - 1 - a].outcomes, "--minus")[0]
-            for a, v in enumerate(minus_raw)
-        )
-        value = eval_multiobs(scenario, grid, seq, BiOutcome(plus, minus))
+        if len(seq) != len(grid):
+            raise LengthMismatch(f"{len(seq)} observables for a grid of length {len(grid)}")
+        outcome = _read_outcome(args, [pvm.outcomes for pvm in reversed(seq.pvms)])
+        value = eval_multiobs(scenario, grid, seq, outcome)
         payload = {
             "times": list(grid.times),
-            "plus": list(plus),
-            "minus": list(minus),
+            "plus": list(outcome.plus),
+            "minus": list(outcome.minus),
             "value": _complex_dict(value),
         }
         _emit(args, [json.dumps(payload, indent=2)], _manifest("multiobs", cfg, seed))
@@ -369,14 +359,12 @@ def _cmd_opensys(args) -> int:
 def _cmd_comb(args) -> int:
     scenario, cfg, seed = _scenario_from_args(args)
     grid = _parse_times(args.times)
-    plus = _match_outcomes(_parse_outcomes(args.plus, "--plus"), scenario.pvm.outcomes, "--plus")
-    minus = _match_outcomes(_parse_outcomes(args.minus, "--minus"), scenario.pvm.outcomes, "--minus")
-    outcome = BiOutcome(plus, minus)
+    outcome = _read_outcome(args, (scenario.pvm.outcomes,) * len(grid))
     value = comb_biprob(scenario, grid, outcome)
     payload = {
         "times": list(grid.times),
-        "plus": list(plus),
-        "minus": list(minus),
+        "plus": list(outcome.plus),
+        "minus": list(outcome.minus),
         "value_comb": _complex_dict(value),
     }
     code = 0

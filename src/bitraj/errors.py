@@ -100,9 +100,9 @@ class DomainMismatch(BitrajError):
 # -- sizes -------------------------------------------------------------------
 
 class EnumerationTooLarge(BitrajError):
-    """An array would exceed the working-memory budget, or a decomposition its term bound.
+    """An array would exceed the working-memory budget.
 
-    The message names the bytes (or terms) asked for and the limit.
+    The message names the bytes asked for and the budget.
     """
 
 

@@ -82,6 +82,16 @@ def _spectral_norms(stack: np.ndarray) -> np.ndarray:
     return out
 
 
+def _screened_norm(a: np.ndarray) -> float:
+    """The Frobenius norm if it is within DEFAULT_TOL, else the spectral norm.
+
+    The Frobenius norm bounds the spectral norm, so a check against
+    DEFAULT_TOL decides alike on either, and one that passes needs no SVD.
+    """
+    dev = float(np.linalg.norm(a))
+    return dev if dev <= DEFAULT_TOL else _spectral_norm(a)
+
+
 def check_defect(dev: float, tol: float, fault: type, what: str, *args) -> list:
     """``[fault]`` unless ``dev <= tol``, the one comparison of every operator check.
 
@@ -97,7 +107,7 @@ def check_defect(dev: float, tol: float, fault: type, what: str, *args) -> list:
 
 def check_hermitian(a: np.ndarray, name: str) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
-        dev = _spectral_norm(a - a.conj().T)
+        dev = _screened_norm(a - a.conj().T)
     return check_defect(dev, DEFAULT_TOL, NonHermitian, f"{name}: Hermiticity defect")
 
 
@@ -251,18 +261,15 @@ class ObservablePVM:
             for f, p in zip(outcomes, projectors):
                 violations.extend(check_hermitian(p, f"projector({f})"))
                 violations.extend(check_defect(
-                    _spectral_norm(p @ p - p), DEFAULT_TOL, NotAProjector,
+                    _screened_norm(p @ p - p), DEFAULT_TOL, NotAProjector,
                     f"projector({f}): ||P^2 - P|| ="))
             for i in range(len(projectors)):
                 for j in range(i + 1, len(projectors)):
-                    # a pair within tol in the Frobenius norm is so in the spectral one
-                    overlap = projectors[i] @ projectors[j]
-                    dev = np.linalg.norm(overlap)
                     violations.extend(check_defect(
-                        dev if dev <= DEFAULT_TOL else _spectral_norm(overlap), DEFAULT_TOL,
+                        _screened_norm(projectors[i] @ projectors[j]), DEFAULT_TOL,
                         IncompletePVM, f"projectors({outcomes[i]},{outcomes[j]}): overlap"))
             violations.extend(check_defect(
-                _spectral_norm(sum(projectors) - np.eye(d)), DEFAULT_TOL, IncompletePVM,
+                _screened_norm(sum(projectors) - np.eye(d)), DEFAULT_TOL, IncompletePVM,
                 "pvm: ||sum P - 1|| ="))
         if violations:
             raise ValidationError(violations)

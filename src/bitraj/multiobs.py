@@ -30,11 +30,9 @@ from .errors import (
     DegenerateInterval,
     DimensionMismatch,
     DomainMismatch,
-    EnumerationTooLarge,
     IndexOutOfRange,
     LengthMismatch,
     NotUnitary,
-    UnknownOutcome,
     ValidationError,
 )
 from .model import (
@@ -47,9 +45,6 @@ from .model import (
     check_defect,
 )
 from .propagate import TOL_UNITARY, propagators_along
-
-_MAX_DECOMPOSITION_TERMS = 4 ** 10  # bounds the generic-term loop, which allocates nothing large
-
 
 @dataclass(frozen=True, eq=False)
 class ObservableSequence:
@@ -227,54 +222,30 @@ def decompose_multiobs(
     """Cross-check a multi-observable value against its generic expansion.
 
     The expansion sums generic bi-probabilities over basis indices compatible
-    with the requested outcomes, weighted by sqrt(rho_+ rho_-) eigenvalue
-    factors at the earliest slot.  Eigenvalues are ordered descending for
-    determinism.
+    with the requested outcomes, weighted by the eigenvalues of rho at the
+    earliest slot.  Each term is a product of transition amplitudes along a
+    plus and a minus index path, so the sum is contracted leg by leg: slot
+    j's overlap ``V_j^dag V_{j-1}`` keeps the rows of the leg's outcome block
+    (``V_0`` is the state's eigenbasis, ``V_j = U(t_j, 0)^dag W_j`` the
+    slot's PVM-adapted basis), and the causality deltas close the two legs
+    at the state index and at the indices the latest blocks share.
     """
-    direct = eval_multiobs(scenario, grid, seq, outcome)
+    direct = eval_multiobs(scenario, grid, seq, outcome)  # checks lengths and outcomes
 
     n = len(grid)
-    d = scenario.dimension
     evals, evecs = np.linalg.eigh(scenario.state.matrix)
-    order = np.argsort(evals)[::-1]
-    rho_vals = np.clip(evals[order], 0.0, None)
-    u_rho = evecs[:, order]
-
-    slot_unitaries = [u_rho]
-    slot_blocks_plus = []
-    slot_blocks_minus = []
-    terms = 1
-    us = propagators_along(scenario.schedule, grid.times)
-    for j in range(n):  # ascending slots
+    legs = [(evecs, np.eye(len(evals)))] * 2  # plus, minus: (block basis, block x state amplitudes)
+    for j, u in enumerate(propagators_along(scenario.schedule, grid.times)):
         w, labels = _pvm_basis(seq.pvms[j])
-        slot_unitaries.append(dagger(us[j].matrix) @ w)
-        f_plus = outcome.plus[n - 1 - j]
-        f_minus = outcome.minus[n - 1 - j]
-        block_p = [k for k, lab in enumerate(labels) if lab == f_plus]
-        block_m = [k for k, lab in enumerate(labels) if lab == f_minus]
-        if not block_p or not block_m:
-            raise UnknownOutcome(
-                f"slot {j + 1}: outcome {f_plus if not block_p else f_minus} not in PVM"
-            )
-        slot_blocks_plus.append(block_p)
-        slot_blocks_minus.append(block_m)
-        terms *= len(block_p) * len(block_m)
-    if terms * d * d > _MAX_DECOMPOSITION_TERMS:
-        raise EnumerationTooLarge(
-            f"decomposition would sum {terms * d * d} generic terms, beyond {_MAX_DECOMPOSITION_TERMS}")
-
-    recon = 0.0 + 0.0j
-    for k1p in range(d):
-        for k1m in range(d):
-            weight = np.sqrt(rho_vals[k1p] * rho_vals[k1m])
-            if weight == 0.0:
-                continue
-            for ks_plus in itertools.product(*slot_blocks_plus):
-                for ks_minus in itertools.product(*slot_blocks_minus):
-                    plus = tuple(reversed((k1p,) + ks_plus))
-                    minus = tuple(reversed((k1m,) + ks_minus))
-                    g = GenericTuple(tuple(slot_unitaries), plus, minus)
-                    recon += weight * eval_generic(g)
+        for i, f in enumerate((outcome.plus[n - 1 - j], outcome.minus[n - 1 - j])):
+            lo = labels.index(f) if f in labels else 0  # _pvm_basis lists a block's columns together
+            block = dagger(u.matrix) @ w[:, lo:lo + labels.count(f)]
+            basis, amps = legs[i]
+            legs[i] = (block, (dagger(block) @ basis) @ amps)
+    (_, plus), (_, minus) = legs
+    recon = 0.0
+    if outcome.plus[0] == outcome.minus[0]:  # distinct outcomes' latest blocks share no index
+        recon = np.vdot(minus, plus * np.clip(evals, 0.0, None))
     return DecompositionRecord(direct=complex(direct), reconstructed=complex(recon))
 
 

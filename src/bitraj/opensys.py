@@ -263,8 +263,9 @@ def _bitrajectory_map_contract(model: OpenModel, t: float, n_steps: int) -> Supe
     # environment columns times dU
     g = sum(np.kron(a, p) for a, p in zip(_system_step_stack(model, t / n_steps), env.pvm.projectors))
     v = np.eye(model.joint_dim, dtype=complex)
-    for du, m in uniform_step_runs(env.schedule, t, n_steps):
-        v = np.linalg.matrix_power((g.reshape(-1, d_e) @ du).reshape(g.shape), m) @ v
+    with np.errstate(invalid="ignore", over="ignore"):  # the check below names an overflow
+        for du, m in uniform_step_runs(env.schedule, t, n_steps):
+            v = np.linalg.matrix_power((g.reshape(-1, d_e) @ du).reshape(g.shape), m) @ v
     if not np.isfinite(v).all():  # only an overflowing segment exponential makes V so
         raise ValidationError([NotUnitary(f"contract map on [0, {t}]: the step product is not finite")])
     del g

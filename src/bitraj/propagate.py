@@ -98,12 +98,14 @@ def _walk(schedule: HamiltonianSchedule, t_from: float, times) -> Iterator[Unita
     a = b = t_from
     carry = np.eye(schedule.dimension, dtype=complex)
     for t in times:
-        while t > b:
-            if b > a:
-                carry = expm_from_eigh(eig, -1j * (b - a)) @ carry
-            a, b, h = next(pieces)
-            eig = np.linalg.eigh(h)
-        u = expm_from_eigh(eig, -1j * (t - a)) @ carry if t > a else carry
+        # an exponential that overflows is NaN, which fails the unitarity check
+        with np.errstate(invalid="ignore", over="ignore"):
+            while t > b:
+                if b > a:
+                    carry = expm_from_eigh(eig, -1j * (b - a)) @ carry
+                a, b, h = next(pieces)
+                eig = np.linalg.eigh(h)
+            u = expm_from_eigh(eig, -1j * (t - a)) @ carry if t > a else carry
         yield UnitaryMatrix(u, t_from, t)
 
 

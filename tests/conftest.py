@@ -8,6 +8,8 @@ package uses Gram products of path vectors).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -25,6 +27,7 @@ from bitraj import (
     rabi_scenario,
 )
 from bitraj._linalg import expm_hermitian
+from bitraj.multiobs import GenericTuple, eval_generic
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -110,6 +113,40 @@ def oracle_biprob(
         p_minus = u.conj().T @ pvms[j].projector(minus[n - 1 - j]) @ u
         a = p_plus @ a @ p_minus
     return complex(np.trace(a))
+
+
+def oracle_generic_expansion(scenario: QuantumScenario, times, pvms, plus, minus) -> complex:
+    """A multi-observable entry as the enumerated sum of its generic terms.
+
+    Slot 0 is the state's eigenbasis; slot j is a basis adapted to slot j's
+    projectors, taken from an SVD and pulled back by the scipy propagator to
+    t_j, and the outcome picks one block of its indices.  Every pair of state
+    indices, weighted by sqrt(rho_+ rho_-), and every plus and minus index
+    path through the blocks gives one ``eval_generic`` term.  Tuples are
+    latest first.
+    """
+    evals, evecs = np.linalg.eigh(scenario.state.matrix)
+    weights = np.sqrt(np.clip(evals, 0.0, None))
+    slots, blocks_plus, blocks_minus = [evecs], [], []
+    for t, pvm, f_plus, f_minus in zip(times, pvms, reversed(plus), reversed(minus)):
+        cols, labels = [], []
+        for f, p in zip(pvm.outcomes, pvm.projectors):
+            left, s, _ = np.linalg.svd(p)
+            rank = int(round(s.sum()))
+            cols.append(left[:, :rank])
+            labels += [f] * rank
+        u = oracle_propagator(scenario.schedule, 0.0, t)
+        slots.append(u.conj().T @ np.concatenate(cols, axis=1))
+        blocks_plus.append([k for k, lab in enumerate(labels) if lab == f_plus])
+        blocks_minus.append([k for k, lab in enumerate(labels) if lab == f_minus])
+    total = 0.0 + 0.0j
+    for k_plus, k_minus in itertools.product(range(len(evals)), repeat=2):
+        for path_plus in itertools.product(*blocks_plus):
+            for path_minus in itertools.product(*blocks_minus):
+                g = GenericTuple(
+                    tuple(slots), (*reversed(path_plus), k_plus), (*reversed(path_minus), k_minus))
+                total += weights[k_plus] * weights[k_minus] * eval_generic(g)
+    return complex(total)
 
 
 def oracle_reduced_map(

@@ -1,3 +1,5 @@
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bitraj as bt
-from bitraj import errors
+from bitraj import biprob, errors
 from bitraj.biprob import (
     MEMORY_BUDGET,
     BiDistribution,
@@ -501,6 +503,31 @@ class TestGramEngineCrossCheck:
         _assert_table_matches_oracles(sc, g, table, stacks, np.random.default_rng(0), pvms)
         o = outcome((1.0, -1.0, -1.0, 1.0), (1.0, 1.0, -1.0, -1.0))
         assert abs(bt.eval_multiobs(sc, g, seq, o) - oracle_biprob(sc, g.times, o.plus, o.minus, pvms)) <= 1e-12
+
+
+@pytest.mark.parametrize("levels, groups, n", [(32, None, 2), (64, (32, 32), 6)])
+def test_table_fits_its_count(monkeypatch, levels, groups, n):
+    # 32 levels: the table, W and one block; 64 levels in two blocks: W beside
+    # the rows its last slot grows from
+    sc = bt.random_scenario(levels, seed=0, outcome_groups=groups)
+    stacks = list(heisenberg_pvm_stacks(sc, tuple(0.3 * (j + 1) for j in range(n))))
+    rho = sc.state.matrix
+    monkeypatch.setattr(biprob, "MEMORY_BUDGET", 0)
+    with pytest.raises(errors.EnumerationTooLarge) as err:
+        biprob._table_from_stacks(rho, stacks)
+    nbytes = int(re.search(r"take (\d+) bytes", str(err.value)).group(1))
+    monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes)
+    tracemalloc.start()
+    try:
+        table = biprob._table_from_stacks(rho, stacks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.size == math.prod(len(p) for p in stacks) ** 2
+    assert peak <= nbytes + 64 * 2**10
+    monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes - 1)
+    with pytest.raises(errors.EnumerationTooLarge):
+        biprob._table_from_stacks(rho, stacks)
 
 
 def test_table_memory_bounded_at_the_cap():

@@ -114,6 +114,15 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["eval", "comb"])
+    @pytest.mark.parametrize("plus, minus", [("1", "1,1"), ("1,1", "1,1,-1")])
+    def test_outcome_count_must_match_the_grid(self, capsys, rabi_config, command, plus, minus):
+        code, _, err = run_cli(
+            capsys, command, "--config", rabi_config, "--times", "0.5,1", "--plus", plus, "--minus", minus
+        )
+        assert code == 2
+        assert "values for a grid of length 2" in err
+
     def test_unmatched_outcome_value(self, capsys, rabi_config):
         code, _, err = run_cli(
             capsys, "eval", "--config", rabi_config, "--times", "1", "--plus", "0.5", "--minus", "1"

@@ -1,6 +1,6 @@
 """Every demo script runs to completion against the library in ``src``.
 
-Each runs with RuntimeWarning turned into an error, as the rest of the suite
+Each runs with every warning turned into an error, as the rest of the suite
 does, since a subprocess does not inherit pytest's warning filters.
 """
 
@@ -22,7 +22,7 @@ def test_demo_runs(script):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        [sys.executable, "-W", "error", str(script)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -41,6 +41,32 @@ class TestValidateScenario:
             bt.ObservablePVM((1.0, 2.0), (p, p))
         overlaps = [str(v) for v in err.value.violations if "overlap" in str(v)]
         assert overlaps == ["projectors(1.0,2.0): overlap 1.000e+00 exceeds tol 1.0e-10"]
+        # P - P^dagger has spectral norm 0.5 and Frobenius norm sqrt 0.5
+        skew = np.array([[1.0, 0.5, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(errors.ValidationError) as err:
+            bt.ObservablePVM((1.0, 2.0), (skew, np.eye(3) - skew))
+        defects = [str(v) for v in err.value.violations if "Hermiticity" in str(v)]
+        assert defects == [
+            "projector(1.0): Hermiticity defect 5.000e-01 exceeds tol 1.0e-10",
+            "projector(2.0): Hermiticity defect 5.000e-01 exceeds tol 1.0e-10",
+        ]
+        # P^2 - P = diag(2, 2, 0) has spectral norm 2 and Frobenius norm sqrt 8
+        with pytest.raises(errors.ValidationError) as err:
+            bt.ObservablePVM((1.0,), (np.diag([2.0, 2.0, 0.0]),))
+        defects = [str(v) for v in err.value.violations if "P^2" in str(v)]
+        assert defects == ["projector(1.0): ||P^2 - P|| = 2.000e+00 exceeds tol 1.0e-10"]
+
+    def test_valid_pvm_needs_no_svd(self, monkeypatch):
+        # every check of a valid PVM passes on its Frobenius norm
+        pvm = bt.random_scenario(32, seed=5).pvm
+        assert pvm.size == 32
+
+        def no_svd(stack):
+            raise AssertionError("a spectral norm was computed")
+
+        monkeypatch.setattr("bitraj.model._spectral_norms", no_svd)
+        rebuilt = bt.ObservablePVM(pvm.outcomes, pvm.projectors)
+        assert rebuilt.outcomes == pvm.outcomes
 
     def test_bad_trace(self):
         cfg = textbook_config()

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import bitraj as bt
 from bitraj import errors
@@ -15,6 +17,7 @@ from conftest import (
     grid,
     haar_unitary,
     oracle_biprob,
+    oracle_generic_expansion,
     outcome,
     static_scenario,
 )
@@ -203,9 +206,18 @@ class TestDecomposition:
         rec = bt.decompose_multiobs(sc, g, seq, outcome((0.0, 1.0), (0.0, 0.0)))
         assert abs(rec.direct - rec.reconstructed) <= 1e-9
 
-    def test_term_bound_checked_before_any_term(self, monkeypatch):
-        # 8 levels in two blocks of 4: (4 * 4)^4 slot terms times 8^2 state
-        # terms is 4^11 generic terms, one slot past the bound
+    def test_outcome_with_a_zero_projector(self):
+        # outcome 2.0 is in the PVM with an empty block: its entries are 0
+        pvm = bt.ObservablePVM(
+            (0.0, 1.0, 2.0), (np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0]), np.zeros((3, 3))))
+        sc = bt.random_scenario(3, seed=1)
+        seq = bt.ObservableSequence((pvm, pvm))
+        rec = bt.decompose_multiobs(sc, grid(0.5, 1.0), seq, outcome((2.0, 0.0), (2.0, 0.0)))
+        assert rec.direct == 0.0 and rec.reconstructed == 0.0
+
+    def test_no_generic_term_is_built(self, monkeypatch):
+        # 8 levels in two blocks of 4: (4 * 4)^4 slot paths times 8^2 state
+        # pairs is 4^11 generic terms, which the contraction never forms
         blocks = {float(f): float(f >= 4) for f in range(8)}
         pvm = bt.coarse_grain_pvm(bt.ObservablePVM.computational_basis(8), blocks)
         sc = bt.random_scenario(8, seed=3)
@@ -215,9 +227,49 @@ class TestDecomposition:
             raise AssertionError("a generic term was built")
 
         monkeypatch.setattr("bitraj.multiobs.GenericTuple", no_term)
-        with pytest.raises(errors.EnumerationTooLarge, match="4194304 generic terms"):
-            bt.decompose_multiobs(
-                sc, grid(0.3, 0.6, 0.9, 1.2), seq, outcome((0.0, 1.0) * 2, (1.0, 0.0) * 2))
+        monkeypatch.setattr("bitraj.multiobs.eval_generic", no_term)
+        rec = bt.decompose_multiobs(
+            sc, grid(0.3, 0.6, 0.9, 1.2), seq, outcome((0.0, 1.0) * 2, (1.0, 0.0) * 2))
+        assert abs(rec.reconstructed - rec.direct) <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        d=st.integers(min_value=2, max_value=4),
+        n=st.integers(min_value=1, max_value=4),
+        pure=st.booleans(),
+        same_latest=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_contraction_matches_enumerated_terms(self, d, n, pure, same_latest, seed):
+        rng = np.random.default_rng(seed)
+        pvms = []
+        for _ in range(n):  # a random rank-1 PVM coarse-grained into random blocks
+            cuts = rng.choice(np.arange(1, d), size=rng.integers(0, d), replace=False)
+            block_of = np.searchsorted(np.sort(cuts), np.arange(d), side="right")
+            pvms.append(bt.coarse_grain_pvm(
+                random_pvm(d, rng), {float(k): float(b) for k, b in enumerate(block_of)}))
+        plus = tuple(float(rng.choice(p.outcomes)) for p in reversed(pvms))
+        minus = tuple(float(rng.choice(p.outcomes)) for p in reversed(pvms))
+        latest = pvms[-1].outcomes
+        if same_latest or len(latest) == 1:
+            minus = (plus[0],) + minus[1:]
+        else:
+            minus = (float(rng.choice([f for f in latest if f != plus[0]])),) + minus[1:]
+
+        def block(pvm, f):
+            return round(np.trace(pvm.projector(f)).real)
+
+        terms = d * d * math.prod(
+            block(p, fp) * block(p, fm) for p, fp, fm in zip(reversed(pvms), plus, minus))
+        assume(terms <= 4096)
+        sc = bt.random_scenario(d, seed=seed, pure=pure)
+        g = bt.TimeGrid(tuple(np.cumsum(rng.uniform(0.1, 0.8, size=n))))
+        seq = bt.ObservableSequence(tuple(pvms))
+        o = outcome(plus, minus)
+        rec = bt.decompose_multiobs(sc, g, seq, o)
+        want = oracle_generic_expansion(sc, g.times, pvms, plus, minus)
+        assert abs(rec.reconstructed - want) <= 1e-12
+        assert abs(rec.reconstructed - bt.eval_multiobs(sc, g, seq, o)) <= 1e-10
 
 
 class TestUnitaryPath:

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -536,8 +537,26 @@ class TestBitrajectoryMap:
         h = np.full((2, 2), 1e308, dtype=complex)
         env = static_scenario(h, np.diag([1.0, 0.0]), bt.ObservablePVM.pauli_z())
         model = bt.OpenModel(h_sys=0.5 * SIGMA_Z, v_sys=SIGMA_X, coupling=0.5, environment=env)
-        with np.errstate(all="ignore"), pytest.raises(errors.ValidationError) as err:
+        with pytest.raises(errors.ValidationError) as err:
             bt.bitrajectory_map(model, 0.5, 3, method="contract")
+        assert err.value.has(errors.NotUnitary)
+
+    @pytest.mark.parametrize("call", ["propagator", "full_distribution", "contract", "exact"])
+    def test_overflow_is_not_unitary_with_warnings_as_errors(self, call):
+        # numpy's overflow warnings stay inside the library, which names the fault
+        h = np.full((2, 2), 1e308, dtype=complex)
+        env = static_scenario(h, np.diag([1.0, 0.0]), bt.ObservablePVM.pauli_z())
+        model = bt.OpenModel(h_sys=0.5 * SIGMA_Z, v_sys=SIGMA_X, coupling=0.5, environment=env)
+        run = {
+            "propagator": lambda: bt.propagator(env.schedule, 0.0, 0.5),
+            "full_distribution": lambda: bt.full_distribution(env, bt.TimeGrid((0.5,))),
+            "contract": lambda: bt.bitrajectory_map(model, 0.5, 3, method="contract"),
+            "exact": lambda: bt.exact_joint_map(model, 0.5),
+        }[call]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(errors.ValidationError) as err:
+                run()
         assert err.value.has(errors.NotUnitary)
 
     def test_enumeration_cap(self):
