@@ -528,50 +528,53 @@ def diagonal_probability(scenario: QuantumScenario, grid: TimeGrid, outcomes) ->
     return float(q.real)
 
 
+def _slot_sum(table: np.ndarray, position: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The table summed jointly over (f+_j, f-_j) at slot ``position``, added into ``out``.
+
+    With the table viewed as (A, k, B, A, k, B), the k^2 slices
+    [:, f+_j, :, :, f-_j, :] are added one at a time, f+_j outer and f-_j
+    inner, into ``out`` (a C-contiguous array of the reduced table's size) or,
+    without one, into a copy of the first slice.  That is not bitwise numpy's
+    reduction over the two strided axes: entries may differ by rounding
+    (about 1e-16).
+    """
+    n = table.ndim // 2
+    rev = table.shape[:n]
+    axis = n - position  # latest-first axis of slot `position`
+    k = rev[axis]
+    before, after = math.prod(rev[:axis]), math.prod(rev[axis + 1:])
+    v = table.reshape(before, k, after, before, k, after)
+    pairs = [(p, m) for p in range(k) for m in range(k)]
+    if out is None:  # an empty slot sums to zero
+        out = v[:, 0, :, :, 0, :].copy() if k else np.zeros((before, after) * 2, dtype=complex)
+        pairs = pairs[1:]
+    acc = out.reshape(before, after, before, after)  # a view: out is contiguous
+    for p, m in pairs:
+        acc += v[:, p, :, :, m, :]
+    reduced = rev[:axis] + rev[axis + 1:]
+    return out.reshape(reduced + reduced)
+
+
 def marginalize(dist: BiDistribution, position: int) -> BiDistribution:
     """Sum jointly over (f+_j, f-_j); returns the distribution with t_j removed.
 
     ``position`` is 1-based over ascending times.  By bi-consistency the
-    result matches a direct evaluation on the reduced grid.  With the table
-    viewed as (A, k, B, A, k, B), the k^2 slices [:, f+_j, :, :, f-_j, :] are
-    added into one contiguous accumulator, f+_j outer and f-_j inner.  That
-    is not bitwise numpy's reduction over the two strided axes: entries may
-    differ by rounding (about 1e-16).
+    result matches a direct evaluation on the reduced grid.
     """
     n = dist.n
     if not 1 <= position <= n:
         raise IndexOutOfRange(f"position {position} outside 1..{n}")
-    rev = dist.sizes[::-1]
-    axis = n - position  # latest-first axis of slot `position`
-    k = rev[axis]
-    before, after = math.prod(rev[:axis]), math.prod(rev[axis + 1:])
-    v = dist.table.reshape(before, k, after, before, k, after)
-    reduced = rev[:axis] + rev[axis + 1:]
-    if k == 0:
-        table = np.zeros(reduced + reduced, dtype=complex)
-    else:
-        acc = v[:, 0, :, :, 0, :].copy()
-        for p in range(k):
-            for m in range(k):
-                if p or m:
-                    acc += v[:, p, :, :, m, :]
-        table = acc.reshape(reduced + reduced)
-    grid = dist.grid.without(position)
-    outcome_sets = tuple(
-        s for j, s in enumerate(dist.outcome_sets, start=1) if j != position
-    )
-    pvms = (
-        tuple(p for j, p in enumerate(dist.pvms, start=1) if j != position)
-        if dist.pvms is not None
-        else None
-    )
+
+    def others(items):
+        return tuple(x for j, x in enumerate(items, start=1) if j != position)
+
     return BiDistribution(
-        grid=grid,
-        outcome_sets=outcome_sets,
-        table=_Handover(table),
+        grid=dist.grid.without(position),
+        outcome_sets=others(dist.outcome_sets),
+        table=_Handover(_slot_sum(dist.table, position)),
         fingerprint=dist.fingerprint,
         scenario=dist.scenario,
-        pvms=pvms,
+        pvms=others(dist.pvms) if dist.pvms is not None else None,
     )
 
 

@@ -50,7 +50,7 @@ from .model import (
 from .multiobs import ObservableSequence, eval_multiobs, multiobs_distribution
 from .opensys import OpenModel, bitrajectory_map, convergence_study
 from .serialize import format_float
-from .verify import check_properties
+from .verify import DEFAULT_PROPERTY_TOL, check_properties
 
 CROSS_CHECK_TOL = 1e-10
 
@@ -436,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the property battery; exit 1 on failure")
     _add_scenario_source(p)
     p.add_argument("--times", required=True)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_PROPERTY_TOL)
     _add_output(p)
     p.set_defaults(func=_cmd_verify)
 

@@ -67,32 +67,29 @@ def comb_table(scenario: QuantumScenario, grid: TimeGrid) -> np.ndarray:
     """The full table through the bi-instrument chain, for cross-validation.
 
     Axes match :class:`~bitraj.biprob.BiDistribution` (latest-first plus
-    block, then minus block).  The computation runs entirely on vectorized
-    states and superoperator matrices, sharing no code with the trace-formula
-    enumeration.
+    block, then minus block).  The states form one (K+ d) x (K- d) block
+    matrix whose block (f+, f-) is the state after the slots so far.  Each
+    slot applies its sandwiches A -> P(f+) A P(f-) to every block, the narrow
+    right product before the wide left one, with the slot's outcomes as the
+    most significant digits of f+ and f-, so the blocks' final traces are
+    already in table layout.  No Gram factor of the state is formed, so the
+    table engine shares none of this path.
     """
     n = len(grid)
     d = scenario.dimension
     k = scenario.pvm.size
-    # each slot's (k, k, d^2, d^2) instruments exist twice while they are
-    # stacked; the last (k^2)^n x d^2 state stack sits beside the one before
-    # it, or beside the table and its reordered copy: at most twice over
-    check_budget(32 * ((k * k) * d**4 + (k * k) ** n * d * d), "comb instruments and state stack")
-    v = vec(scenario.state.matrix)[None, :]
+    s = k ** max(n - 1, 0)  # outcome paths before the last slot
+    # the last slot's state stack beside the one before it and the half-applied
+    # one, or beside the table; and a projector stack beside the next one
+    held = max(s * s * d * d * (1 + k + k * k), (k**n) ** 2 * (d * d + 1)) + 2 * k * d * d
+    check_budget(16 * held, "comb state stack")
+    v = scenario.state.matrix[None, :, None, :]  # (K+, d, K-, d), K = 1
     # ascending slots, slot 1 applied first
     for projs in heisenberg_pvm_stacks(scenario, grid.times):
-        insts = np.stack(
-            [
-                np.stack([np.kron(projs[g].T, projs[f]) for g in range(k)])
-                for f in range(k)
-            ]
-        )
-        v = np.einsum("fgxy,sy->sfgx", insts, v, optimize=True)
-        v = v.reshape(-1, d * d)
-    ident = vec(np.eye(d, dtype=complex))
-    q = v @ ident.conj()
-    # slot-ascending interleaved (f+_1, f-_1, ..., f+_n, f-_n) -> canonical
-    q = q.reshape((k, k) * n)
-    plus_axes = tuple(2 * (n - 1 - j) for j in range(n))
-    minus_axes = tuple(2 * (n - 1 - j) + 1 for j in range(n))
-    return q.transpose(plus_axes + minus_axes).copy(order="C")
+        rows, cols = v.shape[0], v.shape[2]
+        # every block column times P(f-): (K+ d, f-, K-, d)
+        right = np.matmul(v.reshape(rows * d, 1, cols, d), projs[None])
+        # P(f+) times every block row: (f+, K+, d, f- K- d)
+        v = np.matmul(projs[:, None], right.reshape(rows, d, k * cols * d))
+        v = v.reshape(k * rows, d, k * cols, d)
+    return np.trace(v, axis1=1, axis2=3).reshape((k,) * (2 * n))

@@ -19,16 +19,17 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .biprob import (
+    _TABLE_BLOCK_BYTES,
     BiDistribution,
     BiOutcome,
     TupleFunction,
     _lattice_indices,
+    _slot_sum,
     _table_from_stacks,
     _worse,
     average,
     full_distribution,
     latest_slot_causality,
-    marginalize,
 )
 from .errors import (
     DomainMismatch,
@@ -42,9 +43,7 @@ from .model import QuantumScenario, TimeGrid
 from .propagate import heisenberg_pvm_stacks
 
 DEFAULT_PROPERTY_TOL = 1e-9
-_SKETCH_WIDTH = 16  # first width p of the Q3 sketch
-_SKETCH_DOUBLINGS = 4  # widths tried: p, 2p, ..., 2^4 p, each at most K/8
-_BLOCK_ROWS = 256  # rows per block of the Q3 residual and the P2 scan
+_SKETCH_WIDTH = 16  # least width p of the Q3 sketch
 
 
 @dataclass(frozen=True)
@@ -123,10 +122,12 @@ def _reduced_tables(dist: BiDistribution) -> Iterator[tuple]:
     The slot stacks are the engine's own when it built ``dist``, recomputed
     from its scenario and observables otherwise.  Each slot's stack depends
     on its own time only, so dropping one is bitwise what recomputing the
-    reduced grid's stacks gives.
+    reduced grid's stacks gives.  A distribution without that provenance is
+    rejected here, before the caller does any work; the tables themselves
+    are evaluated one at a time as they are drawn.
     """
     if not dist.n:
-        return
+        return iter(())
     if dist.scenario is None or dist.pvms is None:
         raise DomainMismatch(
             "distribution carries no scenario; bi-consistency cannot be re-evaluated"
@@ -135,66 +136,79 @@ def _reduced_tables(dist: BiDistribution) -> Iterator[tuple]:
     if stacks is None:
         stacks = list(heisenberg_pvm_stacks(dist.scenario, dist.grid.times, dist.pvms))
     rho = dist.scenario.state.matrix
-    for j in range(1, dist.n + 1):
-        yield j, _table_from_stacks(rho, stacks[:j - 1] + stacks[j:])
+    return ((j, _table_from_stacks(rho, stacks[:j - 1] + stacks[j:])) for j in range(1, dist.n + 1))
 
 
-def _psd_check(m_h: np.ndarray, tolerance: float) -> PropertyCheck:
+def _block_rows(k: int) -> int:
+    """Rows of a K x K complex table in one block of ``_TABLE_BLOCK_BYTES``."""
+    return max(1, _TABLE_BLOCK_BYTES // (16 * k))
+
+
+def _diagonal_defect(diag: np.ndarray, j: int, fresh: np.ndarray) -> tuple:
+    """(max, first flat index) of |P summed over slot j - P on the grid without slot j|.
+
+    ``diag`` holds the joint probabilities (latest-first axes) and ``fresh``
+    the reduced table evaluated afresh; a NaN is the maximum.
+    """
+    summed = diag.sum(axis=diag.ndim - j).reshape(-1)
+    diff = np.abs(summed - fresh.reshape(summed.size, -1).diagonal().real)
+    i = int(diff.argmax())
+    return float(diff[i]), i
+
+
+def _psd_check(m_h: np.ndarray, tolerance: float, rank_bound: int | None) -> PropertyCheck:
     """Q3 on the Hermitian part ``m_h`` of the reshaped table.
 
-    An engine table is a Gram matrix of rank at most d r, far below K, so a
-    seeded randomised range finder (Halko, Martinsson & Tropp, SIAM Review 53,
-    2011) usually certifies it.  With Q (K x p) orthonormal, B = Q^H m_h Q and
-    E = m_h - Q B Q^H, Weyl gives lambda_min(m_h) >= min(lambda_min(B), 0) -
-    ||E||_F, and ||B||_2 <= ||m_h||_2 makes the relative tolerance no looser.
-    When no sketch certifies, the exact ``eigvalsh`` decides, so a failing
-    record is always the exact one.  A non-finite ``m_h`` fails outright.
+    An engine table is the Gram matrix of K path matrices of size d x d, so
+    its rank is at most ``rank_bound`` = d^2, and one seeded randomised range
+    finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011) of width
+    p = max(16, d^2) spans its range.  With Q (K x p) orthonormal,
+    B = Q^H m_h Q and E = m_h - Q B Q^H, Weyl gives lambda_min(m_h) >=
+    min(lambda_min(B), 0) - ||E||_F, and ||B||_2 <= ||m_h||_2 makes the
+    relative tolerance no looser.  When the sketch does not certify, the
+    exact ``eigvalsh`` decides, so a failing record is always the exact one;
+    it decides alone when no rank bound is known, when p > K/8 (the sketch
+    would cost about as much) or when the tolerance is zero (the residual
+    would have to vanish exactly).  A non-finite ``m_h`` fails outright.
     """
     name = "Q3_positive_semidefinite"
     k = m_h.shape[0]
-    finite = np.isfinite(m_h)
-    if not finite.all():
-        i, j = divmod(int(finite.argmin()), k)
+    if not np.isfinite(m_h).all():
+        i, j = divmod(int(np.isfinite(m_h).argmin()), k)
         return PropertyCheck(
             name, math.nan, tolerance, False,
             f"non-finite entry at row {i}, column {j} of the {k}x{k} reshaped table",
         )
-    # a sketch wider than K/8 costs about as much as eigvalsh itself, and a
-    # zero tolerance would need a residual of exactly zero
-    widths = [_SKETCH_WIDTH << a for a in range(_SKETCH_DOUBLINGS + 1)]
-    widths = [p for p in widths if p <= k // 8] if tolerance > 0 else []
-    rng = np.random.default_rng(0)  # the same table always gets the same report
-    y = np.empty((k, 0), dtype=complex)
-    for p in widths:
-        # each wider sketch keeps the columns already drawn
-        y = np.hstack([y, m_h @ rng.standard_normal((k, p - y.shape[1]))])
-        q, r = np.linalg.qr(y)
-        r_diag = np.abs(r.diagonal())
-        if p < widths[-1] and r_diag[-1] > tolerance * r_diag[0]:
-            continue  # rank(m_h) >= p is likely, so the residual would fail
+    p = max(_SKETCH_WIDTH, rank_bound or 0)
+    if rank_bound is not None and tolerance > 0 and p <= k // 8:
+        rng = np.random.default_rng(0)  # the same table always gets the same report
+        q = np.linalg.qr(m_h @ rng.standard_normal((k, p)))[0]
         q = np.linalg.qr(m_h @ q)[0]  # one power step
         b = q.conj().T @ (m_h @ q)
         b = 0.5 * (b + b.conj().T)
-        if not np.isfinite(b).all():
-            break  # overflow; the exact path scales the matrix
-        evals = np.linalg.eigvalsh(b)
-        norm = float(max(-evals[0], evals[-1]))
-        tol_eff = tolerance * max(norm, 1e-300)
-        if evals[0] < -tol_eff:
-            break  # by interlacing lambda_min(m_h) <= lambda_min(B): it fails
-        bq = b @ q.conj().T
-        err2 = 0.0
-        for i in range(0, k, _BLOCK_ROWS):
-            e = m_h[i:i + _BLOCK_ROWS] - q[i:i + _BLOCK_ROWS] @ bq
-            err2 += np.vdot(e, e).real
-        err = math.sqrt(err2)
-        dev = max(0.0, -float(evals[0])) + err
-        if dev <= tol_eff:
-            return PropertyCheck(
-                name, dev, tol_eff, True,
-                f"min eigenvalue >= {-dev:.3e} of the {k}x{k} reshaped table, certified "
-                f"by a sketch of width p={p} (residual ||E||_F {err:.3e}, sketch norm {norm:.3e})",
-            )
+        # a non-finite B is an overflow, which the exact path scales away; a
+        # negative lambda_min(B) bounds lambda_min(m_h) from above: it fails
+        if np.isfinite(b).all():
+            evals = np.linalg.eigvalsh(b)
+            norm = float(max(-evals[0], evals[-1]))
+            tol_eff = tolerance * max(norm, 1e-300)
+            if evals[0] >= -tol_eff:
+                bq = b @ q.conj().T
+                step = _block_rows(k)
+                block = np.empty((min(step, k), k), dtype=complex)
+                err2 = 0.0
+                for i in range(0, k, step):
+                    e = np.matmul(q[i:i + step], bq, out=block[:min(step, k - i)])
+                    e -= m_h[i:i + step]  # -E, one block of rows at a time
+                    err2 += np.vdot(e, e).real
+                err = math.sqrt(err2)
+                dev = max(0.0, -float(evals[0])) + err
+                if dev <= tol_eff:
+                    return PropertyCheck(
+                        name, dev, tol_eff, True,
+                        f"min eigenvalue >= {-dev:.3e} of the {k}x{k} reshaped table, certified "
+                        f"by a sketch of width p={p} (residual ||E||_F {err:.3e}, sketch norm {norm:.3e})",
+                    )
     evals = np.linalg.eigvalsh(m_h) if k else np.array([0.0])
     lam_min = float(evals[0])
     norm = float(max(-evals[0], evals[-1]))  # spectral norm of the Hermitian m_h
@@ -231,39 +245,41 @@ def check_properties(
         raise ValidationError(
             [DomainMismatch(f"tolerance must be finite and >= 0, got {tolerance}")]
         )
+    reduced = _reduced_tables(dist)
     checks = []
     n = dist.n
     table = dist.table
-    sizes = dist.sizes
-    k_total = int(np.prod(sizes)) if sizes else 1
+    k_total = math.prod(dist.sizes)
+
+    def record(name: str, dev: float, witness: str) -> None:
+        checks.append(PropertyCheck(name, dev, tolerance, dev <= tolerance, witness))
 
     # Q1 normalization
-    dev = abs(table.sum() - 1.0)
-    checks.append(
-        PropertyCheck("Q1_normalization", float(dev), tolerance, dev <= tolerance, "total sum")
-    )
+    record("Q1_normalization", abs(table.sum() - 1.0), "total sum")
 
     # Q2 causality at the latest slot
     if n >= 1:
         dev, flat = latest_slot_causality(table)
-        witness = _label(dist.outcome_sets, flat) if table.size else "n/a"
-        checks.append(
-            PropertyCheck("Q2_causality", dev, tolerance, dev <= tolerance, witness)
-        )
+        record("Q2_causality", dev, _label(dist.outcome_sets, flat) if table.size else "n/a")
 
     # Q3 positive semidefiniteness of M[f+, f-]
     m = table.reshape(k_total, k_total)
     m_h = np.conj(m.T, order="C")  # the one complex K x K temporary
     m_h += m
     m_h *= 0.5
-    checks.append(_psd_check(m_h, tolerance))
+    rank_bound = dist.scenario.dimension**2 if dist.scenario is not None else None
+    checks.append(_psd_check(m_h, tolerance, rank_bound))
+    del m_h
 
-    # Q4 bi-consistency, every slot: each reduced table is evaluated afresh
+    # Q4 bi-consistency, every slot: each reduced table is evaluated afresh,
+    # negated, and the slot's slices of the table are added into it in place
+    diag = dist.diagonal()
     worst, at = -math.inf, None
-    for j, fresh in _reduced_tables(dist):
+    for j, fresh in reduced:
         if j == n:
-            without_latest = fresh  # reused by P3
-        diff = np.abs(marginalize(dist, j).table - fresh)
+            p3 = _diagonal_defect(diag, n, fresh)  # P3 reads the latest slot's table
+        np.negative(fresh, out=fresh)
+        diff = np.abs(_slot_sum(table, j, out=fresh))
         flat = int(diff.argmax())
         if _worse(float(diff.flat[flat]), (j, flat), worst, at):
             worst, at = float(diff.flat[flat]), (j, flat)
@@ -272,48 +288,31 @@ def check_properties(
     else:
         j, flat = at
         witness = f"slot {j}, {_label(dist.outcome_sets[:j - 1] + dist.outcome_sets[j:], flat)}"
-    checks.append(
-        PropertyCheck("Q4_biconsistency", worst, tolerance, worst <= tolerance, witness)
-    )
+    record("Q4_biconsistency", worst, witness)
 
     # P1 diagonal is a probability distribution
-    diag = dist.diagonal()
     neg = float(np.maximum(0.0, -diag.min())) if diag.size else 0.0  # keeps a NaN
-    total_dev = abs(diag.sum() - 1.0)
-    dev = max(neg, total_dev)
     witness = (
         f"min diagonal at {_label(dist.outcome_sets, int(diag.argmin()), 1)}" if diag.size else "n/a"
     )
-    checks.append(
-        PropertyCheck("P1_joint_probability", float(dev), tolerance, dev <= tolerance, witness)
-    )
+    record("P1_joint_probability", max(neg, abs(diag.sum() - 1.0)), witness)
 
     # P2 |Q| <= sqrt(P+ P-), one block of rows at a time
     p_clip = np.clip(diag, 0.0, None).reshape(-1)
+    step = _block_rows(k_total)
     best, at = -math.inf, 0
-    for i in range(0, k_total, _BLOCK_ROWS):
-        rows = p_clip[i:i + _BLOCK_ROWS]
-        excess = np.abs(m[i:i + _BLOCK_ROWS]) - np.sqrt(rows[:, None] * p_clip[None, :])
+    for i in range(0, k_total, step):
+        rows = p_clip[i:i + step]
+        excess = np.abs(m[i:i + step]) - np.sqrt(rows[:, None] * p_clip[None, :])
         j = int(excess.argmax())
         if _worse(float(excess.flat[j]), i * k_total + j, best, at):
             best, at = float(excess.flat[j]), i * k_total + j
-    dev = float(np.maximum(0.0, best))
-    checks.append(
-        PropertyCheck(
-            "P2_bounding", dev, tolerance, dev <= tolerance,
-            _label(dist.outcome_sets, at),
-        )
-    )
+    record("P2_bounding", float(np.maximum(0.0, best)), _label(dist.outcome_sets, at))
 
     # P3 causality of measurements: marginal of the diagonal over the latest slot
     if n >= 1:
-        summed = diag.sum(axis=0).reshape(-1)
-        diff = np.abs(summed - without_latest.reshape(summed.size, -1).diagonal().real)
-        dev = float(diff.max())
-        witness = _label(dist.outcome_sets[:-1], int(diff.argmax()), 1)
-        checks.append(
-            PropertyCheck("P3_measurement_causality", dev, tolerance, dev <= tolerance, witness)
-        )
+        dev, flat = p3
+        record("P3_measurement_causality", dev, _label(dist.outcome_sets[:-1], flat, 1))
 
     return PropertyReport(tuple(checks))
 
@@ -369,8 +368,7 @@ def classicality_report(dist: BiDistribution) -> ClassicalityRecord:
     diag = dist.diagonal()
     worst, at = -math.inf, 0
     for j, fresh in _reduced_tables(dist):
-        summed = diag.sum(axis=n - j).reshape(-1)
-        dev = float(np.abs(summed - fresh.reshape(summed.size, -1).diagonal().real).max())
+        dev = _diagonal_defect(diag, j, fresh)[0]
         if _worse(dev, j, worst, at):
             worst, at = dev, j
     mass_all = float(np.abs(dist.table).sum())

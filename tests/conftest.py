@@ -206,25 +206,27 @@ def oracle_table_l1(scenario, times) -> float:
     return total
 
 
+def oracle_reduced(dist, j):
+    """A fresh public evaluation on the grid of ``dist`` without slot j."""
+    grid, pvms = dist.grid.without(j), dist.pvms[:j - 1] + dist.pvms[j:]
+    if not pvms:  # the empty grid
+        return full_distribution(dist.scenario, grid)
+    return multiobs_distribution(dist.scenario, grid, ObservableSequence(pvms))
+
+
 def p4_max_deviation(dist) -> float:
     """Worst measurement-inconsistency identity defect over all slots/tuples.
 
     Checks that every slotwise violation of classical consistency by the
     diagonal equals the corresponding off-diagonal table mass (with a real
-    value), vectorized over the full lattice.  Each reduced table is a fresh
-    public ``multiobs_distribution`` on the grid without slot j (or the
-    trivial ``full_distribution`` when no slot remains).
+    value), vectorized over the full lattice.  Each reduced table is
+    ``oracle_reduced``.
     """
     n = dist.n
     diag = dist.diagonal()
     worst = 0.0
     for j in range(1, n + 1):
-        grid, pvms = dist.grid.without(j), dist.pvms[:j - 1] + dist.pvms[j:]
-        fresh = (
-            multiobs_distribution(dist.scenario, grid, ObservableSequence(pvms))
-            if pvms else full_distribution(dist.scenario, grid)  # the empty grid
-        )
-        lhs = fresh.diagonal() - diag.sum(axis=n - j)
+        lhs = oracle_reduced(dist, j).diagonal() - diag.sum(axis=n - j)
         labels_plus = list(range(n))
         labels_minus = list(range(n))
         labels_plus[n - j] = n
@@ -239,6 +241,23 @@ def p4_max_deviation(dist) -> float:
                 float(np.abs(offdiag.imag).max()),
             )
     return worst
+
+
+def oracle_slot_defects(dist, j):
+    """(|marginal - fresh|, |diagonal marginal - fresh diagonal|) at slot j, flattened.
+
+    The marginal is numpy's sum over (f+_j, f-_j) of the table viewed as
+    (A, k, B, A, k, B); the fresh table is ``oracle_reduced``.  The second
+    array compares the joint probabilities summed over slot j with the fresh
+    diagonal.
+    """
+    n = dist.n
+    rev = dist.sizes[::-1]
+    a, k, b = int(np.prod(rev[:n - j])), rev[n - j], int(np.prod(rev[n - j + 1:]))
+    marginal = dist.table.reshape(a, k, b, a, k, b).sum(axis=(1, 4)).reshape(a * b, a * b)
+    fresh = oracle_reduced(dist, j).table.reshape(a * b, a * b)
+    summed = dist.diagonal().sum(axis=n - j).reshape(-1)
+    return np.abs(marginal - fresh).reshape(-1), np.abs(summed - fresh.diagonal().real)
 
 
 def hermitian_part(table) -> np.ndarray:

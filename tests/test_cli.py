@@ -207,6 +207,14 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--config", rabi_config, "--times", "1")
         assert code == 1
 
+    def test_default_tolerance_is_the_library_default(self, monkeypatch):
+        import bitraj.cli as cli_mod
+
+        assert cli_mod.DEFAULT_PROPERTY_TOL is bt.verify.DEFAULT_PROPERTY_TOL
+        monkeypatch.setattr(cli_mod, "DEFAULT_PROPERTY_TOL", 1e-7)
+        args = cli_mod.build_parser().parse_args(["verify", "--config", "c.json", "--times", "1"])
+        assert args.tolerance == 1e-7
+
 
 class TestBoundRefine:
     def test_bound_payload(self, capsys, rabi_config):

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from conftest import (
     oracle_biprob,
     oracle_bounding_check,
     oracle_psd_check,
+    oracle_slot_defects,
     outcome,
     static_scenario,
 )
@@ -74,26 +77,62 @@ class TestCheckProperties:
             "P3_measurement_causality",
         ]
 
-    def test_corrupted_entry_detected_with_witness(self, rabi):
-        g = grid(np.pi / 2, np.pi)
-        dist = bt.full_distribution(rabi, g)
+    @pytest.mark.parametrize("on_diagonal", [False, True], ids=["off", "on"])
+    @pytest.mark.parametrize(
+        "d, n, slot", [(d, n, j) for d in (2, 3) for n in range(1, 5) for j in range(1, n + 1)]
+    )
+    def test_corrupted_entry_detected_with_witness(self, d, n, slot, on_diagonal):
+        sc = bt.rabi_scenario(1.0) if d == 2 else bt.random_scenario(3, seed=5)
+        dist = bt.full_distribution(sc, bt.TimeGrid(tuple(np.linspace(0.4, 2.2, n))))
+        plus = [0] * n  # latest-first digits
+        plus[n - slot] = 1
+        minus = list(plus)
+        if not on_diagonal:
+            minus[n - slot] = 0  # the legs differ at the corrupted slot only
         table = np.array(dist.table)
-        table[0, 1, 0, 0] += 1e-3  # plus=(1,-1), minus=(1,1)
-        corrupted = BiDistribution(
-            grid=g,
-            outcome_sets=dist.outcome_sets,
-            table=table,
-            fingerprint=dist.fingerprint,
-            scenario=dist.scenario,
-            pvms=dist.pvms,
-        )
+        table[tuple(plus + minus)] += 1e-3
+        corrupted = with_table(dist, table)
         report = bt.check_properties(corrupted)
-        assert not report.all_pass
+        sets = dist.outcome_sets
+
+        def near_worst(values, label):
+            """The worst value and the labels within rounding of it."""
+            worst = max(v.max() for v in values)
+            return worst, {
+                label(j, i) for j, v in enumerate(values, start=1)
+                for i in np.flatnonzero(v >= worst - 1e-12)
+            }
+
+        defects = [oracle_slot_defects(corrupted, j) for j in range(1, n + 1)]
         q4 = report["Q4_biconsistency"]
-        p2 = report["P2_bounding"]
-        assert (not q4.passed) or (not p2.passed)
+        worst, witnesses = near_worst(
+            [q for q, _ in defects],
+            lambda j, i: f"slot {j}, {verify._label(sets[:j - 1] + sets[j:], i)}",
+        )
         assert not q4.passed
-        assert q4.max_deviation == pytest.approx(1e-3, rel=1e-6)
+        assert q4.max_deviation == pytest.approx(1e-3, rel=1e-9)
+        assert abs(q4.max_deviation - worst) <= 1e-12 and q4.witness in witnesses
+
+        p3 = report["P3_measurement_causality"]
+        worst, witnesses = near_worst([defects[-1][1]], lambda j, i: verify._label(sets[:-1], i, 1))
+        assert abs(p3.max_deviation - worst) <= 1e-12 and p3.witness in witnesses
+        assert p3.passed != on_diagonal
+        if n >= 2:
+            rec = bt.classicality_report(corrupted)
+            worst = max(p.max() for _, p in defects)
+            assert abs(rec.consistency_deviation - worst) <= 1e-12
+
+    def test_peak_is_the_hermitian_part_and_four_blocks(self, rabi):
+        dist = bt.full_distribution(rabi, bt.TimeGrid(tuple(np.linspace(0.3, 2.7, 10))))
+        k = 2**10
+        tracemalloc.start()
+        try:
+            report = bt.check_properties(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_pass
+        assert peak <= 16 * k * k + 4 * biprob._TABLE_BLOCK_BYTES
 
     def test_commuting_case_also_classical(self):
         sc = static_scenario(
@@ -122,7 +161,7 @@ class TestCheckProperties:
         assert bt.check_properties(hand_built) == report
         assert len(calls) == 1
 
-    def test_sourceless_distribution_rejected(self, rabi):
+    def test_sourceless_distribution_rejected(self, rabi, monkeypatch):
         dist = bt.full_distribution(rabi, grid(0.5))
         bare = BiDistribution(
             grid=dist.grid,
@@ -130,6 +169,11 @@ class TestCheckProperties:
             table=dist.table,
             fingerprint=dist.fingerprint,
         )
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("Q3 ran before the distribution was rejected")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
         with pytest.raises(errors.DomainMismatch):
             bt.check_properties(bare)
 
@@ -275,7 +319,7 @@ class TestQ3Certificate:
         g = np.random.default_rng(1).standard_normal((256, 8)).view(complex)
         m_h = hermitian_part(g @ g.conj().T * 2.5e305)
         with np.errstate(invalid="ignore", over="ignore"):
-            assert verify._psd_check(m_h, TOL) == oracle_psd_check(m_h, TOL)
+            assert verify._psd_check(m_h, TOL, 4) == oracle_psd_check(m_h, TOL)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -292,15 +336,19 @@ class TestQ3Certificate:
             d, n = source
             dist = bt.full_distribution(bt.random_scenario(d, seed=seed), random_grid(n, rng))
             m_h = hermitian_part(dist.table)
+            bound = min(d * d, d**n // 8)  # p <= K/8: the sketch runs
         else:
             g = rng.standard_normal((source, source)) + 1j * rng.standard_normal((source, source))
             m_h = g @ g.conj().T / source
+            bound = 4
         w, v = np.linalg.eigh(m_h)
         shift = w[0] + depth * max(-w[0], w[-1])  # lambda_min becomes -depth ||m||
         planted = hermitian_part(m_h - shift * np.outer(v[:, 0], v[:, 0].conj()))
         exact = oracle_psd_check(planted, TOL)
         assert not exact.passed
-        assert verify._psd_check(planted, TOL) == exact
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+            assert verify._psd_check(planted, TOL, bound) == exact
+        assert qr.call_count == 2  # one sketch and its power step
 
 
 class TestInconsistencyDecomposition:
