@@ -77,11 +77,25 @@ class TestCheckProperties:
             "P3_measurement_causality",
         ]
 
+    def test_corrupted_entry_detected_with_witness(self, rabi):
+        g = grid(np.pi / 2, np.pi)
+        dist = bt.full_distribution(rabi, g)
+        table = np.array(dist.table)
+        table[0, 1, 0, 0] += 1e-3  # plus=(1,-1), minus=(1,1)
+        corrupted = with_table(dist, table)
+        report = bt.check_properties(corrupted)
+        assert not report.all_pass
+        q4 = report["Q4_biconsistency"]
+        p2 = report["P2_bounding"]
+        assert (not q4.passed) or (not p2.passed)
+        assert not q4.passed
+        assert q4.max_deviation == pytest.approx(1e-3, rel=1e-6)
+
     @pytest.mark.parametrize("on_diagonal", [False, True], ids=["off", "on"])
     @pytest.mark.parametrize(
         "d, n, slot", [(d, n, j) for d in (2, 3) for n in range(1, 5) for j in range(1, n + 1)]
     )
-    def test_corrupted_entry_detected_with_witness(self, d, n, slot, on_diagonal):
+    def test_corrupted_entry_detected_at_every_slot(self, d, n, slot, on_diagonal):
         sc = bt.rabi_scenario(1.0) if d == 2 else bt.random_scenario(3, seed=5)
         dist = bt.full_distribution(sc, bt.TimeGrid(tuple(np.linspace(0.4, 2.2, n))))
         plus = [0] * n  # latest-first digits
