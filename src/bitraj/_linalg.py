@@ -29,7 +29,15 @@ def expm_hermitian(h: np.ndarray, scale: complex) -> np.ndarray:
     return expm_from_eigh(np.linalg.eigh(h), scale)
 
 
-def expm_from_eigh(eig: tuple, scale: complex) -> np.ndarray:
-    """``exp(scale * H)`` from ``eig = np.linalg.eigh(H)``, reusable across scales."""
+def expm_from_eigh(eig: tuple, scale) -> np.ndarray:
+    """``exp(scale * H)`` from ``eig = np.linalg.eigh(H)``, reusable across scales.
+
+    A stack of H, diagonalised in one call, takes one scale per matrix; every
+    exponential of the stack is bitwise the one of its matrix alone.
+    """
     evals, evecs = eig
-    return (evecs * np.exp(scale * evals)) @ dagger(evecs)
+    if evals.ndim == 1:
+        phases = np.exp(scale * evals)
+    else:
+        phases = np.exp(scale[:, None] * evals)[:, None, :]
+    return (evecs * phases) @ evecs.conj().swapaxes(-1, -2)

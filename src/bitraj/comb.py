@@ -18,7 +18,7 @@ from .biprob import BiOutcome, check_budget
 from .errors import LengthMismatch
 from .model import QuantumScenario, TimeGrid
 from .opensys import Superoperator
-from .propagate import heisenberg_projector, heisenberg_pvm_stacks
+from .propagate import _walk_bytes, heisenberg_projector, heisenberg_pvm_stacks
 
 
 def bi_instrument(
@@ -80,9 +80,10 @@ def comb_table(scenario: QuantumScenario, grid: TimeGrid) -> np.ndarray:
     k = scenario.pvm.size
     s = k ** max(n - 1, 0)  # outcome paths before the last slot
     # the last slot's state stack beside the one before it and the half-applied
-    # one, or beside the table; and a projector stack beside the next one
+    # one, or beside the table; and a projector stack beside the next one and
+    # the walk that forms it
     held = max(s * s * d * d * (1 + k + k * k), (k**n) ** 2 * (d * d + 1)) + 2 * k * d * d
-    check_budget(16 * held, "comb state stack")
+    check_budget(16 * held + _walk_bytes(d, len(scenario.schedule.segments)), "comb state stack")
     v = scenario.state.matrix[None, :, None, :]  # (K+, d, K-, d), K = 1
     # ascending slots, slot 1 applied first
     for projs in heisenberg_pvm_stacks(scenario, grid.times):

@@ -273,8 +273,11 @@ class ObservablePVM:
                 "pvm: ||sum P - 1|| ="))
         if violations:
             raise ValidationError(violations)
+        stack = np.stack(projectors)  # the projectors are its views, read by the Heisenberg stacks
+        stack.setflags(write=False)
         object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "projectors", tuple(_frozen(p) for p in projectors))
+        object.__setattr__(self, "projectors", tuple(stack))
+        object.__setattr__(self, "_stack", stack)
 
     @classmethod
     def pauli_z(cls) -> "ObservablePVM":

@@ -51,7 +51,7 @@ from .model import (
     check_hermitian,
     validate_scenario,
 )
-from .propagate import propagator, uniform_step_runs
+from .propagate import _walk_bytes, propagator, uniform_step_runs
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,16 +243,18 @@ def _reduction_bytes(d_o: int, d_e: int) -> int:
 
 def _contract_bytes(model: OpenModel) -> int:
     # G and V beside matrix_power's base, square, result and next square,
-    # with the walk's few d_e x d_e arrays (building G beside the system
-    # steps holds less), or the reduction of V
-    d_o, d_e = model.system_dim, model.environment.dimension
-    return max(16 * (6 * model.joint_dim**2 + 6 * d_e * d_e), _reduction_bytes(d_o, d_e))
+    # with the environment walk (building G beside the system steps holds
+    # less), or the reduction of V
+    d_o, env = model.system_dim, model.environment
+    walk = _walk_bytes(env.dimension, len(env.schedule.segments))
+    return max(16 * 6 * model.joint_dim**2 + walk, _reduction_bytes(d_o, env.dimension))
 
 
 def _exact_bytes(model: OpenModel) -> int:
-    # the walk peaks near ten D x D arrays, eigh's workspace included, at
-    # D = 256 to 1024; twelve leave a margin
-    return max(16 * 12 * model.joint_dim**2, _reduction_bytes(model.system_dim, model.environment.dimension))
+    # the joint walk, whose generator is built beside it, or the reduction
+    env = model.environment
+    walk = _walk_bytes(model.joint_dim, len(env.schedule.segments))
+    return max(walk, _reduction_bytes(model.system_dim, env.dimension))
 
 
 def _bitrajectory_map_contract(model: OpenModel, t: float, n_steps: int) -> Superoperator:
@@ -263,10 +265,9 @@ def _bitrajectory_map_contract(model: OpenModel, t: float, n_steps: int) -> Supe
     # environment columns times dU
     g = sum(np.kron(a, p) for a, p in zip(_system_step_stack(model, t / n_steps), env.pvm.projectors))
     v = np.eye(model.joint_dim, dtype=complex)
-    with np.errstate(invalid="ignore", over="ignore"):  # the check below names an overflow
-        for du, m in uniform_step_runs(env.schedule, t, n_steps):
-            v = np.linalg.matrix_power((g.reshape(-1, d_e) @ du).reshape(g.shape), m) @ v
-    if not np.isfinite(v).all():  # only an overflowing segment exponential makes V so
+    for du, m in uniform_step_runs(env.schedule, t, n_steps):
+        v = np.linalg.matrix_power((g.reshape(-1, d_e) @ du).reshape(g.shape), m) @ v
+    if not np.isfinite(v).all():  # only an overflowing segment, whose steps are NaN, makes V so
         raise ValidationError([NotUnitary(f"contract map on [0, {t}]: the step product is not finite")])
     del g
     return _reduce_to_system(v, model.system_dim, d_e, env.state.matrix)

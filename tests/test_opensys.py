@@ -384,6 +384,27 @@ class TestExactJointMap:
             with pytest.raises(errors.EnumerationTooLarge, match=f"{nbytes} bytes"):
                 call()
 
+    @pytest.mark.parametrize("d_e, slack", [(64, 0), (16, 16 * 2**10)])
+    def test_exact_map_walk_fits_its_count(self, d_e, slack, monkeypatch):
+        # a 160-segment driven environment: at D = 128 the joint walk takes
+        # one segment at a time, at D = 32 chunks of two, whose generators,
+        # eigenvectors and exponentials the count holds; small objects may
+        # exceed the count at D = 32 by a few KiB
+        rng = np.random.default_rng(d_e)
+        env = driven_environment(bt.random_scenario(d_e, seed=3), 2.0, 160, seed=d_e)
+        model = bt.OpenModel(
+            h_sys=random_hermitian(rng, 2), v_sys=random_hermitian(rng, 2), coupling=0.5, environment=env)
+        nbytes = counted_bytes(lambda: bt.exact_joint_map(model, 1.9), monkeypatch)
+        tracemalloc.start()
+        try:
+            bt.exact_joint_map(model, 1.9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= nbytes + slack
+        if d_e == 16:  # twelve D x D arrays, the count without the chunk, are exceeded
+            assert peak > 16 * 12 * model.joint_dim**2
+
     @pytest.mark.parametrize("d_o", [64, 128])
     def test_large_system_refused_before_any_work(self, d_o, monkeypatch):
         # a qubit environment keeps D at 128 or 256, but the reduced map has

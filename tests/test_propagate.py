@@ -1,10 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bitraj as bt
-from bitraj import errors
+from bitraj import errors, propagate
 from bitraj._linalg import expm_hermitian
 from bitraj.propagate import heisenberg_pvm_stacks, uniform_step_runs
 
@@ -173,6 +176,19 @@ class TestOperatorNorm:
             bt.operator_norm(m)
 
 
+def count_eigh(monkeypatch) -> list:
+    """Record, per ``np.linalg.eigh`` call, the number of matrices it diagonalises."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(math.prod(np.shape(a)[:-2]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return calls
+
+
 def driven_schedule(segments=640, horizon=10.0):
     return bt.HamiltonianSchedule.from_function(
         lambda t: 0.5 * SIGMA_X + 0.3 * np.sin(t) * SIGMA_Z, horizon, segments=segments
@@ -219,16 +235,11 @@ class TestPropagatorsAlong:
             2, driven_schedule(), bt.DensityOperator.pure([1.0, 0.0]), bt.ObservablePVM.pauli_z()
         )
         grid = bt.TimeGrid(tuple(0.97 * (k + 1) for k in range(10)))
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counting_eigh(a, *args, **kwargs):
-            calls.append(1)
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        calls = count_eigh(monkeypatch)
         list(heisenberg_pvm_stacks(sc, grid.times))
-        assert 0 < len(calls) <= 640
+        # segments of 1/64 cover [0, 9.7] with 621 of the 640, in stacks
+        assert sum(calls) == 621
+        assert 0 < len(calls) <= -(-621 // propagate._chunk_len(2))
 
 
 def expand_runs(runs) -> list:
@@ -270,11 +281,10 @@ class TestUniformStepRuns:
         assert sum(runs) == 19 and max(runs) == 2 and runs.count(1) > 1
 
     def test_each_covered_segment_diagonalised_once(self, monkeypatch):
-        calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        calls = count_eigh(monkeypatch)
         list(uniform_step_runs(driven_schedule(), 9.7, 512))
-        assert len(calls) == 621  # segments of 1/64 cover [0, 9.7] with 621
+        assert sum(calls) == 621  # segments of 1/64 cover [0, 9.7] with 621
+        assert 0 < len(calls) <= -(-621 // propagate._chunk_len(2))
 
     @pytest.mark.parametrize(
         "t, error",
@@ -288,6 +298,134 @@ class TestUniformStepRuns:
     def test_invalid_time_raises(self, t, error):
         with pytest.raises(error):
             list(uniform_step_runs(two_segment_schedule(), t, 4))
+
+
+def unbounded_schedule(seed=5, d=2):
+    rng = np.random.default_rng(seed)
+    hs = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for _ in range(3)]
+    edges = (0.0, 0.5, 1.0, math.inf)
+    return bt.HamiltonianSchedule(tuple(
+        (a, b, 0.5 * (g + g.conj().T)) for a, b, g in zip(edges[:-1], edges[1:], hs)))
+
+
+def irregular_schedule(seed=11, d=3, segments=7):
+    rng = np.random.default_rng(seed)
+    edges = [0.0, *np.sort(rng.uniform(0.0, 3.0, segments - 1)).tolist(), 3.0]
+    g = rng.standard_normal((segments, d, d)) + 1j * rng.standard_normal((segments, d, d))
+    return bt.HamiltonianSchedule(tuple(
+        (a, b, 0.5 * (x + x.conj().T)) for a, b, x in zip(edges[:-1], edges[1:], g)))
+
+
+def edges_and_midpoints(schedule) -> list:
+    edges = [a for a, _, _ in schedule.segments] + [schedule.horizon]
+    return sorted(edges + [0.5 * (a + b) for a, b in zip(edges[:-1], edges[1:])])
+
+
+CHUNKED = {
+    # schedule, points on and between its segment edges
+    "driven": (driven_schedule(segments=8, horizon=2.0), [0.0, 0.1, 0.25, 0.5, 0.6, 0.75, 1.0, 1.3, 1.75, 2.0]),
+    "irregular": (irregular_schedule(), edges_and_midpoints(irregular_schedule())),
+    "unbounded": (unbounded_schedule(), [0.0, 0.2, 0.5, 0.7, 1.0, 1.4, 3.0]),
+    "static": (bt.HamiltonianSchedule.from_static(0.3 * SIGMA_X + 0.2 * SIGMA_Z), [0.0, 0.4, 2.5]),
+}
+
+
+def scenario_of(schedule) -> bt.QuantumScenario:
+    d = schedule.dimension
+    return bt.QuantumScenario(
+        d, schedule, bt.DensityOperator(np.eye(d) / d), bt.ObservablePVM.computational_basis(d))
+
+
+class TestChunkEdges:
+    """Every walk, with the segments diagonalised one to three at a time."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(propagate, "_chunk_len", lambda d: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("name", list(CHUNKED))
+    def test_propagator(self, chunk, name):
+        # t_from and t_to on segment edges, chunk edges and inside both
+        schedule, points = CHUNKED[name]
+        for i, lo in enumerate(points):
+            for hi in points[i:]:
+                u = bt.propagator(schedule, lo, hi).matrix
+                np.testing.assert_array_equal(u, oracle_piece_propagator(schedule, lo, hi))
+                np.testing.assert_allclose(u, oracle_propagator(schedule, lo, hi), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", list(CHUNKED))
+    def test_propagators_along_and_heisenberg_stacks(self, chunk, name, monkeypatch):
+        schedule, points = CHUNKED[name]
+        calls = count_eigh(monkeypatch)
+        us = bt.propagators_along(schedule, points)
+        sc = scenario_of(schedule)
+        stacks = list(heisenberg_pvm_stacks(sc, points))
+        covered = next(k for k, (_, b, _) in enumerate(schedule.segments) if b >= points[-1]) + 1
+        assert max(calls) <= chunk and sum(calls) == 2 * covered
+        projectors = np.stack(sc.pvm.projectors)
+        for u, stack, t in zip(us, stacks, points):
+            want = oracle_piece_propagator(schedule, 0.0, t)
+            np.testing.assert_array_equal(u.matrix, want)
+            np.testing.assert_allclose(u.matrix, oracle_propagator(schedule, 0.0, t), rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(stack, want.conj().T @ projectors @ want)
+
+    @pytest.mark.parametrize("name, t, n", [
+        ("driven", 2.0, 8), ("driven", 1.9, 19), ("driven", 1.6, 3),
+        ("irregular", 2.9, 11), ("unbounded", 1.7, 5), ("static", 2.5, 4),
+    ])
+    def test_uniform_step_runs(self, chunk, name, t, n):
+        schedule, _ = CHUNKED[name]
+        steps = expand_runs(uniform_step_runs(schedule, t, n))
+        assert len(steps) == n
+        u = np.eye(schedule.dimension, dtype=complex)
+        for j, du in enumerate(steps, start=1):
+            lo, hi = t * ((j - 1) / n), t * (j / n)
+            inside = [h for a, b, h in schedule.segments if a <= lo and hi <= b]
+            want = expm_hermitian(inside[0], -1j * (t / n)) if inside else oracle_piece_propagator(schedule, lo, hi)
+            np.testing.assert_array_equal(du, want)
+            u = du @ u
+        np.testing.assert_allclose(u, oracle_propagator(schedule, 0.0, t), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", ["unbounded", "static"])
+    def test_unbounded_segment_never_exponentiated_whole(self, chunk, name, monkeypatch):
+        schedule, points = CHUNKED[name]
+        scales = []
+        expm = propagate.expm_from_eigh
+        monkeypatch.setattr(
+            propagate, "expm_from_eigh", lambda eig, scale: scales.append(scale) or expm(eig, scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bt.propagator(schedule, 0.0, points[-1])
+            bt.propagators_along(schedule, points)
+            list(heisenberg_pvm_stacks(scenario_of(schedule), points))
+            list(uniform_step_runs(schedule, points[-1], 7))
+        assert scales and all(np.isfinite(s).all() for s in scales)
+
+
+class TestOverflowingSegment:
+    """A segment whose phase overflows makes the walks through it NaN, quietly."""
+
+    @staticmethod
+    def schedule():
+        h = np.full((2, 2), 1e308, dtype=complex)  # eigenvalue 2e308 overflows to inf
+        return bt.HamiltonianSchedule(((0.0, 1.0, 0.5 * SIGMA_X), (1.0, 2.0, h), (2.0, 3.0, 0.5 * SIGMA_Z)))
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_times_before_it_are_unaffected(self, chunk, monkeypatch):
+        monkeypatch.setattr(propagate, "_chunk_len", lambda d: chunk)
+        schedule = self.schedule()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            walk = propagate._walk(schedule, 0.0, [0.5, 1.0, 2.5])
+            for t in (0.5, 1.0):
+                np.testing.assert_array_equal(next(walk).matrix, oracle_piece_propagator(schedule, 0.0, t))
+            with pytest.raises(errors.ValidationError) as err:
+                next(walk)
+            assert err.value.has(errors.NotUnitary)
+            steps = expand_runs(uniform_step_runs(schedule, 3.0, 6))
+        # each step is its own exponential: only those on [1, 2] are NaN
+        assert [bool(np.isfinite(du).all()) for du in steps] == [True, True, False, False, True, True]
 
 
 class TestUnitaryMatrix:
