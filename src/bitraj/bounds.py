@@ -10,6 +10,7 @@ meshes built here realize that monotonicity experimentally.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .biprob import BiDistribution, full_distribution
 from .errors import LengthMismatch, NonFiniteTime, OutOfHorizon, TooCoarse
-from .model import HamiltonianSchedule, QuantumScenario, TimeGrid, _spectral_norms
+from .model import _HERMITICITY_CHUNK_BYTES, HamiltonianSchedule, QuantumScenario, TimeGrid, _spectral_norms
 
 REFINEMENT_SCAN_CAP = 10 ** 6
 
@@ -38,16 +39,18 @@ def nonuniform_bound(dist: BiDistribution) -> float:
 def _norm_integral(schedule: HamiltonianSchedule, horizon: float) -> float:
     """int_0^horizon ||H(s)||_op ds, segment-exactly.
 
-    The pieces' norms come from one batched SVD and are summed in time order,
-    so no quadrature error can under-report the integral.
+    The pieces' norms come from batched SVDs of at most
+    ``_HERMITICITY_CHUNK_BYTES`` of pieces at 16 d^2 bytes each, the bound of
+    the schedule's own Hermiticity check, and are summed in time order, so no
+    quadrature error can under-report the integral.
     """
-    pieces = list(schedule.pieces(0.0, horizon))
-    if not pieces:
-        return 0.0
-    norms = _spectral_norms(np.stack([h for _, _, h in pieces]))
+    pieces = schedule.pieces(0.0, horizon)
+    per_chunk = max(1, _HERMITICITY_CHUNK_BYTES // (16 * schedule.dimension ** 2))
     integral = 0.0
-    for (a, b, _), norm in zip(pieces, norms.tolist()):
-        integral += norm * (b - a)
+    while chunk := list(itertools.islice(pieces, per_chunk)):
+        norms = _spectral_norms(np.array([h for _, _, h in chunk]))
+        for (a, b, _), norm in zip(chunk, norms.tolist()):
+            integral += norm * (b - a)
     return integral
 
 

@@ -21,7 +21,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -44,6 +44,7 @@ from .model import (
     QuantumScenario,
     TimeGrid,
     _pvm_from_config,
+    rabi_scenario,
     random_scenario,
     validate_scenario,
 )
@@ -62,19 +63,9 @@ class RunManifest:
     command: str
     config: str | None
     seed: int | None
-    version: str
-    timestamp: str
+    version: str = __version__
+    timestamp: str = field(default_factory=lambda: datetime.now(timezone.utc).isoformat())
     outputs: list = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "outputs": list(self.outputs),
-        }
 
 
 def _read_json(path: str):
@@ -130,12 +121,12 @@ def _read_outcome(args, sets: Sequence[tuple]) -> BiOutcome:
 
 def _scenario_from_args(args) -> tuple:
     """(scenario, config_path, seed) from --config or --random-dim/--seed."""
-    if getattr(args, "config", None):
+    if args.config:
         scenario = load_config(args.config)
         if not isinstance(scenario, QuantumScenario):
             raise ParseError(f"{args.config}: expected a scenario file, found an open-system model")
         return scenario, args.config, None
-    if getattr(args, "random_dim", None):
+    if args.random_dim is not None:
         seed = args.seed if args.seed is not None else 0
         return random_scenario(args.random_dim, seed), None, seed
     raise ParseError("provide --config FILE or --random-dim D")
@@ -152,50 +143,41 @@ def _write_chunks(fh, chunks: Iterable[str]) -> None:
 
 
 def _emit(args, chunks: Iterable[str], manifest: RunManifest) -> None:
-    if getattr(args, "output", None):
-        out = Path(args.output)
-        with out.open("w", encoding="utf-8") as fh:
-            _write_chunks(fh, chunks)
-        manifest.outputs.append(str(out))
-        manifest_path = Path(str(out) + ".manifest.json")
-        manifest_path.write_text(
-            json.dumps(manifest.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
-    else:
+    if not args.output:
         _write_chunks(sys.stdout, chunks)
-
-
-def _manifest(command: str, config: str | None, seed: int | None) -> RunManifest:
-    return RunManifest(
-        command=command,
-        config=config,
-        seed=seed,
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
+        return
+    out = str(Path(args.output))
+    with open(out, "w", encoding="utf-8") as fh:
+        _write_chunks(fh, chunks)
+    manifest.outputs.append(out)
+    Path(out + ".manifest.json").write_text(json.dumps(asdict(manifest), indent=2) + "\n", encoding="utf-8")
 
 
 def _complex_dict(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
+def _json(payload: dict, code: int = 0) -> tuple:
+    """A handler's result: the payload as one indented JSON chunk, and the exit code."""
+    return [json.dumps(payload, indent=2)], code
+
+
+def _entry_payload(grid: TimeGrid, outcome: BiOutcome, **values) -> dict:
+    """The ``times``/``plus``/``minus`` head of an entry's payload, then ``values``."""
+    return {"times": list(grid.times), "plus": list(outcome.plus), "minus": list(outcome.minus), **values}
+
+
 # -- subcommand handlers ------------------------------------------------------
+#
+# Each handler computes eagerly and returns (text chunks, exit code), so every
+# error is raised before stdout or the output file is touched.  Only
+# ``_dist_text`` is lazy: it formats an already computed table block by block.
 
 
-def _cmd_eval(args) -> int:
-    scenario, cfg, seed = _scenario_from_args(args)
-    grid = _parse_times(args.times)
+def _cmd_eval(args, scenario: QuantumScenario, grid: TimeGrid) -> tuple:
     outcome = _read_outcome(args, (scenario.pvm.outcomes,) * len(grid))
     value = eval_biprob(scenario, grid, outcome, method=args.method)
-    payload = {
-        "times": list(grid.times),
-        "plus": list(outcome.plus),
-        "minus": list(outcome.minus),
-        "method": args.method,
-        "value": _complex_dict(value),
-    }
-    _emit(args, [json.dumps(payload, indent=2)], _manifest("eval", cfg, seed))
-    return 0
+    return _json(_entry_payload(grid, outcome, method=args.method, value=_complex_dict(value)))
 
 
 def _dist_text(dist: BiDistribution, fmt: str) -> Iterator[str]:
@@ -236,26 +218,16 @@ def _json_floats(values: np.ndarray) -> list:
     return json.dumps(values.tolist())[1:-1].split(", ")
 
 
-def _cmd_dist(args) -> int:
-    scenario, cfg, seed = _scenario_from_args(args)
-    grid = _parse_times(args.times)
-    dist = full_distribution(scenario, grid)
-    _emit(args, _dist_text(dist, args.format), _manifest("dist", cfg, seed))
-    return 0
+def _cmd_dist(args, scenario: QuantumScenario, grid: TimeGrid) -> tuple:
+    return _dist_text(full_distribution(scenario, grid), args.format), 0
 
 
-def _cmd_verify(args) -> int:
-    scenario, cfg, seed = _scenario_from_args(args)
-    grid = _parse_times(args.times)
-    dist = full_distribution(scenario, grid)
-    report = check_properties(dist, tolerance=args.tolerance)
-    _emit(args, [json.dumps(report.to_json_dict(), indent=2)], _manifest("verify", cfg, seed))
-    return 0 if report.all_pass else 1
+def _cmd_verify(args, scenario: QuantumScenario, grid: TimeGrid) -> tuple:
+    report = check_properties(full_distribution(scenario, grid), tolerance=args.tolerance)
+    return _json(report.to_json_dict(), 0 if report.all_pass else 1)
 
 
-def _cmd_bound(args) -> int:
-    scenario, cfg, seed = _scenario_from_args(args)
-    grid = _parse_times(args.times)
+def _cmd_bound(args, scenario: QuantumScenario, grid: TimeGrid) -> tuple:
     horizon = args.horizon if args.horizon is not None else grid.times[-1]
     uni = uniform_bound(scenario, horizon)  # checks the horizon itself first
     if grid.times[-1] > horizon:
@@ -263,22 +235,18 @@ def _cmd_bound(args) -> int:
     dist = full_distribution(scenario, grid)
     norm = l1_norm(dist)
     non_uni = nonuniform_bound(dist)
-    payload = {
+    return _json({
         "l1_norm": norm,
         "nonuniform_bound": non_uni,
         "uniform_bound": uni,
         "margin": min(non_uni, uni) - norm,
-    }
-    _emit(args, [json.dumps(payload, indent=2)], _manifest("bound", cfg, seed))
-    return 0
+    })
 
 
-def _cmd_refine(args) -> int:
-    scenario, cfg, seed = _scenario_from_args(args)
-    grid = _parse_times(args.times)
+def _cmd_refine(args, scenario: QuantumScenario, grid: TimeGrid) -> tuple:
     mesh = build_refinement(grid, args.size, horizon=scenario.horizon)
     record = refinement_monotonicity(scenario, mesh)
-    payload = {
+    return _json({
         "base_times": list(mesh.base.times),
         "refined_times": list(mesh.refined.times),
         "injection": list(mesh.injection),
@@ -286,16 +254,14 @@ def _cmd_refine(args) -> int:
         "max_gap": mesh.max_gap(),
         "norm_coarse": record.norm_coarse,
         "norm_fine": record.norm_fine,
-    }
-    _emit(args, [json.dumps(payload, indent=2)], _manifest("refine", cfg, seed))
-    return 0
+    })
 
 
 def _load_observables(args, scenario: QuantumScenario) -> ObservableSequence:
     if args.observables:
         specs = _read_json(args.observables)
     else:
-        if not getattr(args, "config", None):
+        if not args.config:
             raise ParseError("multiobs: provide --observables FILE or an 'observables' array in the config")
         specs = _read_json(args.config).get("observables")
         if specs is None:
@@ -306,31 +272,33 @@ def _load_observables(args, scenario: QuantumScenario) -> ObservableSequence:
     return ObservableSequence(tuple(pvms))
 
 
-def _cmd_multiobs(args) -> int:
-    scenario, cfg, seed = _scenario_from_args(args)
-    grid = _parse_times(args.times)
+def _cmd_multiobs(args, scenario: QuantumScenario, grid: TimeGrid) -> tuple:
     seq = _load_observables(args, scenario)
-    if args.plus or args.minus:
-        if not (args.plus and args.minus):
-            raise ParseError("multiobs: --plus and --minus must be given together")
-        if len(seq) != len(grid):
-            raise LengthMismatch(f"{len(seq)} observables for a grid of length {len(grid)}")
-        outcome = _read_outcome(args, [pvm.outcomes for pvm in reversed(seq.pvms)])
-        value = eval_multiobs(scenario, grid, seq, outcome)
-        payload = {
-            "times": list(grid.times),
-            "plus": list(outcome.plus),
-            "minus": list(outcome.minus),
-            "value": _complex_dict(value),
-        }
-        _emit(args, [json.dumps(payload, indent=2)], _manifest("multiobs", cfg, seed))
-        return 0
-    dist = multiobs_distribution(scenario, grid, seq)
-    _emit(args, _dist_text(dist, args.format), _manifest("multiobs", cfg, seed))
-    return 0
+    if not (args.plus or args.minus):
+        return _dist_text(multiobs_distribution(scenario, grid, seq), args.format), 0
+    if not (args.plus and args.minus):
+        raise ParseError("multiobs: --plus and --minus must be given together")
+    if len(seq) != len(grid):
+        raise LengthMismatch(f"{len(seq)} observables for a grid of length {len(grid)}")
+    outcome = _read_outcome(args, [pvm.outcomes for pvm in reversed(seq.pvms)])
+    value = eval_multiobs(scenario, grid, seq, outcome)
+    return _json(_entry_payload(grid, outcome, value=_complex_dict(value)))
 
 
-def _cmd_opensys(args) -> int:
+def _cmd_comb(args, scenario: QuantumScenario, grid: TimeGrid) -> tuple:
+    outcome = _read_outcome(args, (scenario.pvm.outcomes,) * len(grid))
+    value = comb_biprob(scenario, grid, outcome)
+    payload = _entry_payload(grid, outcome, value_comb=_complex_dict(value))
+    if not args.cross_check:
+        return _json(payload)
+    direct = eval_biprob(scenario, grid, outcome)
+    diff = abs(value - direct)
+    payload["value_trace"] = _complex_dict(direct)
+    payload["difference"] = diff
+    return _json(payload, 0 if diff <= CROSS_CHECK_TOL else 1)
+
+
+def _cmd_opensys(args) -> tuple:
     model = load_config(args.model)
     if not isinstance(model, OpenModel):
         raise ParseError(f"{args.model}: expected an open-system model with a 'system' block")
@@ -341,49 +309,21 @@ def _cmd_opensys(args) -> int:
             raise ParseError(f"--study: {exc}") from exc
         points = convergence_study(model, args.time, steps)
         lines = [_csv_line((str(pt.n_steps), format_float(pt.error))) for pt in points]
-        _emit(args, [_csv_line(("n_steps", "error"))] + lines, _manifest("opensys", args.model, None))
-        return 0
+        return [_csv_line(("n_steps", "error"))] + lines, 0
     # the study counts the map held beside the exact one; the map is rebuilt alone
     [point] = convergence_study(model, args.time, [args.steps])
     approx = bitrajectory_map(model, args.time, args.steps)
-    payload = {
+    return _json({
         "time": args.time,
         "n_steps": args.steps,
         "error": point.error,
         "trace_preservation_defect": approx.trace_preservation_defect(),
-    }
-    _emit(args, [json.dumps(payload, indent=2)], _manifest("opensys", args.model, None))
-    return 0
+    })
 
 
-def _cmd_comb(args) -> int:
-    scenario, cfg, seed = _scenario_from_args(args)
-    grid = _parse_times(args.times)
-    outcome = _read_outcome(args, (scenario.pvm.outcomes,) * len(grid))
-    value = comb_biprob(scenario, grid, outcome)
-    payload = {
-        "times": list(grid.times),
-        "plus": list(outcome.plus),
-        "minus": list(outcome.minus),
-        "value_comb": _complex_dict(value),
-    }
-    code = 0
-    if args.cross_check:
-        direct = eval_biprob(scenario, grid, outcome)
-        diff = abs(value - direct)
-        payload["value_trace"] = _complex_dict(direct)
-        payload["difference"] = diff
-        if not diff <= CROSS_CHECK_TOL:
-            code = 1
-    _emit(args, [json.dumps(payload, indent=2)], _manifest("comb", cfg, seed))
-    return code
-
-
-def _cmd_demo(args) -> int:
+def _cmd_demo(args) -> tuple:
     if args.name != "rabi":
         raise ParseError(f"demo: unknown demo {args.name!r} (available: rabi)")
-    from .model import rabi_scenario
-
     scenario = rabi_scenario(args.omega)
     lines = [_csv_line(("t", "q_plus", "q_minus"))]
     for k in range(1, args.points + 1):
@@ -392,21 +332,38 @@ def _cmd_demo(args) -> int:
         q_plus = eval_biprob(scenario, grid, BiOutcome((1.0,), (1.0,))).real
         q_minus = eval_biprob(scenario, grid, BiOutcome((-1.0,), (-1.0,))).real
         lines.append(_csv_line(map(format_float, (t, q_plus, q_minus))))
-    _emit(args, lines, _manifest("demo rabi", None, None))
-    return 0
+    return lines, 0
+
+
+def _run(args) -> int:
+    """Read the inputs, run the handler, then write its result and manifest."""
+    if args.scenario:
+        scenario, config, seed = _scenario_from_args(args)
+        chunks, code = args.func(args, scenario, _parse_times(args.times))
+    else:
+        chunks, code = args.func(args)
+        config, seed = getattr(args, "model", None), None
+    command = f"demo {args.name}" if args.command == "demo" else args.command
+    _emit(args, chunks, RunManifest(command, config, seed))
+    return code
 
 
 # -- parser -------------------------------------------------------------------
 
 
-def _add_scenario_source(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="scenario JSON file")
-    p.add_argument("--random-dim", type=int, help="generate a random scenario of this dimension")
-    p.add_argument("--seed", type=int, default=None, help="seed for randomized inputs")
-
-
-def _add_output(p: argparse.ArgumentParser) -> None:
+def _subcommand(sub, name: str, summary: str, func, flags: dict, *, scenario: bool = True,
+                times_help: str | None = None) -> None:
+    """Declare one subcommand: the scenario source and --times, its own ``flags``, then --output."""
+    p = sub.add_parser(name, help=summary)
+    if scenario:
+        p.add_argument("--config", help="scenario JSON file")
+        p.add_argument("--random-dim", type=int, help="generate a random scenario of this dimension")
+        p.add_argument("--seed", type=int, default=None, help="seed for randomized inputs")
+        p.add_argument("--times", required=True, help=times_help)
+    for flag, options in flags.items():
+        p.add_argument(flag, **options)
     p.add_argument("--output", help="write the result here (plus a .manifest.json)")
+    p.set_defaults(func=func, scenario=scenario)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,79 +373,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"bitraj {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    latest_first = "outcomes, latest time first"
+    table_format = dict(default="json", choices=["json", "csv"])
 
-    p = sub.add_parser("eval", help="evaluate one bi-probability entry")
-    _add_scenario_source(p)
-    p.add_argument("--times", required=True, help="comma-separated, strictly increasing")
-    p.add_argument("--plus", required=True, help="outcomes, latest time first")
-    p.add_argument("--minus", required=True, help="outcomes, latest time first")
-    p.add_argument("--method", default="auto", choices=["auto", "trace"])
-    _add_output(p)
-    p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser("dist", help="enumerate the full table")
-    _add_scenario_source(p)
-    p.add_argument("--times", required=True)
-    p.add_argument("--format", default="json", choices=["json", "csv"])
-    _add_output(p)
-    p.set_defaults(func=_cmd_dist)
-
-    p = sub.add_parser("verify", help="run the property battery; exit 1 on failure")
-    _add_scenario_source(p)
-    p.add_argument("--times", required=True)
-    p.add_argument("--tolerance", type=float, default=DEFAULT_PROPERTY_TOL)
-    _add_output(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bound", help="l1 norm against its bounds")
-    _add_scenario_source(p)
-    p.add_argument("--times", required=True)
-    p.add_argument("--horizon", type=float, default=None, help="defaults to the last grid time")
-    _add_output(p)
-    p.set_defaults(func=_cmd_bound)
-
-    p = sub.add_parser("refine", help="snapped uniform refinement and norm monotonicity")
-    _add_scenario_source(p)
-    p.add_argument("--times", required=True)
-    p.add_argument("--size", type=int, required=True, help="refined grid size N")
-    _add_output(p)
-    p.set_defaults(func=_cmd_refine)
-
-    p = sub.add_parser("multiobs", help="multi-observable table or entry")
-    _add_scenario_source(p)
-    p.add_argument("--times", required=True)
-    p.add_argument("--observables", help="JSON file with one PVM spec per slot")
-    p.add_argument("--plus", help="outcomes, latest time first")
-    p.add_argument("--minus", help="outcomes, latest time first")
-    p.add_argument("--format", default="json", choices=["json", "csv"])
-    _add_output(p)
-    p.set_defaults(func=_cmd_multiobs)
-
-    p = sub.add_parser("opensys", help="bi-trajectory map vs exact joint evolution")
-    p.add_argument("--model", required=True, help="model JSON file (scenario plus 'system' block)")
-    p.add_argument("--time", type=float, required=True)
-    p.add_argument("--steps", type=int, default=16)
-    p.add_argument("--study", help="comma-separated step counts, emits CSV n_steps,error")
-    _add_output(p)
-    p.set_defaults(func=_cmd_opensys)
-
-    p = sub.add_parser("comb", help="bi-instrument evaluation with optional cross-check")
-    _add_scenario_source(p)
-    p.add_argument("--times", required=True)
-    p.add_argument("--plus", required=True)
-    p.add_argument("--minus", required=True)
-    p.add_argument("--cross-check", action="store_true")
-    _add_output(p)
-    p.set_defaults(func=_cmd_comb)
-
-    p = sub.add_parser("demo", help="built-in demonstrations")
-    p.add_argument("name", help="demo name (rabi)")
-    p.add_argument("--omega", type=float, default=1.0)
-    p.add_argument("--tmax", type=float, default=float(np.pi))
-    p.add_argument("--points", type=int, default=8)
-    _add_output(p)
-    p.set_defaults(func=_cmd_demo)
-
+    _subcommand(sub, "eval", "evaluate one bi-probability entry", _cmd_eval, {
+        "--plus": dict(required=True, help=latest_first),
+        "--minus": dict(required=True, help=latest_first),
+        "--method": dict(default="auto", choices=["auto", "trace"]),
+    }, times_help="comma-separated, strictly increasing")
+    _subcommand(sub, "dist", "enumerate the full table", _cmd_dist, {"--format": table_format})
+    _subcommand(sub, "verify", "run the property battery; exit 1 on failure", _cmd_verify, {
+        "--tolerance": dict(type=float, default=DEFAULT_PROPERTY_TOL),
+    })
+    _subcommand(sub, "bound", "l1 norm against its bounds", _cmd_bound, {
+        "--horizon": dict(type=float, default=None, help="defaults to the last grid time"),
+    })
+    _subcommand(sub, "refine", "snapped uniform refinement and norm monotonicity", _cmd_refine, {
+        "--size": dict(type=int, required=True, help="refined grid size N"),
+    })
+    _subcommand(sub, "multiobs", "multi-observable table or entry", _cmd_multiobs, {
+        "--observables": dict(help="JSON file with one PVM spec per slot"),
+        "--plus": dict(help=latest_first),
+        "--minus": dict(help=latest_first),
+        "--format": table_format,
+    })
+    _subcommand(sub, "opensys", "bi-trajectory map vs exact joint evolution", _cmd_opensys, {
+        "--model": dict(required=True, help="model JSON file (scenario plus 'system' block)"),
+        "--time": dict(type=float, required=True),
+        "--steps": dict(type=int, default=16),
+        "--study": dict(help="comma-separated step counts, emits CSV n_steps,error"),
+    }, scenario=False)
+    _subcommand(sub, "comb", "bi-instrument evaluation with optional cross-check", _cmd_comb, {
+        "--plus": dict(required=True),
+        "--minus": dict(required=True),
+        "--cross-check": dict(action="store_true"),
+    })
+    _subcommand(sub, "demo", "built-in demonstrations", _cmd_demo, {
+        "name": dict(help="demo name (rabi)"),
+        "--omega": dict(type=float, default=1.0),
+        "--tmax": dict(type=float, default=float(np.pi)),
+        "--points": dict(type=int, default=8),
+    }, scenario=False)
     return parser
 
 
@@ -499,7 +424,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return _run(args)
     except (BitrajError, OSError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"bitraj: {exc}", file=sys.stderr)
         return 2

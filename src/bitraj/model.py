@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -603,21 +604,21 @@ def random_scenario(
     d: int,
     seed: int,
     *,
-    norm_cap: float = 1.0,
     pure: bool = False,
     outcome_groups: Sequence[int] | None = None,
 ) -> QuantumScenario:
     """Deterministic random test instance.
 
     The Hamiltonian is a GUE-style Hermitian matrix rescaled to operator norm
-    ``norm_cap``; the state is full rank (or pure); the PVM comes from the
-    columns of a Haar-random unitary, optionally coarse-grained into blocks of
-    sizes ``outcome_groups`` (which must sum to d).
+    1; the state is full rank (or pure); the PVM comes from the columns of a
+    Haar-random unitary, optionally coarse-grained into blocks of sizes
+    ``outcome_groups`` (which must sum to d).  ``seed`` must be an integer
+    >= 0, so that every instance can be drawn again.
     """
     if d < 2:
         raise ValidationError([DomainMismatch(f"random_scenario: d must be >= 2, got {d}")])
-    if not (norm_cap >= 0 and math.isfinite(norm_cap)):
-        raise ValidationError([DomainMismatch(f"random_scenario: norm_cap must be finite and >= 0, got {norm_cap}")])
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValidationError([DomainMismatch(f"random_scenario: seed must be an integer >= 0, got {seed!r}")])
     if outcome_groups is not None:
         sizes = tuple(int(s) for s in outcome_groups)
         if any(s < 1 for s in sizes) or sum(sizes) != d:
@@ -629,10 +630,8 @@ def random_scenario(
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     h = 0.5 * (g + g.conj().T)
     nrm = _spectral_norm(h)
-    if nrm > 0 and norm_cap > 0:
-        h = h * (norm_cap / nrm)
-    elif norm_cap == 0:
-        h = np.zeros((d, d), dtype=complex)
+    if nrm > 0:
+        h = h * (1.0 / nrm)
 
     if pure:
         v = rng.standard_normal(d) + 1j * rng.standard_normal(d)

@@ -186,7 +186,7 @@ def bitrajectory_map(
     model: OpenModel,
     t: float,
     n_steps: int,
-    method: str = "auto",
+    method: str = "contract",
 ) -> Superoperator:
     """Discretized bi-trajectory average of the reduced dynamics up to t.
 
@@ -199,12 +199,11 @@ def bitrajectory_map(
     a step across segment edges is a run of its own), then the partial trace
     of V (A kron rho_E) V^dagger, at any step count; its peak, V with G and
     matrix_power's temporaries or the reduced map, counts against the budget.
-    "auto" picks "contract".  At t = 0 every method gives the identity map,
-    as the exact evolution does.
+    At t = 0 every method gives the identity map, as the exact evolution does.
     """
     if n_steps < 1:
         raise DomainMismatch(f"n_steps must be >= 1, got {n_steps}")
-    if method not in ("auto", "contract", "enumerate"):
+    if method not in ("contract", "enumerate"):
         raise DomainMismatch(f"unknown method {method!r}")
     t = float(t)
     if t == 0.0:

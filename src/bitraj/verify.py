@@ -162,14 +162,15 @@ def _psd_check(m_h: np.ndarray, tolerance: float, rank_bound: int | None) -> Pro
     An engine table is the Gram matrix of K path matrices of size d x d, so
     its rank is at most ``rank_bound`` = d^2, and one seeded randomised range
     finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011) of width
-    p = max(16, d^2) spans its range.  With Q (K x p) orthonormal,
-    B = Q^H m_h Q and E = m_h - Q B Q^H, Weyl gives lambda_min(m_h) >=
-    min(lambda_min(B), 0) - ||E||_F, and ||B||_2 <= ||m_h||_2 makes the
-    relative tolerance no looser.  When the sketch does not certify, the
-    exact ``eigvalsh`` decides, so a failing record is always the exact one;
-    it decides alone when no rank bound is known, when p > K/8 (the sketch
-    would cost about as much) or when the tolerance is zero (the residual
-    would have to vanish exactly).  A non-finite ``m_h`` fails outright.
+    p = max(16, d^2) spans its range with no power step.  With Q (K x p)
+    orthonormal, B = Q^H m_h Q and E = m_h - Q B Q^H, Weyl gives
+    lambda_min(m_h) >= min(lambda_min(B), 0) - ||E||_F, and
+    ||B||_2 <= ||m_h||_2 makes the relative tolerance no looser.  When the
+    sketch does not certify, the exact ``eigvalsh`` decides, so a failing
+    record is always the exact one; it decides alone when no rank bound is
+    known, when p > K/8 (the sketch would cost about as much) or when the
+    tolerance is zero (the residual would have to vanish exactly).  A
+    non-finite ``m_h`` fails outright.
     """
     name = "Q3_positive_semidefinite"
     k = m_h.shape[0]
@@ -183,7 +184,6 @@ def _psd_check(m_h: np.ndarray, tolerance: float, rank_bound: int | None) -> Pro
     if rank_bound is not None and tolerance > 0 and p <= k // 8:
         rng = np.random.default_rng(0)  # the same table always gets the same report
         q = np.linalg.qr(m_h @ rng.standard_normal((k, p)))[0]
-        q = np.linalg.qr(m_h @ q)[0]  # one power step
         b = q.conj().T @ (m_h @ q)
         b = 0.5 * (b + b.conj().T)
         # a non-finite B is an overflow, which the exact path scales away; a

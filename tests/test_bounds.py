@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import bitraj as bt
-from bitraj import errors
+from bitraj import bounds, errors
 
 from conftest import grid, oracle_table_l1, static_scenario
 
@@ -96,6 +97,27 @@ class TestUniformBound:
             integral += float(np.linalg.norm(h, 2)) * (b - a)
         d = sc.dimension
         assert bt.uniform_bound(sc, horizon) == d * d * math.exp(2.0 * (d - 1) * integral)
+
+    def test_chunked_norms_equal_per_piece_loop(self, monkeypatch):
+        # three pieces a chunk, so the 468 pieces up to 7.3 span 156 chunks
+        monkeypatch.setattr(bounds, "_HERMITICITY_CHUNK_BYTES", 3 * 16 * 2**2)
+        self.test_batched_norms_equal_per_piece_loop("drive_640_segments")
+
+    def test_peak_is_a_few_chunks(self):
+        # 640 random 16x16 segments hold 2.5 MiB; a stack of them all is as much again
+        rng = np.random.default_rng(3)
+        g = rng.standard_normal((640, 16, 16)) + 1j * rng.standard_normal((640, 16, 16))
+        h = g + g.conj().transpose(0, 2, 1)
+        schedule = bt.HamiltonianSchedule(tuple((k / 64, (k + 1) / 64, h[k]) for k in range(640)))
+        sc = bt.QuantumScenario(16, schedule, bt.DensityOperator(np.eye(16) / 16),
+                                bt.ObservablePVM.computational_basis(16))
+        tracemalloc.start()
+        try:
+            bt.uniform_bound(sc, 10.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * bounds._HERMITICITY_CHUNK_BYTES
 
     def test_out_of_horizon(self):
         sched = bt.HamiltonianSchedule(((0.0, 1.0, np.diag([1.0, -1.0])),))

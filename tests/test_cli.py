@@ -461,6 +461,18 @@ def test_numerical_failures_exit_2(capsys, rabi_config, monkeypatch, exc):
     assert out == "" and str(exc) in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--random-dim", "2", "--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    (["--random-dim", "0"], "d must be >= 2, got 0"),
+    (["--random-dim", "-3", "--seed", "1"], "d must be >= 2, got -3"),
+])
+def test_bad_random_scenario_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "bound", *argv, "--times", "0.5")
+    assert code == 2
+    assert out == "" and err.startswith("bitraj: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_non_integer_study_steps_exit_2(capsys, model_config):
     code, out, err = run_cli(
         capsys, "opensys", "--model", model_config, "--time", "1.0", "--study", "4,x"
@@ -653,3 +665,67 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["margin"] >= 0.0
+
+
+# -- the run path: every subcommand's --output file and manifest ------------------
+
+OUTPUT_CASES = {
+    # name: (argv, manifest command, manifest config, manifest seed)
+    "eval": (["eval", "--config", "{config}", "--times", "0.5,1", "--plus", "1,1", "--minus=1,-1"],
+             "eval", "{config}", None),
+    "dist": (["dist", "--config", "{config}", "--times", "0.5,1", "--format", "csv"],
+             "dist", "{config}", None),
+    "verify": (["verify", "--random-dim", "3", "--times", "0.4,0.9"], "verify", None, 0),
+    "bound": (["bound", "--random-dim", "2", "--seed", "7", "--times", "0.5"], "bound", None, 7),
+    "refine": (["refine", "--config", "{config}", "--times", "0.5,1.0", "--size", "4"],
+               "refine", "{config}", None),
+    "multiobs": (["multiobs", "--config", "{config}", "--times", "0.5,1.0", "--observables", "{obs}"],
+                 "multiobs", "{config}", None),
+    "opensys": (["opensys", "--model", "{model}", "--time", "1.0", "--study", "4,8"],
+                "opensys", "{model}", None),
+    "comb": (["comb", "--config", "{config}", "--times", "0.5,1", "--plus", "1,1", "--minus=1,-1",
+              "--cross-check"], "comb", "{config}", None),
+    "demo": (["demo", "rabi", "--points", "3"], "demo rabi", None, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_CASES))
+def test_output_file_holds_the_printed_result_and_its_manifest(
+    capsys, rabi_config, model_config, tmp_path, name
+):
+    obs = tmp_path / "obs.json"
+    obs.write_text(json.dumps([{"type": "pauli_z"}, {"type": "pauli_z"}]))
+    paths = {"config": rabi_config, "model": model_config, "obs": str(obs)}
+    argv, command, config, seed = OUTPUT_CASES[name]
+    argv = [a.format(**paths) for a in argv]
+    code, printed, err = run_cli(capsys, *argv)
+    assert code == 0 and printed, err
+    out_path = tmp_path / "result.out"
+    assert run_cli(capsys, *argv, "--output", str(out_path)) == (0, "", "")
+    assert out_path.read_bytes().decode("utf-8") == printed
+    manifest = json.loads((tmp_path / "result.out.manifest.json").read_text())
+    assert list(manifest) == ["command", "config", "seed", "version", "timestamp", "outputs"]
+    assert manifest["command"] == command
+    assert manifest["config"] == (config and config.format(**paths))
+    assert manifest["seed"] == seed
+    assert manifest["version"] == bt.__version__
+    assert manifest["outputs"] == [str(out_path)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bitraj", "bound", "--random-dim", "2", "--seed", "1", "--times", "0.5"],
+    ["bitraj", "demo", "nope"],
+])
+def test_console_script_is_main_and_exits_with_runs_code(capsys, monkeypatch, argv):
+    tomllib = pytest.importorskip("tomllib")
+    import bitraj.cli as cli_mod
+
+    with (ROOT / "pyproject.toml").open("rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"bitraj": "bitraj.cli:main"}
+    expected = run(argv[1:])
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        cli_mod.main()
+    assert exc.value.code == expected

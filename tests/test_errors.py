@@ -124,7 +124,7 @@ class TestRelabelledFaults:
         for call in (
             lambda: bt.ObservablePVM((1.0, 1.0), (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))),
             lambda: bt.random_scenario(1, seed=0),
-            lambda: bt.random_scenario(2, seed=0, norm_cap=float("nan")),
+            lambda: bt.random_scenario(2, seed=-1),
             lambda: bt.random_scenario(3, seed=0, outcome_groups=(1, 1)),
             lambda: bt.check_properties(bt.full_distribution(_rabi(), grid(1.0)), tolerance=-1.0),
             lambda: bt.OpenModel(SIGMA_Z, SIGMA_X, float("inf"), _rabi()),

@@ -291,7 +291,7 @@ class TestRandomScenario:
         assert len(calls) == 1
 
     def test_norm_cap(self):
-        sc = bt.random_scenario(4, seed=1, norm_cap=1.0)
+        sc = bt.random_scenario(4, seed=1)
         h = sc.schedule.segments[0][2]
         evals = np.linalg.eigvalsh(h)
         assert np.abs(evals).max() <= 1.0 + 1e-12
@@ -309,6 +309,17 @@ class TestRandomScenario:
     def test_rejects_small_dimension(self):
         with pytest.raises(errors.ValidationError):
             bt.random_scenario(1, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, None, 1.5, 2.0, "3", True])
+    def test_rejects_a_seed_that_cannot_draw_it_again(self, seed):
+        with pytest.raises(errors.ValidationError) as err:
+            bt.random_scenario(3, seed)
+        assert err.value.has(errors.DomainMismatch)
+        assert "seed must be an integer >= 0" in str(err.value)
+
+    def test_numpy_integer_seed_is_the_same_instance(self):
+        a = bt.random_scenario(3, np.int64(11))
+        assert a.fingerprint == bt.random_scenario(3, 11).fingerprint
 
     @settings(max_examples=25, deadline=None)
     @given(d=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=10 ** 6))
