@@ -40,7 +40,7 @@ from .errors import (
     UnknownOutcome,
     ValidationError,
 )
-from .model import ObservablePVM, QuantumScenario, TimeGrid, check_defect
+from .model import DensityOperator, ObservablePVM, QuantumScenario, TimeGrid, check_defect
 from .propagate import heisenberg_pvm_stacks
 from .serialize import format_floats
 
@@ -373,15 +373,15 @@ def check_budget(nbytes: int, what: str) -> None:
         )
 
 
-def _state_factor(rho: np.ndarray) -> tuple:
-    """(F, s) with rho = F diag(s) F^dagger and s_r = sign(lambda_r).
+def _state_factor(state: DensityOperator) -> tuple:
+    """(F, s) with rho = F diag(s) F^dagger and s_r = sign(lambda_r), from the state's eigh.
 
     Columns of F are the eigenvectors of rho scaled by sqrt|lambda_r|.  The
     sign keeps the slightly negative eigenvalues a valid DensityOperator may
     carry (down to -tol), so the factorization reproduces rho itself rather
     than a clipped copy.
     """
-    evals, evecs = np.linalg.eigh(rho)
+    evals, evecs = state._eigh
     return evecs * np.sqrt(np.abs(evals)), np.sign(evals)
 
 
@@ -399,7 +399,7 @@ def _gram_rows(factor: np.ndarray, stacks: list) -> np.ndarray:
     return w
 
 
-def _table_from_stacks(rho: np.ndarray, stacks: list) -> np.ndarray:
+def _table_from_stacks(state: DensityOperator, stacks: list) -> np.ndarray:
     """Dense table as the Gram matrix of the path vectors w(f).
 
     With C(f) = P_tn(f_n)...P_t1(f_1) and rho = F S F^dagger, every entry is
@@ -414,13 +414,15 @@ def _table_from_stacks(rho: np.ndarray, stacks: list) -> np.ndarray:
     """
     sizes = tuple(s.shape[0] for s in stacks)
     rows = math.prod(sizes)
+    rho = state.matrix
     step = max(1, _TABLE_BLOCK_BYTES // (16 * rho.size))  # rows of W per block
     grown_from = rows // sizes[-1] if sizes else 0
-    # F and W beside the table and one block, or beside the rows W grows from
+    # the state's cached eigenvectors, F and W beside the table and one block,
+    # or beside the rows W grows from
     held = max(rows * rows + min(step, rows) * rho.size, grown_from * rho.size)
-    check_budget(16 * ((1 + rows) * rho.size + held), "table")
+    check_budget(16 * ((2 + rows) * rho.size + held), "table")
 
-    factor, sign = _state_factor(rho)
+    factor, sign = _state_factor(state)
     w = _gram_rows(factor, stacks)
     flat = w.reshape(rows, -1)
     q = np.empty((rows, rows), dtype=complex)
@@ -436,17 +438,17 @@ def _table_from_stacks(rho: np.ndarray, stacks: list) -> np.ndarray:
     return q.reshape(sizes[::-1] + sizes[::-1])
 
 
-def _entry_gram(rho: np.ndarray, stacks: list, plus_idx, minus_idx) -> complex:
+def _entry_gram(state: DensityOperator, stacks: list, plus_idx, minus_idx) -> complex:
     """One table entry from the two vector chains w(f+) and w(f-)."""
-    factor, sign = _state_factor(rho)
+    factor, sign = _state_factor(state)
     plus = _gram_rows(factor, [p[i:i + 1] for p, i in zip(stacks, plus_idx)])
     minus = _gram_rows(factor, [p[i:i + 1] for p, i in zip(stacks, minus_idx)])
     return complex(np.vdot(minus, plus * sign))
 
 
-def _entry_trace(rho: np.ndarray, stacks: list, plus_idx, minus_idx) -> complex:
+def _entry_trace(state: DensityOperator, stacks: list, plus_idx, minus_idx) -> complex:
     """Direct ordered-product evaluation of one table entry."""
-    a = rho
+    a = state.matrix
     for p, fp, fm in zip(stacks, plus_idx, minus_idx):
         a = p[fp] @ a @ p[fm]
     return complex(np.trace(a))
@@ -461,7 +463,7 @@ def _distribution_for_slots(
     if len(pvms) != len(grid):
         raise LengthMismatch(f"{len(pvms)} observables for a grid of length {len(grid)}")
     stacks = list(heisenberg_pvm_stacks(scenario, grid.times, pvms))
-    table = _table_from_stacks(scenario.state.matrix, stacks)
+    table = _table_from_stacks(scenario.state, stacks)
     dist = BiDistribution(
         grid=grid,
         outcome_sets=tuple(tuple(p.outcomes) for p in pvms),
@@ -495,7 +497,7 @@ def _entry(
     plus_idx, minus_idx = idx[:n][::-1], idx[n:][::-1]  # ascending slots
     entry = _entry_gram if method == "auto" else _entry_trace
     stacks = list(heisenberg_pvm_stacks(scenario, grid.times, pvms))
-    return entry(scenario.state.matrix, stacks, plus_idx, minus_idx)
+    return entry(scenario.state, stacks, plus_idx, minus_idx)
 
 
 # -- public operations -------------------------------------------------------

@@ -122,6 +122,10 @@ def _read_outcome(args, sets: Sequence[tuple]) -> BiOutcome:
 def _scenario_from_args(args) -> tuple:
     """(scenario, config_path, seed) from --config or --random-dim/--seed."""
     if args.config:
+        dropped = [flag for flag, value in (("--random-dim", args.random_dim), ("--seed", args.seed))
+                   if value is not None]
+        if dropped:
+            raise ParseError(f"--config cannot be combined with {' or '.join(dropped)}")
         scenario = load_config(args.config)
         if not isinstance(scenario, QuantumScenario):
             raise ParseError(f"{args.config}: expected a scenario file, found an open-system model")

@@ -8,8 +8,10 @@ smooth time dependence is approximated by midpoint sampling
 exact product of segment exponentials.
 
 All types are immutable after validation (arrays are frozen), so instances
-can be shared freely across threads.  Tolerances are absolute, measured in
-spectral norm, and equal to ``DEFAULT_TOL``.
+can be shared freely across threads.  A schedule, a state and a PVM keep
+what a query factors of them (segment eigensystems and propagators,
+``eigh`` of rho, an outcome-adapted basis) for their lifetime.  Tolerances
+are absolute, measured in spectral norm, and equal to ``DEFAULT_TOL``.
 
 Outcome tuples throughout the package are ordered latest-time-first,
 ``(f_n, ..., f_1)``, while time grids are ascending ``(t_1, ..., t_n)``.
@@ -316,6 +318,19 @@ class ObservablePVM:
     def projector(self, outcome: float) -> np.ndarray:
         return self.projectors[self.index_of(outcome)]
 
+    @functools.cached_property
+    def _basis(self) -> tuple:
+        """Orthonormal columns adapted to the projectors, with their outcome labels, formed once."""
+        cols = []
+        labels = []
+        for f, p in zip(self.outcomes, self.projectors):
+            evals, evecs = np.linalg.eigh(p)
+            order = np.argsort(evals)[::-1]
+            for r in range(int(round(np.trace(p).real))):
+                cols.append(evecs[:, order[r]])
+                labels.append(f)
+        return _frozen(np.stack(cols, axis=1)), tuple(labels)
+
     def content_bytes(self) -> bytes:
         parts = [np.array(self.outcomes).tobytes()]
         parts += [np.ascontiguousarray(p).tobytes() for p in self.projectors]
@@ -360,6 +375,14 @@ class DensityOperator:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
+
+    @functools.cached_property
+    def _eigh(self) -> tuple:
+        """``np.linalg.eigh`` of the matrix, computed once and read-only."""
+        evals, evecs = np.linalg.eigh(self.matrix)
+        evals.setflags(write=False)
+        evecs.setflags(write=False)
+        return evals, evecs
 
 
 # -- Time grid -------------------------------------------------------------
@@ -612,9 +635,11 @@ def random_scenario(
     The Hamiltonian is a GUE-style Hermitian matrix rescaled to operator norm
     1; the state is full rank (or pure); the PVM comes from the columns of a
     Haar-random unitary, optionally coarse-grained into blocks of sizes
-    ``outcome_groups`` (which must sum to d).  ``seed`` must be an integer
-    >= 0, so that every instance can be drawn again.
+    ``outcome_groups`` (which must sum to d).  ``d`` must be an integer >= 2
+    and ``seed`` an integer >= 0, so that every instance can be drawn again.
     """
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+        raise ValidationError([DomainMismatch(f"random_scenario: d must be an integer, got {d!r}")])
     if d < 2:
         raise ValidationError([DomainMismatch(f"random_scenario: d must be >= 2, got {d}")])
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:

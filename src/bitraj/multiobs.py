@@ -37,7 +37,6 @@ from .errors import (
 )
 from .model import (
     HamiltonianSchedule,
-    ObservablePVM,
     QuantumScenario,
     TimeGrid,
     _as_operator,
@@ -192,21 +191,6 @@ def generic_l1_norm(unitaries: Sequence[np.ndarray]) -> float:
 # -- decomposition into generic bi-probabilities ------------------------------
 
 
-def _pvm_basis(pvm: ObservablePVM):
-    """Orthonormal columns adapted to the projectors, with outcome labels."""
-    cols = []
-    labels = []
-    for f, p in zip(pvm.outcomes, pvm.projectors):
-        rank = int(round(np.trace(p).real))
-        evals, evecs = np.linalg.eigh(p)
-        order = np.argsort(evals)[::-1]
-        for r in range(rank):
-            cols.append(evecs[:, order[r]])
-            labels.append(f)
-    w = np.stack(cols, axis=1)
-    return w, labels
-
-
 @dataclass(frozen=True)
 class DecompositionRecord:
     direct: complex
@@ -233,12 +217,12 @@ def decompose_multiobs(
     direct = eval_multiobs(scenario, grid, seq, outcome)  # checks lengths and outcomes
 
     n = len(grid)
-    evals, evecs = np.linalg.eigh(scenario.state.matrix)
+    evals, evecs = scenario.state._eigh
     legs = [(evecs, np.eye(len(evals)))] * 2  # plus, minus: (block basis, block x state amplitudes)
     for j, u in enumerate(propagators_along(scenario.schedule, grid.times)):
-        w, labels = _pvm_basis(seq.pvms[j])
+        w, labels = seq.pvms[j]._basis
         for i, f in enumerate((outcome.plus[n - 1 - j], outcome.minus[n - 1 - j])):
-            lo = labels.index(f) if f in labels else 0  # _pvm_basis lists a block's columns together
+            lo = labels.index(f) if f in labels else 0  # _basis lists a block's columns together
             block = dagger(u.matrix) @ w[:, lo:lo + labels.count(f)]
             basis, amps = legs[i]
             legs[i] = (block, (dagger(block) @ basis) @ amps)

@@ -51,7 +51,7 @@ from .model import (
     check_hermitian,
     validate_scenario,
 )
-from .propagate import _walk_bytes, propagator, uniform_step_runs
+from .propagate import _schedule_walk_bytes, _walk_bytes, propagator, uniform_step_runs
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +245,7 @@ def _contract_bytes(model: OpenModel) -> int:
     # with the environment walk (building G beside the system steps holds
     # less), or the reduction of V
     d_o, env = model.system_dim, model.environment
-    walk = _walk_bytes(env.dimension, len(env.schedule.segments))
+    walk = _schedule_walk_bytes(env.schedule)
     return max(16 * 6 * model.joint_dim**2 + walk, _reduction_bytes(d_o, env.dimension))
 
 

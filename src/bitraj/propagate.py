@@ -3,14 +3,26 @@
 Propagators are exact products of segment exponentials ``exp(-i H dt)``
 computed by Hermitian eigendecomposition, so unitarity holds to floating
 point regardless of step size.  In the piecewise-constant model the cocycle
-property U(t3,t1) = U(t3,t2) U(t2,t1) is exact up to rounding.  Every
-propagator comes from one lazy segment walk, which diagonalises each segment
-once, in byte-bounded batches (one ``eigh`` and one exponential per chunk
-of segments, bitwise the per-segment calls): :func:`propagator` is its first
-value (and :func:`heisenberg_projector` conjugates by it),
+property U(t3,t1) = U(t3,t2) U(t2,t1) is exact up to rounding.
+
+Every propagator comes from one segment walk: :func:`propagator` is its
+first value (and :func:`heisenberg_projector` conjugates by it),
 :func:`propagators_along` its list, and :func:`heisenberg_pvm_stacks`
 consumes it one time at a time; :func:`uniform_step_runs` walks a uniform
-grid over the same batches.
+grid over the same segments.  A walk diagonalises the segments it covers in
+byte-bounded batches (one ``eigh`` and one exponential per chunk of
+segments, bitwise the per-segment calls).
+
+A HamiltonianSchedule keeps what its walks factor in a private memo, which
+lives as long as the schedule: each covered segment's eigensystem and whole
+exponential and, once a walk from 0 reaches it, the prefix product
+U(a_k, 0).  So each segment is diagonalised once per schedule, and a walk
+from 0 through factored segments does one partial exponential and one
+product per time.  The memo holds ``48 d^2 + 8 d + 8`` bytes a segment and
+2 KiB (:func:`_memo_bytes`).  A schedule whose memo would pass
+``_MEMO_BYTES`` (4 MiB) keeps none, and neither does a lazily built one
+such as the opensys joint generators: their walks factor one chunk at a
+time and drop it, within :func:`_walk_bytes`.
 """
 
 from __future__ import annotations
@@ -19,6 +31,7 @@ import bisect
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -38,6 +51,7 @@ from .model import HamiltonianSchedule, QuantumScenario, _spectral_norm, check_d
 
 TOL_UNITARY = 1e-9
 _CHUNK_BYTES = 2**18  # what a walk holds of one chunk of segments
+_MEMO_BYTES = 2**22  # the most a schedule's memo may hold
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +70,9 @@ class UnitaryMatrix:
         # check, and it needs no SVD; a non-finite entry makes dev NaN or
         # inf, which fails the comparison
         with np.errstate(invalid="ignore", over="ignore"):
-            dev = float(np.linalg.norm(dagger(m) @ m - np.eye(m.shape[0])))
+            defect = dagger(m) @ m
+            defect.reshape(-1)[:: m.shape[0] + 1] -= 1  # U^dagger U - I, with no identity built
+            dev = float(np.linalg.norm(defect))
         violations = check_defect(
             dev, TOL_UNITARY, NotUnitary,
             "propagator on [%r, %r]: unitarity defect", self.t_from, self.t_to)
@@ -98,55 +114,162 @@ def _walk_bytes(d: int, segments: int) -> int:
     return min(segments, _chunk_len(d)) * _segment_bytes(d) + 96 * d * d
 
 
-def _segment_pieces(schedule, t_from: float, t_to: float) -> Iterator[tuple]:
-    """Yield ``(a, b, eig, whole)`` for each segment piece [a, b] the walks to t_to enter.
+def _schedule_walk_bytes(schedule: HamiltonianSchedule) -> int:
+    """Peak bytes of a walk over the schedule: one walk's, beside the memo it may fill."""
+    d, n = schedule.dimension, len(schedule.segments)
+    memo = _memo_bytes(d, n)
+    return _walk_bytes(d, n) + (memo if memo <= _MEMO_BYTES else 0)
 
-    The segments are read one chunk of ``_chunk_len(d)`` at a time, a lazily
-    built schedule included, with one ``eigh`` and one exponential per chunk;
-    ``whole`` is exp(-i H (b - a)), or None for the last piece, which may be
-    unbounded.  Each value is bitwise the per-piece call's.  A piece whose
-    phase |lambda| dt can overflow gets NaN eigenvalues: its exponentials are
-    NaN, which the unitarity check names, with no RuntimeWarning to silence.
+
+def _memo_bytes(d: int, segments: int) -> int:
+    """Bytes a schedule's memo holds: its rows for every segment and 2 KiB of small objects."""
+    # eigenvalues, eigenvectors, whole exponential and prefix product, and a
+    # tuple slot for the end
+    return segments * (48 * d * d + 8 * d + 8) + 2048
+
+
+class _Memo:
+    """The factored segments of one HamiltonianSchedule, which keeps it as ``_memo``.
+
+    Row k of ``evals`` and ``evecs`` holds segment k's eigensystem once
+    k < ``factored``, and ``wholes`` its whole exponential (every segment
+    but the last has one); row k of ``prefix``, made by the first walk from
+    0, holds U(a_k, 0) once k < ``prefixed``.  The rows are sized for every
+    segment, as :func:`_memo_bytes` counts them, and filled under a lock, so
+    a schedule stays shareable across threads.
     """
-    per_chunk, chunk = _chunk_len(schedule.dimension), []
-    for a, b, h in schedule.segments:
-        if b > t_from:
-            chunk.append((max(a, t_from), b, h))
-            last = b >= t_to
-            if last or len(chunk) == per_chunk:
-                if len(chunk) > 1:
-                    yield from _diagonalise(chunk, last, t_to)
-                else:  # no stack copy: a short schedule costs what it did
-                    a, b, h = chunk.pop()
-                    evals, evecs = eig = np.linalg.eigh(h)
-                    # |lambda| <= this bound, which a NaN eigenvalue makes NaN
-                    if not (abs(float(evals[0])) + abs(float(evals[-1]))) * (min(b, t_to) - a) < math.inf:
-                        _quiet_overflow(evals, a, b, t_to)
-                    yield a, b, eig, None if last else expm_from_eigh(eig, -1j * (b - a))
-                if last:
-                    return
+
+    def __init__(self, segments: tuple):
+        n, d = len(segments), segments[0][2].shape[0]
+        self.segments = segments
+        self.ends = tuple(b for _, b, _ in segments)
+        self.evals = np.empty((n, d))
+        self.evecs = np.empty((n, d, d), dtype=complex)
+        self.wholes = np.empty((n - 1, d, d), dtype=complex)
+        self.prefix = None
+        self.factored = self.prefixed = 0
+        self.lock = threading.Lock()
+
+    def __reduce__(self):  # a copy starts empty: a lock cannot be pickled
+        return _Memo, (self.segments,)
+
+    def factor(self, k: int) -> None:
+        """Factor the segments up to k, one ``eigh`` and one exponential per chunk of _chunk_len(d)."""
+        if k < self.factored:
+            return
+        with self.lock:
+            while self.factored <= k:
+                lo = self.factored
+                hi = min(lo + _chunk_len(self.evals.shape[1]), k + 1)
+                pieces = list(self.segments[lo:hi])
+                _, _, evals, evecs, wholes = _factor(pieces, min(hi, len(self.wholes)) - lo)
+                self.evals[lo:hi], self.evecs[lo:hi] = evals, evecs
+                self.wholes[lo:lo + len(wholes)] = wholes
+                self.factored = hi
+
+    def from_zero(self, t: float) -> np.ndarray:
+        """U(t, 0): one partial exponential applied to the prefix product of t's segment, which is factored."""
+        k = bisect.bisect_left(self.ends, t)
+        if k >= self.prefixed:
+            with self.lock:
+                if self.prefix is None:
+                    self.prefix = np.empty_like(self.evecs)
+                for j in range(self.prefixed, k + 1):  # the walk's carry products, in its order
+                    if j:
+                        np.matmul(self.wholes[j - 1], self.prefix[j - 1], out=self.prefix[j])
+                    else:
+                        self.prefix[0] = np.eye(self.prefix.shape[1])
+                self.prefixed = max(self.prefixed, k + 1)
+        a = self.segments[k][0]
+        if not t > a:  # t = 0
+            return self.prefix[0]
+        eig = _eig(self.evals[k], self.evecs[k], t - a)
+        return expm_from_eigh(eig, -1j * (t - a)) @ self.prefix[k]
 
 
-def _diagonalise(chunk: list, last: bool, t_to: float) -> list:
-    """``(a, b, eig, whole)`` of each ``(a, b, H)`` of a chunk of two or more, which it empties."""
-    starts, ends, hs = zip(*chunk)
-    chunk.clear()
-    stack = np.array(hs)  # np.stack takes three times as long on small matrices
+def _memo(schedule):
+    """The schedule's memo, made on first use; None for a lazily built schedule or one over _MEMO_BYTES."""
+    memo = schedule.__dict__.get("_memo")
+    if memo is None and isinstance(schedule, HamiltonianSchedule):
+        if _memo_bytes(schedule.dimension, len(schedule.segments)) <= _MEMO_BYTES:
+            memo = schedule.__dict__.setdefault("_memo", _Memo(schedule.segments))
+    return memo
+
+
+def _factor(pieces: list, n: int) -> tuple:
+    """``(starts, ends, evals, evecs, wholes)`` of a list of ``(a, b, H)`` pieces, which it empties.
+
+    One ``eigh`` diagonalises every piece and one exponential gives the whole
+    exp(-i H (b - a)) of the first n, each bitwise the per-piece call.  A
+    whole piece whose phase can overflow gets a NaN exponential, as in
+    :func:`_eig`.
+    """
+    starts, ends, hs = zip(*pieces)
+    pieces.clear()
+    # np.stack takes three times as long on small matrices; one piece is not copied
+    stack = np.array(hs) if len(hs) > 1 else hs[0][None]
     del hs  # the stack alone holds a lazily built chunk
     evals, evecs = np.linalg.eigh(stack)
     del stack
-    if not float(np.abs(evals).max()) * (min(ends[-1], t_to) - starts[0]) < math.inf:
-        _quiet_overflow(evals, np.array(starts), np.array(ends), t_to)
-    n = len(starts) - last  # whole pieces
-    wholes = list(expm_from_eigh((evals[:n], evecs[:n]), -1j * (np.array(ends[:n]) - starts[:n])))
-    return list(zip(starts, ends, zip(evals, evecs), wholes + [None] * last))
-
-
-def _quiet_overflow(evals: np.ndarray, a, b, t_to: float) -> None:
-    """Set to NaN, in place, the eigenvalues of each piece [a, b] whose phase can overflow."""
+    dt = np.array(ends[:n]) - starts[:n]
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = np.abs(evals).max(axis=-1) * (np.minimum(b, t_to) - a)
-    evals[~(phase < math.inf)] = math.nan
+        fits = (np.abs(evals[:n, 0]) + np.abs(evals[:n, -1])) * dt < math.inf
+    phases = evals[:n] if fits.all() else np.where(fits[:, None], evals[:n], math.nan)
+    return starts, ends, evals, evecs, expm_from_eigh((phases, evecs[:n]), -1j * dt)
+
+
+def _eig(evals: np.ndarray, evecs: np.ndarray, dt: float) -> tuple:
+    """A piece's eigensystem for a phase over dt, with NaN eigenvalues if that phase can overflow.
+
+    Its exponentials are then NaN, which the unitarity check names, with no
+    RuntimeWarning to silence.  |lambda| <= |lambda_min| + |lambda_max|, a
+    bound that a NaN eigenvalue makes NaN.
+    """
+    if (abs(float(evals[0])) + abs(float(evals[-1]))) * dt < math.inf:
+        return evals, evecs
+    return np.full_like(evals, math.nan), evecs
+
+
+def _segment_pieces(schedule, t_from: float, t_to: float) -> Iterator[tuple]:
+    """Yield ``(a, b, eig, whole)`` for each segment piece [a, b] the walks to t_to enter.
+
+    ``whole`` is exp(-i H (b - a)), or None for the last piece, which may be
+    unbounded.  Each value is bitwise the per-piece call's, and ``eig`` is
+    NaN if the phase over [a, min(b, t_to)] can overflow.  The pieces come
+    from the schedule's memo, or, with none, from chunks of segments
+    factored as the walk reaches them and then dropped.
+    """
+    memo = _memo(schedule)
+    if memo is None:
+        yield from _streamed_pieces(schedule, t_from, t_to)
+        return
+    first, last = bisect.bisect_right(memo.ends, t_from), bisect.bisect_left(memo.ends, t_to)
+    memo.factor(last)
+    for k in range(first, last + 1):
+        start, b = memo.segments[k][0], memo.ends[k]
+        a = max(start, t_from)
+        eig = _eig(memo.evals[k], memo.evecs[k], min(b, t_to) - a)
+        if k == last:
+            whole = None
+        else:
+            whole = memo.wholes[k] if a == start else expm_from_eigh(eig, -1j * (b - a))
+        yield a, b, eig, whole
+
+
+def _streamed_pieces(schedule, t_from: float, t_to: float) -> Iterator[tuple]:
+    """:func:`_segment_pieces` one chunk of ``_chunk_len(d)`` at a time, a lazily built schedule included."""
+    per_chunk, pieces = _chunk_len(schedule.dimension), []
+    for a, b, h in schedule.segments:
+        if b > t_from:
+            pieces.append((max(a, t_from), b, h))
+            last = b >= t_to
+            if last or len(pieces) == per_chunk:
+                starts, ends, evals, evecs, wholes = _factor(pieces, len(pieces) - last)
+                for i, (a, b) in enumerate(zip(starts, ends)):
+                    whole = wholes[i] if i < len(wholes) else None
+                    yield a, b, _eig(evals[i], evecs[i], min(b, t_to) - a), whole
+                if last:
+                    return
 
 
 def _walk(schedule: HamiltonianSchedule, t_from: float, times) -> Iterator[UnitaryMatrix]:
@@ -158,7 +281,9 @@ def _walk(schedule: HamiltonianSchedule, t_from: float, times) -> Iterator[Unita
     the carry of its piece, so each yielded propagator has the arithmetic of
     the plain piece-by-piece product from t_from to t, whatever other times
     are walked.  Chaining steps between the times instead would add one
-    rounding error per step.
+    rounding error per step.  From t_from = 0, the carries are the memo's
+    prefix products, so a walk through factored segments does one partial
+    exponential and one product per time.
     """
     t_from = float(t_from)
     times = [float(t) for t in times]
@@ -169,6 +294,13 @@ def _walk(schedule: HamiltonianSchedule, t_from: float, times) -> Iterator[Unita
         raise OutOfHorizon(f"times {ends} outside schedule horizon [0, {schedule.horizon}]")
     if any(map(operator.lt, ends[1:], ends[:-1])):
         raise DegenerateInterval(f"propagation times must be ascending from t_from, got {ends}")
+    memo = _memo(schedule)
+    if memo is not None and t_from == 0:
+        if ends[-1] > 0:
+            memo.factor(bisect.bisect_left(memo.ends, ends[-1]))
+        for t in times:
+            yield UnitaryMatrix(memo.from_zero(t), t_from, t)  # an overflowing piece made it NaN
+        return
     pieces = _segment_pieces(schedule, t_from, ends[-1])
     a = b = t_from
     carry = np.eye(schedule.dimension, dtype=complex)

@@ -135,8 +135,8 @@ def _reduced_tables(dist: BiDistribution) -> Iterator[tuple]:
     stacks = dist._stacks
     if stacks is None:
         stacks = list(heisenberg_pvm_stacks(dist.scenario, dist.grid.times, dist.pvms))
-    rho = dist.scenario.state.matrix
-    return ((j, _table_from_stacks(rho, stacks[:j - 1] + stacks[j:])) for j in range(1, dist.n + 1))
+    state = dist.scenario.state
+    return ((j, _table_from_stacks(state, stacks[:j - 1] + stacks[j:])) for j in range(1, dist.n + 1))
 
 
 def _block_rows(k: int) -> int:
@@ -343,11 +343,10 @@ def inconsistency_decomposition(
     idx = _lattice_indices(outcome_sets, BiOutcome(probe, probe))[:n][::-1]  # ascending
     stacks = list(heisenberg_pvm_stacks(scenario, grid.times))
     paths = [p[i:i + 1] for p, i in zip(stacks, idx)]
-    rho = scenario.state.matrix
-    reduced = _table_from_stacks(rho, paths[:position - 1] + paths[position:]).real.sum()
+    reduced = _table_from_stacks(scenario.state, paths[:position - 1] + paths[position:]).real.sum()
     paths[position - 1] = stacks[position - 1]
     k = stacks[position - 1].shape[0]
-    block = _table_from_stacks(rho, paths).reshape(k, k)
+    block = _table_from_stacks(scenario.state, paths).reshape(k, k)
     lhs = reduced - block.diagonal().real.sum()
     offdiag = block[~np.eye(k, dtype=bool)].sum()
     return InconsistencyRecord(lhs=float(lhs), offdiag_sum=complex(offdiag))

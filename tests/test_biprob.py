@@ -178,8 +178,8 @@ class TestTableOwnership:
         built = []
         real = biprob._table_from_stacks
 
-        def recording(rho, stacks):
-            built.append(real(rho, stacks))
+        def recording(state, stacks):
+            built.append(real(state, stacks))
             return built[-1]
 
         monkeypatch.setattr(biprob, "_table_from_stacks", recording)
@@ -452,11 +452,10 @@ def _state_of_kind(d, kind, rng):
 
 def _assert_table_matches_oracles(sc, g, table, stacks, rng, pvms=None):
     n = len(g)
-    rho = sc.state.matrix
     for idx in np.ndindex(*table.shape):
         plus, minus = idx[:n][::-1], idx[n:][::-1]
-        assert abs(table[idx] - _entry_trace(rho, stacks, plus, minus)) <= 1e-12
-        assert abs(table[idx] - _entry_gram(rho, stacks, plus, minus)) <= 1e-12
+        assert abs(table[idx] - _entry_trace(sc.state, stacks, plus, minus)) <= 1e-12
+        assert abs(table[idx] - _entry_gram(sc.state, stacks, plus, minus)) <= 1e-12
     sets = [p.outcomes for p in (pvms or [sc.pvm] * n)][::-1]
     for flat in rng.choice(table.size, size=min(table.size, 6), replace=False):
         idx = np.unravel_index(flat, table.shape)
@@ -511,15 +510,14 @@ def test_table_fits_its_count(monkeypatch, levels, groups, n):
     # the rows its last slot grows from
     sc = bt.random_scenario(levels, seed=0, outcome_groups=groups)
     stacks = list(heisenberg_pvm_stacks(sc, tuple(0.3 * (j + 1) for j in range(n))))
-    rho = sc.state.matrix
     monkeypatch.setattr(biprob, "MEMORY_BUDGET", 0)
     with pytest.raises(errors.EnumerationTooLarge) as err:
-        biprob._table_from_stacks(rho, stacks)
+        biprob._table_from_stacks(sc.state, stacks)
     nbytes = int(re.search(r"take (\d+) bytes", str(err.value)).group(1))
     monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes)
     tracemalloc.start()
     try:
-        table = biprob._table_from_stacks(rho, stacks)
+        table = biprob._table_from_stacks(sc.state, stacks)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -527,7 +525,7 @@ def test_table_fits_its_count(monkeypatch, levels, groups, n):
     assert peak <= nbytes + 64 * 2**10
     monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes - 1)
     with pytest.raises(errors.EnumerationTooLarge):
-        biprob._table_from_stacks(rho, stacks)
+        biprob._table_from_stacks(sc.state, stacks)
 
 
 def test_table_memory_bounded_at_the_cap():

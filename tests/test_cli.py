@@ -473,6 +473,20 @@ def test_bad_random_scenario_exits_2(capsys, argv, message):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, dropped", [
+    (["--random-dim", "3"], "--random-dim"),
+    (["--seed", "5"], "--seed"),
+    (["--random-dim", "3", "--seed", "5"], "--random-dim or --seed"),
+])
+def test_config_with_random_scenario_flags_exits_2(capsys, tmp_path, rabi_config, flags, dropped):
+    out = tmp_path / "r.json"
+    code, stdout, err = run_cli(
+        capsys, "bound", "--config", rabi_config, *flags, "--times", "0.5", "--output", str(out))
+    assert code == 2
+    assert stdout == "" and err.startswith("bitraj: ") and dropped in err
+    assert not out.exists()
+
+
 def test_non_integer_study_steps_exit_2(capsys, model_config):
     code, out, err = run_cli(
         capsys, "opensys", "--model", model_config, "--time", "1.0", "--study", "4,x"

@@ -1,8 +1,11 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import bitraj as bt
-from bitraj import errors
+from bitraj import biprob, errors
 from bitraj.comb import comb_table
 
 from conftest import grid, outcome
@@ -80,6 +83,26 @@ class TestCombBiprob:
         monkeypatch.setattr("bitraj.comb.heisenberg_pvm_stacks", None)
         with pytest.raises(errors.EnumerationTooLarge):
             comb_table(rabi, grid(*(0.1 * k for k in range(1, 12))))
+
+    def test_comb_table_peak_within_its_count_while_a_memo_fills(self, monkeypatch):
+        # 4,000 qubit segments: the first walk fills a 0.85 MiB segment memo,
+        # three times what the stacks and one streamed walk take
+        schedule = bt.HamiltonianSchedule.from_function(
+            lambda t: np.array([[0.3 * np.sin(t), 0.5], [0.5, -0.3 * np.sin(t)]]), 60.0, segments=4000)
+        sc = bt.QuantumScenario(2, schedule, bt.DensityOperator.pure([1.0, 0.0]), bt.ObservablePVM.pauli_z())
+        g = grid(20.0, 59.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(biprob, "MEMORY_BUDGET", 0)
+            with pytest.raises(errors.EnumerationTooLarge) as err:
+                comb_table(sc, g)
+        count = int(re.search(r"take (\d+) bytes", str(err.value)).group(1))
+        tracemalloc.start()
+        try:
+            comb_table(sc, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 800_000 < peak <= count
 
     def test_comb_table_runs_at_sixteen_levels(self):
         # the (16, 16, 16, 16) state stack is 1 MiB; no d^4 instrument is formed

@@ -321,6 +321,17 @@ class TestRandomScenario:
         a = bt.random_scenario(3, np.int64(11))
         assert a.fingerprint == bt.random_scenario(3, 11).fingerprint
 
+    @pytest.mark.parametrize("d", [2.0, 2.5, True, "3", None])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, d):
+        with pytest.raises(errors.ValidationError) as err:
+            bt.random_scenario(d, 1)
+        assert err.value.has(errors.DomainMismatch)
+        assert "d must be an integer" in str(err.value)
+
+    def test_numpy_integer_dimension_is_the_same_instance(self):
+        a = bt.random_scenario(np.int64(3), 11)
+        assert a.dimension == 3 and a.fingerprint == bt.random_scenario(3, 11).fingerprint
+
     @settings(max_examples=25, deadline=None)
     @given(d=st.integers(min_value=2, max_value=5), seed=st.integers(min_value=0, max_value=10 ** 6))
     def test_generator_pvm_invariants(self, d, seed):

@@ -1,4 +1,9 @@
+import collections
 import math
+import pickle
+import sys
+import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -241,6 +246,21 @@ class TestPropagatorsAlong:
         assert sum(calls) == 621
         assert 0 < len(calls) <= -(-621 // propagate._chunk_len(2))
 
+    def test_a_second_walk_diagonalises_nothing(self, monkeypatch):
+        schedule = driven_schedule()
+        sc = scenario_of(schedule)
+        times = [0.97 * (k + 1) for k in range(10)]
+        first = bt.propagators_along(schedule, times)
+        calls = count_eigh(monkeypatch)
+        again = bt.propagators_along(schedule, times)
+        list(heisenberg_pvm_stacks(sc, times[3:]))
+        bt.heisenberg_projector(sc, 1.0, 5.0)
+        bt.propagator(schedule, 0.3, 9.7)
+        list(uniform_step_runs(schedule, 9.7, 64))
+        assert calls == []
+        for u, v in zip(first, again):
+            np.testing.assert_array_equal(u.matrix, v.matrix)
+
 
 def expand_runs(runs) -> list:
     """One step exponential per step, from ``(dU, m)`` runs."""
@@ -322,11 +342,12 @@ def edges_and_midpoints(schedule) -> list:
 
 
 CHUNKED = {
-    # schedule, points on and between its segment edges
-    "driven": (driven_schedule(segments=8, horizon=2.0), [0.0, 0.1, 0.25, 0.5, 0.6, 0.75, 1.0, 1.3, 1.75, 2.0]),
-    "irregular": (irregular_schedule(), edges_and_midpoints(irregular_schedule())),
-    "unbounded": (unbounded_schedule(), [0.0, 0.2, 0.5, 0.7, 1.0, 1.4, 3.0]),
-    "static": (bt.HamiltonianSchedule.from_static(0.3 * SIGMA_X + 0.2 * SIGMA_Z), [0.0, 0.4, 2.5]),
+    # a fresh schedule per call, whose memo no earlier walk has grown, and
+    # points on and between its segment edges
+    "driven": lambda: (driven_schedule(segments=8, horizon=2.0), [0.0, 0.1, 0.25, 0.5, 0.6, 0.75, 1.0, 1.3, 1.75, 2.0]),
+    "irregular": lambda: (irregular_schedule(), edges_and_midpoints(irregular_schedule())),
+    "unbounded": lambda: (unbounded_schedule(), [0.0, 0.2, 0.5, 0.7, 1.0, 1.4, 3.0]),
+    "static": lambda: (bt.HamiltonianSchedule.from_static(0.3 * SIGMA_X + 0.2 * SIGMA_Z), [0.0, 0.4, 2.5]),
 }
 
 
@@ -347,7 +368,7 @@ class TestChunkEdges:
     @pytest.mark.parametrize("name", list(CHUNKED))
     def test_propagator(self, chunk, name):
         # t_from and t_to on segment edges, chunk edges and inside both
-        schedule, points = CHUNKED[name]
+        schedule, points = CHUNKED[name]()
         for i, lo in enumerate(points):
             for hi in points[i:]:
                 u = bt.propagator(schedule, lo, hi).matrix
@@ -356,13 +377,14 @@ class TestChunkEdges:
 
     @pytest.mark.parametrize("name", list(CHUNKED))
     def test_propagators_along_and_heisenberg_stacks(self, chunk, name, monkeypatch):
-        schedule, points = CHUNKED[name]
+        schedule, points = CHUNKED[name]()
         calls = count_eigh(monkeypatch)
         us = bt.propagators_along(schedule, points)
         sc = scenario_of(schedule)
         stacks = list(heisenberg_pvm_stacks(sc, points))
         covered = next(k for k, (_, b, _) in enumerate(schedule.segments) if b >= points[-1]) + 1
-        assert max(calls) <= chunk and sum(calls) == 2 * covered
+        # the stacks read the segments the propagators factored
+        assert max(calls) <= chunk and sum(calls) == covered
         projectors = np.stack(sc.pvm.projectors)
         for u, stack, t in zip(us, stacks, points):
             want = oracle_piece_propagator(schedule, 0.0, t)
@@ -375,21 +397,18 @@ class TestChunkEdges:
         ("irregular", 2.9, 11), ("unbounded", 1.7, 5), ("static", 2.5, 4),
     ])
     def test_uniform_step_runs(self, chunk, name, t, n):
-        schedule, _ = CHUNKED[name]
+        schedule, _ = CHUNKED[name]()
         steps = expand_runs(uniform_step_runs(schedule, t, n))
         assert len(steps) == n
         u = np.eye(schedule.dimension, dtype=complex)
-        for j, du in enumerate(steps, start=1):
-            lo, hi = t * ((j - 1) / n), t * (j / n)
-            inside = [h for a, b, h in schedule.segments if a <= lo and hi <= b]
-            want = expm_hermitian(inside[0], -1j * (t / n)) if inside else oracle_piece_propagator(schedule, lo, hi)
+        for du, want in zip(steps, step_oracle(schedule, t, n)):
             np.testing.assert_array_equal(du, want)
             u = du @ u
         np.testing.assert_allclose(u, oracle_propagator(schedule, 0.0, t), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["unbounded", "static"])
     def test_unbounded_segment_never_exponentiated_whole(self, chunk, name, monkeypatch):
-        schedule, points = CHUNKED[name]
+        schedule, points = CHUNKED[name]()
         scales = []
         expm = propagate.expm_from_eigh
         monkeypatch.setattr(
@@ -426,6 +445,170 @@ class TestOverflowingSegment:
             steps = expand_runs(uniform_step_runs(schedule, 3.0, 6))
         # each step is its own exponential: only those on [1, 2] are NaN
         assert [bool(np.isfinite(du).all()) for du in steps] == [True, True, False, False, True, True]
+
+
+def step_oracle(schedule, t: float, n: int) -> list:
+    """Each step of a uniform grid over [0, t]: its segment's exponential, or the piece product across edges."""
+    steps = []
+    for j in range(1, n + 1):
+        lo, hi = t * ((j - 1) / n), t * (j / n)
+        inside = [h for a, b, h in schedule.segments if a <= lo and hi <= b]
+        steps.append(expm_hermitian(inside[0], -1j * (t / n)) if inside else oracle_piece_propagator(schedule, lo, hi))
+    return steps
+
+
+def query(kind: str, schedule, args) -> list:
+    """The arrays one query returns, in order."""
+    if kind == "propagator":
+        return [bt.propagator(schedule, *args).matrix]
+    if kind == "along":
+        return [u.matrix for u in bt.propagators_along(schedule, args)]
+    if kind == "projector":
+        return [bt.heisenberg_projector(scenario_of(schedule), *args)]
+    runs = list(uniform_step_runs(schedule, *args))
+    return [np.array([m for _, m in runs], dtype=float)] + expand_runs(runs)
+
+
+def query_oracle(kind: str, schedule, args) -> list:
+    if kind == "propagator":
+        return [oracle_piece_propagator(schedule, *args)]
+    if kind == "along":
+        return [oracle_piece_propagator(schedule, 0.0, t) for t in args]
+    if kind == "projector":
+        f, t = args
+        u = oracle_piece_propagator(schedule, 0.0, t)
+        return [u.conj().T @ scenario_of(schedule).pvm.projector(f) @ u]
+    return step_oracle(schedule, *args)
+
+
+class TestMemo:
+    """One schedule's memo, whatever its queries and their order, gives what a fresh schedule gives."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        d=st.sampled_from([1, 2, 3]),
+        segments=st.integers(min_value=1, max_value=9),
+        unbounded=st.booleans(),
+        over_cap=st.booleans(),
+        chunk=st.sampled_from([1, 2, 3, 256]),
+        data=st.data(),
+    )
+    def test_queries_in_any_order_are_bitwise_a_fresh_schedule_and_the_oracle(
+            self, seed, d, segments, unbounded, over_cap, chunk, data):
+        rng = np.random.default_rng(seed)
+        edges = [0.0, *np.unique(rng.uniform(0.0, 3.0, segments - 1)).tolist(), 3.0]
+        if unbounded:
+            edges[-1] = math.inf
+        g = rng.standard_normal((len(edges) - 1, d, d)) + 1j * rng.standard_normal((len(edges) - 1, d, d))
+        pieces = tuple((a, b, 0.5 * (x + x.conj().T)) for a, b, x in zip(edges[:-1], edges[1:], g))
+        # segment edges, t_from > 0 and times past the last finite edge are all reachable
+        point = st.one_of(st.sampled_from(edges[:-1] + [3.0]), st.floats(min_value=0.0, max_value=4.0 if unbounded else 3.0))
+        kinds = data.draw(st.lists(st.sampled_from(["propagator", "along", "projector", "runs"]), min_size=1, max_size=6))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(propagate, "_chunk_len", lambda d: chunk)
+            if over_cap:
+                patch.setattr(propagate, "_MEMO_BYTES", 0)
+            shared = bt.HamiltonianSchedule(pieces)
+            for kind in kinds:
+                if kind == "propagator":
+                    args = tuple(sorted((data.draw(point), data.draw(point))))
+                elif kind == "along":
+                    args = sorted(data.draw(st.lists(point, max_size=5)))
+                elif kind == "projector":
+                    args = (float(data.draw(st.integers(min_value=0, max_value=d - 1))), data.draw(point))
+                else:
+                    args = (data.draw(point), data.draw(st.integers(min_value=1, max_value=7)))
+                got = query(kind, shared, args)
+                fresh = query(kind, bt.HamiltonianSchedule(pieces), args)
+                assert len(got) == len(fresh)
+                for x, y in zip(got, fresh):
+                    np.testing.assert_array_equal(x, y)
+                for x, y in zip(got[kind == "runs":], query_oracle(kind, shared, args)):
+                    np.testing.assert_array_equal(x, y)
+        assert ("_memo" in vars(shared)) is not over_cap
+
+    @pytest.mark.parametrize("make", [
+        driven_schedule,
+        lambda: irregular_schedule(d=16, segments=100),
+        lambda: unbounded_schedule(d=4),
+    ], ids=["driven_640", "irregular_d16", "unbounded_d4"])
+    def test_held_bytes_within_the_count_and_under_the_cap(self, make):
+        schedule = make()
+        d, n = schedule.dimension, len(schedule.segments)
+        t = min(schedule.horizon, 10.0)
+        bt.propagator(make(), 0.0, t)  # the first walk at this dimension caches its chunk length
+        tracemalloc.start()
+        try:
+            bt.propagator(schedule, 0.0, t)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        count = propagate._memo_bytes(d, n)
+        assert schedule._memo.factored == schedule._memo.prefixed == n
+        # all of it but one whole exponential and the small objects is held
+        assert count - 16 * d * d - 2048 <= held <= count <= propagate._MEMO_BYTES
+
+    def test_a_schedule_over_the_cap_keeps_no_memo_and_streams(self, monkeypatch):
+        schedule = irregular_schedule(d=16, segments=100)
+        d, n = 16, 100
+        monkeypatch.setattr(propagate, "_MEMO_BYTES", propagate._memo_bytes(d, n) - 1)
+        for call in (
+            lambda: bt.propagator(schedule, 0.0, 2.9),
+            lambda: bt.propagator(schedule, 0.5, 2.9),
+            lambda: collections.deque(uniform_step_runs(schedule, 2.9, 37), maxlen=0),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= propagate._walk_bytes(d, n)
+        assert "_memo" not in vars(schedule)
+        monkeypatch.setattr(propagate, "_MEMO_BYTES", propagate._memo_bytes(d, n))
+        bt.propagator(schedule, 0.0, 2.9)
+        assert schedule._memo.factored > 0
+
+    def test_threads_sharing_a_schedule_see_what_one_thread_sees(self, monkeypatch):
+        # chunks of two, so that the threads race to factor and to extend the
+        # prefix products many times on one schedule
+        monkeypatch.setattr(propagate, "_chunk_len", lambda d: 2)
+        times = [0.97 * (k + 1) for k in range(10)]
+        want = [u.matrix for u in bt.propagators_along(driven_schedule(segments=160), times)]
+        shared = driven_schedule(segments=160)
+        got, errors_seen = {}, []
+
+        def walk(i):
+            try:
+                got[i] = [bt.propagator(shared, 0.0, t).matrix for t in times[i % 3::3]]
+                got[i] += [du for du, _ in uniform_step_runs(shared, times[-1 - i % 4], 5)]
+            except Exception as exc:  # reported after the join
+                errors_seen.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=walk, args=(i,)) for i in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and not errors_seen
+        fresh = driven_schedule(segments=160)
+        for i in range(6):
+            runs = [du for du, _ in uniform_step_runs(fresh, times[-1 - i % 4], 5)]
+            for x, y in zip(got[i], want[i % 3::3] + runs, strict=True):
+                np.testing.assert_array_equal(x, y)
+
+    def test_a_pickled_schedule_starts_an_empty_memo(self):
+        schedule = driven_schedule(segments=8, horizon=2.0)
+        want = bt.propagator(schedule, 0.0, 1.3).matrix
+        copy = pickle.loads(pickle.dumps(schedule))
+        assert copy._memo.factored == 0
+        np.testing.assert_array_equal(bt.propagator(copy, 0.0, 1.3).matrix, want)
 
 
 class TestUnitaryMatrix:
