@@ -24,6 +24,7 @@ once and frozen.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .model import DensityOperator, ObservablePVM, QuantumScenario, TimeGrid, check_defect
 from .propagate import heisenberg_pvm_stacks
-from .serialize import format_floats
+from .serialize import as_count, as_reals, format_floats
 
 MEMORY_BUDGET = 64 * 2**20  # bytes
 _TABLE_BLOCK_BYTES = 2**20  # the rows of W that one column block of a table reads
@@ -59,8 +60,8 @@ class BiOutcome:
     minus: tuple
 
     def __post_init__(self):
-        plus = tuple(float(f) for f in self.plus)
-        minus = tuple(float(f) for f in self.minus)
+        plus = as_reals(self.plus, "outcome")
+        minus = as_reals(self.minus, "outcome")
         if len(plus) != len(minus):
             raise LengthMismatch(
                 f"plus tuple has length {len(plus)}, minus {len(minus)}"
@@ -114,9 +115,7 @@ class BiDistribution:
             )
         table.setflags(write=False)
         object.__setattr__(self, "table", table)
-        object.__setattr__(
-            self, "outcome_sets", tuple(tuple(float(f) for f in s) for s in self.outcome_sets)
-        )
+        object.__setattr__(self, "outcome_sets", _outcome_sets(self.outcome_sets))
 
     def assert_well_formed(self) -> None:
         """Raise unless normalization and latest-slot causality hold.
@@ -172,12 +171,7 @@ class BiDistribution:
 
         Entry k = i*K + j of the flattened table is Q(labels[i]; labels[j]).
         """
-        rev = self.sizes[::-1]
-        if not rev:
-            return [()]
-        digits = np.unravel_index(np.arange(math.prod(rev)), rev)
-        columns = [np.asarray(s)[d].tolist() for s, d in zip(self.outcome_sets[::-1], digits)]
-        return list(zip(*columns))
+        return list(itertools.product(*self.outcome_sets[::-1]))
 
     def entries(self) -> Iterator[tuple]:
         labels = self._labels()
@@ -241,35 +235,26 @@ class TupleFunction:
             )
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(
-            self, "outcome_sets", tuple(tuple(float(f) for f in s) for s in self.outcome_sets)
-        )
+        object.__setattr__(self, "outcome_sets", _outcome_sets(self.outcome_sets))
 
     @classmethod
     def from_callable(
         cls, grid: TimeGrid, outcome_sets, fn: Callable[[BiOutcome], complex]
     ) -> "TupleFunction":
-        sets = tuple(tuple(float(f) for f in s) for s in outcome_sets)
-        sizes = tuple(len(s) for s in sets)
-        n = len(grid)
-        rev = sizes[::-1]
-        sets_rev = sets[::-1]
-        values = np.empty(rev + rev, dtype=complex)
-        for idx in np.ndindex(*values.shape):
-            plus = tuple(sets_rev[a][idx[a]] for a in range(n))
-            minus = tuple(sets_rev[a][idx[n + a]] for a in range(n))
-            values[idx] = fn(BiOutcome(plus, minus))
-        return cls(grid, sets, values)
+        sets = _outcome_sets(outcome_sets)
+        labels = list(itertools.product(*sets[::-1]))  # latest-first tuples, in table row order
+        values = np.array([fn(BiOutcome(p, m)) for p in labels for m in labels], dtype=complex)
+        rev = tuple(len(s) for s in sets[::-1])
+        return cls(grid, sets, values.reshape(rev + rev))
 
     @classmethod
     def constant(cls, grid: TimeGrid, outcome_sets, value: complex = 1.0) -> "TupleFunction":
-        sets = tuple(tuple(float(f) for f in s) for s in outcome_sets)
-        sizes = tuple(len(s) for s in sets)[::-1]
-        return cls(grid, sets, np.full(sizes + sizes, value, dtype=complex))
+        sizes = tuple(len(s) for s in outcome_sets)[::-1]
+        return cls(grid, outcome_sets, np.full(sizes + sizes, value, dtype=complex))
 
     @classmethod
     def indicator(cls, grid: TimeGrid, outcome_sets, outcome: BiOutcome) -> "TupleFunction":
-        sets = tuple(tuple(float(f) for f in s) for s in outcome_sets)
+        sets = _outcome_sets(outcome_sets)
         sizes = tuple(len(s) for s in sets)[::-1]
         values = np.zeros(sizes + sizes, dtype=complex)
         values[_lattice_indices(sets, outcome)] = 1.0
@@ -282,7 +267,7 @@ class TupleFunction:
         ``fine_grid``; added slots are broadcast over.  The injection is
         order-preserving, so a reshape with singleton axes suffices.
         """
-        fine_sets = tuple(tuple(float(f) for f in s) for s in fine_outcome_sets)
+        fine_sets = _outcome_sets(fine_outcome_sets)
         n_fine = len(fine_grid)
         matched = set()
         for j, t in enumerate(self.grid.times):
@@ -304,6 +289,11 @@ class TupleFunction:
 
 
 # -- evaluation machinery ----------------------------------------------------
+
+
+def _outcome_sets(sets) -> tuple:
+    """Each slot's admissible outcomes as a tuple of floats."""
+    return tuple(as_reals(s, "outcome set entry") for s in sets)
 
 
 def _lattice_indices(outcome_sets: tuple, outcome: BiOutcome) -> tuple:
@@ -525,9 +515,8 @@ def full_distribution(scenario: QuantumScenario, grid: TimeGrid) -> BiDistributi
 
 def diagonal_probability(scenario: QuantumScenario, grid: TimeGrid, outcomes) -> float:
     """P(f_n,...,f_1): the diagonal bi-probability, a genuine probability."""
-    tup = tuple(float(f) for f in outcomes)
-    q = eval_biprob(scenario, grid, BiOutcome(tup, tup))
-    return float(q.real)
+    tup = as_reals(outcomes, "outcome")
+    return eval_biprob(scenario, grid, BiOutcome(tup, tup)).real
 
 
 def _slot_sum(table: np.ndarray, position: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -564,6 +553,7 @@ def marginalize(dist: BiDistribution, position: int) -> BiDistribution:
     result matches a direct evaluation on the reduced grid.
     """
     n = dist.n
+    position = as_count(position, "position")
     if not 1 <= position <= n:
         raise IndexOutOfRange(f"position {position} outside 1..{n}")
 

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .biprob import BiDistribution, full_distribution
+from .biprob import BiDistribution, check_budget, full_distribution
 from .errors import LengthMismatch, NonFiniteTime, OutOfHorizon, TooCoarse
-from .model import _HERMITICITY_CHUNK_BYTES, HamiltonianSchedule, QuantumScenario, TimeGrid, _spectral_norms
+from .model import HamiltonianSchedule, QuantumScenario, TimeGrid, _per_chunk, _spectral_norms
+from .serialize import as_count, as_real
 
 REFINEMENT_SCAN_CAP = 10 ** 6
 
@@ -30,22 +31,18 @@ def l1_norm(dist: BiDistribution) -> float:
 
 def nonuniform_bound(dist: BiDistribution) -> float:
     """Lattice-size bound |Omega|^n (product of slot sizes for mixed slots)."""
-    out = 1.0
-    for k in dist.sizes:
-        out *= k
-    return out
+    return float(math.prod(dist.sizes))
 
 
 def _norm_integral(schedule: HamiltonianSchedule, horizon: float) -> float:
     """int_0^horizon ||H(s)||_op ds, segment-exactly.
 
-    The pieces' norms come from batched SVDs of at most
-    ``_HERMITICITY_CHUNK_BYTES`` of pieces at 16 d^2 bytes each, the bound of
-    the schedule's own Hermiticity check, and are summed in time order, so no
-    quadrature error can under-report the integral.
+    The pieces' norms come from batched SVDs of one chunk of pieces at a
+    time, the chunks of the schedule's own Hermiticity check, and are summed
+    in time order, so no quadrature error can under-report the integral.
     """
     pieces = schedule.pieces(0.0, horizon)
-    per_chunk = max(1, _HERMITICITY_CHUNK_BYTES // (16 * schedule.dimension ** 2))
+    per_chunk = _per_chunk(schedule.dimension)
     integral = 0.0
     while chunk := list(itertools.islice(pieces, per_chunk)):
         norms = _spectral_norms(np.array([h for _, _, h in chunk]))
@@ -69,7 +66,7 @@ def uniform_bound(scenario: QuantumScenario, horizon: float) -> float:
     schedule.  An exponent beyond the float range gives ``math.inf``, still
     an upper bound.
     """
-    horizon = float(horizon)
+    horizon = as_real(horizon, "horizon")
     if not math.isfinite(horizon):
         raise NonFiniteTime(f"horizon must be finite, got {horizon}")
     if horizon < 0 or horizon > scenario.schedule.horizon:
@@ -92,7 +89,7 @@ class RefinementMesh:
     injection: tuple
 
     def __post_init__(self):
-        inj = tuple(int(k) for k in self.injection)
+        inj = tuple(as_count(k, "injection position") for k in self.injection)
         n, big_n = len(self.base), len(self.refined)
         if len(inj) != n:
             raise LengthMismatch(f"injection length {len(inj)} != base grid length {n}")
@@ -167,9 +164,11 @@ def build_refinement(grid: TimeGrid, size: int, horizon: float | None = None) ->
     if n == 0:
         raise LengthMismatch("cannot refine an empty grid")
     t_n = grid.times[-1]
-    if horizon is not None and t_n > float(horizon):
+    if horizon is not None and t_n > as_real(horizon, "horizon"):
         raise OutOfHorizon(f"grid reaches {t_n}, beyond the stated horizon {horizon}")
-    size = int(size)
+    size = as_count(size, "refinement size")
+    # the times as a list and as the grid's tuple, with their floats and the reader's list
+    check_budget(64 * size, "refined grid")
     ks = _snap_positions(grid, size) if size >= n else None  # a smaller size never snaps
     if ks is None:
         minimum = minimum_refinement_size(grid)
@@ -183,7 +182,7 @@ def build_refinement(grid: TimeGrid, size: int, horizon: float | None = None) ->
         taus[k - 1] = grid.times[j - 1]
     taus[size - 1] = t_n
     injection = tuple(ks) + (size,)
-    return RefinementMesh(base=grid, refined=TimeGrid(tuple(taus)), injection=injection)
+    return RefinementMesh(base=grid, refined=TimeGrid(taus), injection=injection)
 
 
 def refinement_monotonicity(scenario: QuantumScenario, mesh: RefinementMesh) -> MonotonicityRecord:

@@ -87,11 +87,16 @@ def load_config(path: str):
     return validate_scenario(cfg)
 
 
-def _parse_times(raw: str) -> TimeGrid:
+def _numbers(flag: str, raw: str, kind=float) -> list:
+    """A flag's comma-separated numbers, empty items skipped; an unreadable one is a ParseError."""
     try:
-        values = tuple(float(x) for x in raw.split(",") if x.strip() != "")
+        return [kind(x) for x in raw.split(",") if x.strip() != ""]
     except ValueError as exc:
-        raise ParseError(f"--times: {exc}") from exc
+        raise ParseError(f"{flag}: {exc}") from exc
+
+
+def _parse_times(raw: str) -> TimeGrid:
+    values = tuple(_numbers("--times", raw))
     if not values:
         raise ParseError("--times: need at least one time")
     if len(set(values)) != len(values):
@@ -103,10 +108,7 @@ def _read_outcome(args, sets: Sequence[tuple]) -> BiOutcome:
     """``--plus`` and ``--minus``, each value matched to its slot's outcomes (``sets``, latest first)."""
     legs = []
     for flag, raw in (("--plus", args.plus), ("--minus", args.minus)):
-        try:
-            values = [float(x) for x in raw.split(",") if x.strip() != ""]
-        except ValueError as exc:
-            raise ParseError(f"{flag}: {exc}") from exc
+        values = _numbers(flag, raw)
         if len(values) != len(sets):
             raise LengthMismatch(f"{flag}: {len(values)} values for a grid of length {len(sets)}")
         leg = []
@@ -307,10 +309,7 @@ def _cmd_opensys(args) -> tuple:
     if not isinstance(model, OpenModel):
         raise ParseError(f"{args.model}: expected an open-system model with a 'system' block")
     if args.study:
-        try:
-            steps = [int(x) for x in args.study.split(",") if x.strip() != ""]
-        except ValueError as exc:
-            raise ParseError(f"--study: {exc}") from exc
+        steps = _numbers("--study", args.study, int)
         points = convergence_study(model, args.time, steps)
         lines = [_csv_line((str(pt.n_steps), format_float(pt.error))) for pt in points]
         return [_csv_line(("n_steps", "error"))] + lines, 0

@@ -22,13 +22,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import serialize
+from .serialize import as_count, as_real, as_reals
 from .errors import (
     BadTrace,
     DegenerateInterval,
@@ -41,12 +41,13 @@ from .errors import (
     OutOfHorizon,
     ParseError,
     UncoveredOutcome,
+    UnknownOutcome,
     ValidationError,
 )
 
 DEFAULT_TOL = 1e-10
 SEGMENTS_PER_UNIT_TIME = 64
-_HERMITICITY_CHUNK_BYTES = 2**18
+_CHUNK_BYTES = 2**18  # what one chunk of stacked schedule segments may hold
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -66,6 +67,11 @@ def _as_operator(obj, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a.view(float))):
         raise ValidationError([DomainMismatch(f"{name}: entries must be finite")])
     return a
+
+
+def _per_chunk(d: int) -> int:
+    """d x d complex matrices in one chunk of ``_CHUNK_BYTES``, at least one."""
+    return max(1, _CHUNK_BYTES // (16 * d * d))
 
 
 def _spectral_norm(a: np.ndarray) -> float:
@@ -136,7 +142,7 @@ class HamiltonianSchedule:
         dim = None
         prev_end = 0.0
         for k, (a, b, h) in enumerate(self.segments):
-            a, b = float(a), float(b)
+            a, b = as_real(a, "schedule segment time"), as_real(b, "schedule segment time")
             h = _as_operator(h, f"schedule segment {k}")
             violations = []
             found.append(violations)
@@ -168,7 +174,7 @@ class HamiltonianSchedule:
             prev_end = b
             cleaned.append((a, b, _frozen(h)))
         # the check holds about four copies of each chunk of segments it stacks
-        per_chunk = max(1, _HERMITICITY_CHUNK_BYTES // (16 * (dim or 1) ** 2))
+        per_chunk = _per_chunk(dim or 1)
         for i in range(0, len(same_dim), per_chunk):
             chunk = same_dim[i:i + per_chunk]
             stack = np.stack([h for _, h in chunk])
@@ -184,7 +190,7 @@ class HamiltonianSchedule:
 
     @classmethod
     def from_static(cls, h, horizon: float = math.inf) -> "HamiltonianSchedule":
-        return cls(((0.0, float(horizon), h),))
+        return cls(((0.0, as_real(horizon, "schedule horizon"), h),))
 
     @classmethod
     def from_function(
@@ -196,12 +202,19 @@ class HamiltonianSchedule:
         """Midpoint-sample a smooth ``t -> H(t)`` into a piecewise schedule.
 
         ``segments`` defaults to ``SEGMENTS_PER_UNIT_TIME`` per unit of time.
+        The schedule holds at least 512 bytes a segment, whatever its
+        dimension, and that count must fit the working-memory budget.
         """
-        horizon = float(horizon)
+        from .biprob import check_budget  # biprob imports this module
+        horizon = as_real(horizon, "from_function: horizon")
         if not (horizon > 0 and math.isfinite(horizon)):
             raise ValidationError([DomainMismatch("from_function: horizon must be finite and positive")])
         if segments is None:
-            segments = max(1, math.ceil(SEGMENTS_PER_UNIT_TIME * horizon))
+            segments = SEGMENTS_PER_UNIT_TIME * horizon  # a float, inf past the float range
+        elif as_count(segments, "from_function: segments") < 1:
+            raise ValidationError([DomainMismatch(f"from_function: segments must be >= 1, got {segments}")])
+        check_budget(512 * segments, "sampled schedule")
+        segments = math.ceil(segments)
         edges = np.linspace(0.0, horizon, segments + 1)
         segs = []
         for a, b in zip(edges[:-1], edges[1:]):
@@ -241,7 +254,7 @@ class ObservablePVM:
     projectors: tuple
 
     def __post_init__(self):
-        outcomes = tuple(float(f) for f in self.outcomes)
+        outcomes = as_reals(self.outcomes, "pvm: outcome")
         projectors = tuple(_as_operator(p, f"projector[{k}]") for k, p in enumerate(self.projectors))
         violations = []
         if len(outcomes) != len(projectors):
@@ -288,12 +301,8 @@ class ObservablePVM:
 
     @classmethod
     def computational_basis(cls, d: int) -> "ObservablePVM":
-        projectors = []
-        for k in range(d):
-            p = np.zeros((d, d), dtype=complex)
-            p[k, k] = 1.0
-            projectors.append(p)
-        return cls(tuple(float(k) for k in range(d)), tuple(projectors))
+        k = range(as_count(d, "computational_basis: d"))
+        return cls(tuple(map(float, k)), tuple(np.diag([i == j for i in k]) for j in k))
 
     @property
     def dimension(self) -> int:
@@ -308,10 +317,9 @@ class ObservablePVM:
         return all(abs(np.trace(p).real - 1.0) <= 1e-9 for p in self.projectors)
 
     def index_of(self, outcome: float) -> int:
-        from .errors import UnknownOutcome
-
+        outcome = as_real(outcome, "outcome")
         for k, f in enumerate(self.outcomes):
-            if f == float(outcome):
+            if f == outcome:
                 return k
         raise UnknownOutcome(f"outcome {outcome} not in {self.outcomes}")
 
@@ -394,7 +402,7 @@ class TimeGrid:
     times: tuple
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
+        times = as_reals(self.times, "grid: time")
         if not all(math.isfinite(t) for t in times):
             raise ValidationError([NonFiniteTime(f"grid: times must be finite, got {times}")])
         if any(t <= 0 for t in times):
@@ -430,15 +438,10 @@ class QuantumScenario:
     pvm: ObservablePVM
 
     def __post_init__(self):
-        violations = []
-        d = int(self.dimension)
-        for name, dim in (
-            ("schedule", self.schedule.dimension),
-            ("state", self.state.dimension),
-            ("observable", self.pvm.dimension),
-        ):
-            if dim != d:
-                violations.append(DimensionMismatch(f"{name}: dimension {dim} != scenario dimension {d}"))
+        d = as_count(self.dimension, "scenario: dimension")
+        parts = (("schedule", self.schedule), ("state", self.state), ("observable", self.pvm))
+        violations = [DimensionMismatch(f"{name}: dimension {part.dimension} != scenario dimension {d}")
+                      for name, part in parts if part.dimension != d]
         if violations:
             raise ValidationError(violations)
         object.__setattr__(self, "dimension", d)
@@ -463,6 +466,7 @@ class QuantumScenario:
 
 def _rabi_hamiltonian(omega: float) -> np.ndarray:
     """omega * sigma_x / 2; a non-finite omega is rejected before the product warns."""
+    omega = as_real(omega, "hamiltonian.omega")
     if not math.isfinite(omega):
         raise ValidationError([DomainMismatch(f"hamiltonian.omega: must be finite, got {omega}")])
     return 0.5 * omega * PAULI_X
@@ -603,16 +607,9 @@ def coarse_grain_pvm(pvm: ObservablePVM, grouping: Mapping) -> ObservablePVM:
         raise UncoveredOutcome(f"grouping covers no outcome(s) {uncovered}")
     groups: dict = {}
     for f in pvm.outcomes:
-        label = grouping[f]
-        groups.setdefault(label, []).append(f)
-    outcomes = []
-    projectors = []
-    for label, members in groups.items():
-        if not isinstance(label, (int, float)):
-            raise ParseError(f"group label {label!r} is not a real number")
-        outcomes.append(float(label))
-        projectors.append(sum(pvm.projector(f) for f in members))
-    return ObservablePVM(tuple(outcomes), tuple(projectors))
+        groups.setdefault(as_real(grouping[f], "group label"), []).append(f)
+    projectors = [sum(pvm.projector(f) for f in members) for members in groups.values()]
+    return ObservablePVM(tuple(groups), tuple(projectors))
 
 
 def _haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -638,14 +635,12 @@ def random_scenario(
     ``outcome_groups`` (which must sum to d).  ``d`` must be an integer >= 2
     and ``seed`` an integer >= 0, so that every instance can be drawn again.
     """
-    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
-        raise ValidationError([DomainMismatch(f"random_scenario: d must be an integer, got {d!r}")])
-    if d < 2:
+    if as_count(d, "random_scenario: d must be an integer") < 2:
         raise ValidationError([DomainMismatch(f"random_scenario: d must be >= 2, got {d}")])
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if as_count(seed, "random_scenario: seed must be an integer >= 0") < 0:
         raise ValidationError([DomainMismatch(f"random_scenario: seed must be an integer >= 0, got {seed!r}")])
     if outcome_groups is not None:
-        sizes = tuple(int(s) for s in outcome_groups)
+        sizes = tuple(as_count(s, "random_scenario: outcome_groups") for s in outcome_groups)
         if any(s < 1 for s in sizes) or sum(sizes) != d:
             raise ValidationError(
                 [DomainMismatch(f"random_scenario: outcome_groups {sizes} must be positive and sum to {d}")]
@@ -669,21 +664,11 @@ def random_scenario(
     w = _haar_unitary(d, rng)
     if outcome_groups is None:
         projectors = [np.outer(w[:, k], w[:, k].conj()) for k in range(d)]
-        outcomes = tuple(float(k) for k in range(d))
-    else:
-        projectors = []
-        outcomes = []
-        start = 0
-        for label, size in enumerate(sizes):
-            block = w[:, start:start + size]
-            projectors.append(block @ block.conj().T)
-            outcomes.append(float(label))
-            start += size
-        outcomes = tuple(outcomes)
-
+    else:  # the blocks of consecutive columns
+        projectors = [w[:, b - s:b] @ w[:, b - s:b].conj().T for s, b in zip(sizes, np.cumsum(sizes))]
     return QuantumScenario(
         dimension=d,
         schedule=HamiltonianSchedule.from_static(h),
         state=state,
-        pvm=ObservablePVM(outcomes, tuple(projectors)),
+        pvm=ObservablePVM(tuple(map(float, range(len(projectors)))), tuple(projectors)),
     )

@@ -44,6 +44,7 @@ from .model import (
     check_defect,
 )
 from .propagate import TOL_UNITARY, propagators_along
+from .serialize import as_count, as_real, as_reals
 
 @dataclass(frozen=True, eq=False)
 class ObservableSequence:
@@ -126,8 +127,8 @@ class GenericTuple:
         for u in us:
             if u.shape != (d, d):
                 raise DimensionMismatch(f"unitary shapes differ: {u.shape} vs {(d, d)}")
-        plus = tuple(int(k) for k in self.plus)
-        minus = tuple(int(k) for k in self.minus)
+        plus = tuple(as_count(k, "basis index") for k in self.plus)
+        minus = tuple(as_count(k, "basis index") for k in self.minus)
         if len(plus) != len(us) or len(minus) != len(us):
             raise LengthMismatch(
                 f"{len(us)} unitaries with index tuples of lengths {len(plus)}, {len(minus)}"
@@ -155,19 +156,16 @@ def eval_generic(g: GenericTuple) -> complex:
     d = g.dimension
     if g.plus[0] != g.minus[0] or g.plus[-1] != g.minus[-1]:
         return 0.0 + 0.0j
-    left = np.eye(d, dtype=complex)
-    for j in range(n):  # ascending: U_1 ... U_n applied right-to-left
-        u = g.unitaries[j]
-        k = g.plus[n - 1 - j]
-        proj = np.outer(u[:, k], u[:, k].conj())
-        left = proj @ left
-    right = np.eye(d, dtype=complex)
-    for j in range(n - 1, -1, -1):
-        u = g.unitaries[j]
-        k = g.minus[n - 1 - j]
-        proj = np.outer(u[:, k], u[:, k].conj())
-        right = proj @ right
-    return complex(np.trace(left @ right))
+
+    def chain(indices, slots):  # the rotated basis projectors of the slots, applied right to left
+        m = np.eye(d, dtype=complex)
+        for j in slots:
+            u, k = g.unitaries[j], indices[n - 1 - j]
+            m = np.outer(u[:, k], u[:, k].conj()) @ m
+        return m
+
+    # ascending on the plus side (U_1 ... U_n), descending on the minus side
+    return complex(np.trace(chain(g.plus, range(n)) @ chain(g.minus, range(n - 1, -1, -1))))
 
 
 def generic_l1_norm(unitaries: Sequence[np.ndarray]) -> float:
@@ -252,7 +250,7 @@ class UnitaryPath:
 
     def __post_init__(self):
         segs = tuple(
-            (float(w), _as_operator(v, f"segment {i}: generator"))
+            (as_real(w, "path: duration"), _as_operator(v, f"segment {i}: generator"))
             for i, (w, v) in enumerate(self.segments)
         )
         if not segs:
@@ -288,7 +286,7 @@ class UnitaryPath:
 
     def _points(self, taus) -> list:
         """The curve points at ascending parameters in [0, 1], from one propagation walk."""
-        taus = [float(t) for t in taus]
+        taus = as_reals(taus, "path parameter")
         for tau in taus:
             if not 0.0 <= tau <= 1.0 + 1e-12:
                 raise IndexOutOfRange(f"path parameter {tau} outside [0, 1]")
@@ -342,7 +340,7 @@ def path_bound_check(
     d = path.dimension
     worst = 0.0
     for taus in parameter_grids:
-        taus = [float(t) for t in taus]
+        taus = as_reals(taus, "path parameter")
         if not all(b > a for a, b in zip(taus[:-1], taus[1:])):
             raise DegenerateInterval(f"parameter tuple {taus} must be strictly increasing")
         worst = max(worst, generic_l1_norm(path._points(taus)))

@@ -52,6 +52,7 @@ from .model import (
     validate_scenario,
 )
 from .propagate import _schedule_walk_bytes, _walk_bytes, propagator, uniform_step_runs
+from .serialize import as_count, as_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,13 +63,13 @@ class Superoperator:
     dim: int
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex)
+        object.__setattr__(self, "dim", as_count(self.dim, "superoperator dimension"))
         d2 = self.dim * self.dim
         if m.shape != (d2, d2):
             raise DimensionMismatch(
                 f"superoperator for dimension {self.dim} must be {d2}x{d2}, got {m.shape}"
             )
-        m = np.array(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -79,8 +80,9 @@ class Superoperator:
     @classmethod
     def from_sandwich(cls, x: np.ndarray, y: np.ndarray) -> "Superoperator":
         """The map A -> X A Y."""
-        x = np.asarray(x, dtype=complex)
-        return cls(np.kron(np.asarray(y, dtype=complex).T, x), x.shape[0])
+        x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex).T
+        kron = y[:, None, :, None] * x[None, :, None, :]  # kron(Y^T, X) bitwise, without its overhead
+        return cls(kron.reshape(len(y) * len(x), y.shape[1] * x.shape[1]), len(x))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return unvec(self.matrix @ vec(np.asarray(rho, dtype=complex)), self.dim)
@@ -127,7 +129,7 @@ class OpenModel:
             violations.append(DimensionMismatch(f"v_o: shape {v.shape} != h_o shape {h.shape}"))
         else:
             violations += check_hermitian(v, "v_o")
-        lam = float(self.coupling)
+        lam = as_real(self.coupling, "lambda")
         if not math.isfinite(lam):
             violations.append(DomainMismatch(f"lambda: must be finite, got {lam}"))
         violations += check_hermitian(self.coupling_operator, "coupling observable F")
@@ -201,11 +203,11 @@ def bitrajectory_map(
     matrix_power's temporaries or the reduced map, counts against the budget.
     At t = 0 every method gives the identity map, as the exact evolution does.
     """
-    if n_steps < 1:
+    if as_count(n_steps, "n_steps") < 1:
         raise DomainMismatch(f"n_steps must be >= 1, got {n_steps}")
     if method not in ("contract", "enumerate"):
         raise DomainMismatch(f"unknown method {method!r}")
-    t = float(t)
+    t = as_real(t, "time")
     if t == 0.0:
         return Superoperator.identity(model.system_dim)
     if method == "enumerate":
@@ -306,7 +308,7 @@ def _joint_schedule(model: OpenModel) -> SimpleNamespace:
 def exact_joint_map(model: OpenModel, t: float) -> Superoperator:
     """Reference map: joint unitary evolution followed by the partial trace."""
     check_budget(_exact_bytes(model), "exact map")
-    u = propagator(_joint_schedule(model), 0.0, float(t)).matrix
+    u = propagator(_joint_schedule(model), 0.0, t).matrix
     env = model.environment
     return _reduce_to_system(u, model.system_dim, env.dimension, env.state.matrix)
 
@@ -327,7 +329,7 @@ def convergence_study(
     The table is reported as computed; per-row monotonicity is an empirical
     observation, not a contract.
     """
-    steps = [int(n) for n in steps]
+    steps = [as_count(n, "step count") for n in steps]
     if any(b <= a for a, b in zip(steps[:-1], steps[1:])):
         raise DegenerateInterval(f"step counts must be ascending, got {steps}")
     # the exact map stays live beside each discretized map, then both beside

@@ -47,10 +47,10 @@ from .errors import (
     OutOfHorizon,
     ValidationError,
 )
-from .model import HamiltonianSchedule, QuantumScenario, _spectral_norm, check_defect
+from .model import _CHUNK_BYTES, HamiltonianSchedule, QuantumScenario, _spectral_norm, check_defect
+from .serialize import as_real, as_reals
 
 TOL_UNITARY = 1e-9
-_CHUNK_BYTES = 2**18  # what a walk holds of one chunk of segments
 _MEMO_BYTES = 2**22  # the most a schedule's memo may hold
 
 
@@ -285,8 +285,8 @@ def _walk(schedule: HamiltonianSchedule, t_from: float, times) -> Iterator[Unita
     prefix products, so a walk through factored segments does one partial
     exponential and one product per time.
     """
-    t_from = float(t_from)
-    times = [float(t) for t in times]
+    t_from = as_real(t_from, "t_from")
+    times = as_reals(times, "propagation time")
     ends = [t_from, *times]
     if not all(map(math.isfinite, ends)):
         raise NonFiniteTime(f"propagation times must be finite, got {ends}")
@@ -342,7 +342,7 @@ def uniform_step_runs(schedule: HamiltonianSchedule, t: float, n_steps: int) -> 
     segment edges is a run of length 1, bitwise the product of its pieces
     that :func:`propagator` forms.
     """
-    t = float(t)
+    t = as_real(t, "propagation time")
     if not math.isfinite(t):
         raise NonFiniteTime(f"propagation time must be finite, got {t}")
     if not 0 <= t <= schedule.horizon:

@@ -1,17 +1,23 @@
-"""JSON-friendly decoding of numbers and complex matrices.
+"""The package's one reading of numbers: arguments, JSON values and text.
 
-Complex numbers are read from two-element ``[re, im]`` lists or plain real
-numbers; matrices from nested lists of such entries.  A JSON boolean is not
-a number here, although Python's ``bool`` is an ``int``.  Floats destined
-for text output are rendered with 17 significant digits so that values
-round-trip exactly.
+A real is any ``numbers.Real`` and a count any ``numbers.Integral``, numpy
+scalars included, but never a bool (``np.bool_`` is no number at all).
+:func:`as_real` and :func:`as_count` read the scalar arguments of every
+public call and reject anything else with a DomainMismatch naming the
+argument; finiteness and range are the caller's checks.  Config numbers go
+through :func:`real_from_json`, which raises ParseError with the JSON path.
+Complex numbers are read from ``[re, im]`` lists or plain reals; matrices
+from nested lists of such entries.  Floats destined for text output are
+rendered with 17 significant digits so that values round-trip exactly.
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .errors import ParseError
+from .errors import DomainMismatch, ParseError, ValidationError
 
 
 def format_float(x: float) -> str:
@@ -24,7 +30,33 @@ def format_floats(values) -> list:
 
 
 def _is_real(obj) -> bool:
-    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+    return isinstance(obj, numbers.Real) and not isinstance(obj, bool)
+
+
+def as_real(x, what: str) -> float:
+    """The real argument ``what`` as a float; a float passes untouched."""
+    if type(x) is float:
+        return x
+    if _is_real(x):
+        try:
+            return float(x)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ValidationError([DomainMismatch(f"{what}: {x!r} is not a real number")])
+
+
+def as_reals(values, what: str) -> tuple:
+    """:func:`as_real` of every item of ``values``, as a tuple."""
+    return tuple([v if type(v) is float else as_real(v, what) for v in values])
+
+
+def as_count(x, what: str) -> int:
+    """The integer argument ``what`` as an int; an int passes untouched."""
+    if type(x) is int:
+        return x
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    raise ValidationError([DomainMismatch(f"{what}: {x!r} is not an integer")])
 
 
 def real_from_json(obj, where: str = "value") -> float:

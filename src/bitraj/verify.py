@@ -12,6 +12,7 @@ grids (the finite-scale shadow of the extension limit).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -41,6 +42,7 @@ from .errors import (
 )
 from .model import QuantumScenario, TimeGrid
 from .propagate import heisenberg_pvm_stacks
+from .serialize import as_count, as_real, as_reals
 
 DEFAULT_PROPERTY_TOL = 1e-9
 _SKETCH_WIDTH = 16  # least width p of the Q3 sketch
@@ -240,7 +242,7 @@ def check_properties(
     be finite and non-negative: any other value would fail or pass every
     check regardless of the table.
     """
-    tolerance = float(tolerance)
+    tolerance = as_real(tolerance, "tolerance")
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ValidationError(
             [DomainMismatch(f"tolerance must be finite and >= 0, got {tolerance}")]
@@ -331,13 +333,13 @@ def inconsistency_decomposition(
     precision, with the right-hand side real up to rounding.
     """
     n = len(grid)
+    position = as_count(position, "position")
     if not 1 <= position <= n:
         raise IndexOutOfRange(f"position {position} outside 1..{n}")
-    tup = tuple(float(f) for f in outcomes)
-    if len(tup) != n:
-        raise LengthMismatch(f"outcome tuple length {len(tup)} != grid length {n}")
+    probe = list(as_reals(outcomes, "outcome"))
+    if len(probe) != n:
+        raise LengthMismatch(f"outcome tuple length {len(probe)} != grid length {n}")
     # the probed component is ignored: any admissible value stands in for it
-    probe = list(tup)
     probe[n - position] = scenario.pvm.outcomes[0]
     outcome_sets = (scenario.pvm.outcomes,) * n
     idx = _lattice_indices(outcome_sets, BiOutcome(probe, probe))[:n][::-1]  # ascending
@@ -384,9 +386,7 @@ def _event_indices(dist: BiDistribution, event: Iterable) -> np.ndarray:
     sizes = dist.sizes[::-1]
     flat = []
     for tup in event:
-        tup = tuple(float(f) for f in tup)
-        if len(tup) != dist.n:
-            raise LengthMismatch(f"event tuple {tup} has length {len(tup)} != {dist.n}")
+        tup = as_reals(tup, "event outcome")
         idx = _lattice_indices(dist.outcome_sets, BiOutcome(tup, tup))[: dist.n]
         flat.append(int(np.ravel_multi_index(idx, sizes)) if sizes else 0)
     return np.array(sorted(set(flat)), dtype=int)
@@ -399,7 +399,7 @@ def grade2_check(dist: BiDistribution, a1, a2, a3) -> float:
     returned deviation is |mu(A1 u A2 u A3) - mu(A1 u A2) - mu(A2 u A3)
     - mu(A1 u A3) + mu(A1) + mu(A2) + mu(A3)|.
     """
-    k_total = int(np.prod(dist.sizes)) if dist.sizes else 1
+    k_total = math.prod(dist.sizes)
     m = dist.table.reshape(k_total, k_total)
     events = [_event_indices(dist, a) for a in (a1, a2, a3)]
     for i in range(3):
@@ -410,20 +410,12 @@ def grade2_check(dist: BiDistribution, a1, a2, a3) -> float:
                     f"events {i + 1} and {j + 1} share {common.size} tuple(s)"
                 )
 
-    def mu(idx: np.ndarray) -> complex:
-        if idx.size == 0:
-            return 0.0 + 0.0j
-        sub = m[np.ix_(idx, idx)]
-        return complex(sub.sum())
+    def mu(*parts) -> complex:  # of the union of the events
+        idx = functools.reduce(np.union1d, parts)
+        return complex(m[np.ix_(idx, idx)].sum())
 
     e1, e2, e3 = events
-    u12 = np.union1d(e1, e2)
-    u23 = np.union1d(e2, e3)
-    u13 = np.union1d(e1, e3)
-    u123 = np.union1d(u12, e3)
-    dev = (
-        mu(u123) - mu(u12) - mu(u23) - mu(u13) + mu(e1) + mu(e2) + mu(e3)
-    )
+    dev = mu(e1, e2, e3) - mu(e1, e2) - mu(e2, e3) - mu(e1, e3) + mu(e1) + mu(e2) + mu(e3)
     return float(abs(dev))
 
 

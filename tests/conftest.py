@@ -33,6 +33,15 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+BIG = 1e308
+
+# values that replace one input of a config file or of a public call: each
+# must be rejected with a BitrajError or computed correctly
+MUTANTS = (
+    float("nan"), float("inf"), -float("inf"), BIG, -BIG, 1000, 1000.0,
+    "x", None, True, False, [], [[1]], [1, [2, 3]], {"a": 1},
+)
+
 PAULI_X_PVM = ObservablePVM(
     (1.0, -1.0),
     (0.5 * np.array([[1, 1], [1, 1]]), 0.5 * np.array([[1, -1], [-1, 1]])),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import bitraj as bt
-from bitraj import bounds, errors
+from bitraj import errors, model
 
 from conftest import grid, oracle_table_l1, static_scenario
 
@@ -100,7 +100,7 @@ class TestUniformBound:
 
     def test_chunked_norms_equal_per_piece_loop(self, monkeypatch):
         # three pieces a chunk, so the 468 pieces up to 7.3 span 156 chunks
-        monkeypatch.setattr(bounds, "_HERMITICITY_CHUNK_BYTES", 3 * 16 * 2**2)
+        monkeypatch.setattr(model, "_CHUNK_BYTES", 3 * 16 * 2**2)
         self.test_batched_norms_equal_per_piece_loop("drive_640_segments")
 
     def test_peak_is_a_few_chunks(self):
@@ -117,7 +117,7 @@ class TestUniformBound:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * bounds._HERMITICITY_CHUNK_BYTES
+        assert peak <= 4 * model._CHUNK_BYTES
 
     def test_out_of_horizon(self):
         sched = bt.HamiltonianSchedule(((0.0, 1.0, np.diag([1.0, -1.0])),))
@@ -160,6 +160,27 @@ class TestBuildRefinement:
     def test_out_of_horizon(self):
         with pytest.raises(errors.OutOfHorizon):
             bt.build_refinement(grid(0.5, 1.0), 8, horizon=0.7)
+
+    def test_size_past_the_budget_is_refused_before_any_time_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.EnumerationTooLarge, match="refined grid"):
+                bt.build_refinement(grid(0.5, 1.0), 10**9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_refined_grid_peak_within_its_count(self):
+        size = 100_000
+        tracemalloc.start()
+        try:
+            mesh = bt.build_refinement(grid(0.3, 1.0), size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(mesh.refined) == size
+        assert peak <= 64 * size
 
 
 class TestRefinementMonotonicity:

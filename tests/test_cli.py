@@ -22,6 +22,8 @@ import bitraj as bt
 from bitraj.cli import load_config, run
 from bitraj import biprob, errors
 
+from conftest import BIG, MUTANTS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 RABI_CONFIG = {
@@ -497,7 +499,6 @@ def test_non_integer_study_steps_exit_2(capsys, model_config):
 
 # -- input fuzzing ---------------------------------------------------------------
 
-BIG = 1e308
 OVERFLOWING = [[0, BIG], [-BIG, 0]]  # finite entries, but A - A^dagger overflows
 
 STATIC_CONFIG = {
@@ -524,11 +525,6 @@ FUZZ_COMMANDS = (
     ("dist", "--config", "{path}", "--times", "0.5,1"),
     ("bound", "--config", "{path}", "--times", "0.5,1"),
     ("opensys", "--model", "{path}", "--time", "0.5", "--steps", "3"),
-)
-
-MUTANTS = (
-    float("nan"), float("inf"), -float("inf"), BIG, -BIG, 1000, 1000.0,
-    "x", None, True, False, [], [[1]], [1, [2, 3]], {"a": 1},
 )
 
 # Each of these used to escape ``run`` as a traceback, or to exit 0 with an

@@ -163,6 +163,28 @@ class TestSchedule:
         sched = bt.HamiltonianSchedule.from_function(lambda t: SIGMA_Z, horizon=0.5)
         assert len(sched.segments) == 32  # 64 per unit time
 
+    @pytest.mark.parametrize("horizon, segments", [(1e308, None), (1e7, None), (1.0, 10**9)])
+    def test_from_function_refuses_a_segment_count_past_the_budget(self, horizon, segments):
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.EnumerationTooLarge, match="sampled schedule"):
+                bt.HamiltonianSchedule.from_function(lambda t: SIGMA_Z, horizon, segments)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_from_function_holds_at_least_its_count_a_segment(self):
+        # the count is a floor: one 1 x 1 generator, shared by every segment
+        h = np.ones((1, 1))
+        tracemalloc.start()
+        try:
+            sched = bt.HamiltonianSchedule.from_function(lambda t: h, 100.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak >= 512 * len(sched.segments)
+
     def test_pieces_clipping(self):
         sched = bt.HamiltonianSchedule(((0.0, 1.0, SIGMA_X), (1.0, 2.0, SIGMA_Z)))
         pieces = list(sched.pieces(0.5, 1.5))
@@ -203,7 +225,7 @@ class TestSchedule:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= nbytes + 6 * model._HERMITICITY_CHUNK_BYTES
+        assert peak <= nbytes + 6 * model._CHUNK_BYTES
 
     @pytest.mark.parametrize("d, chunks", [(2, 1), (16, 10)])
     def test_hermiticity_chunks(self, d, chunks, monkeypatch):

@@ -64,6 +64,14 @@ class TestSuperoperator:
         s = bt.Superoperator.from_sandwich(x, y)
         np.testing.assert_allclose(s.apply(a), x @ a @ y, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_sandwich_is_bitwise_kron(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            np.testing.assert_array_equal(bt.Superoperator.from_sandwich(x, y).matrix, np.kron(y.T, x))
+
     def test_identity(self):
         rho = np.diag([0.2, 0.8])
         s = bt.Superoperator.identity(2)
