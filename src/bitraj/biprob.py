@@ -358,9 +358,11 @@ def latest_slot_causality(table: np.ndarray) -> tuple:
 def check_budget(nbytes: int, what: str) -> None:
     """Raise EnumerationTooLarge, before the array exists, if ``nbytes`` exceed the budget."""
     if nbytes > MEMORY_BUDGET:
-        raise EnumerationTooLarge(
-            f"{what} would take {nbytes} bytes, beyond the budget of {MEMORY_BUDGET} bytes"
-        )
+        try:
+            count = f"{nbytes}"
+        except ValueError:  # too many digits for str: the power of two it passes
+            count = f"over 2**{nbytes.bit_length() - 1}"
+        raise EnumerationTooLarge(f"{what} would take {count} bytes, beyond the budget of {MEMORY_BUDGET} bytes")
 
 
 def _state_factor(state: DensityOperator) -> tuple:
@@ -389,6 +391,15 @@ def _gram_rows(factor: np.ndarray, stacks: list) -> np.ndarray:
     return w
 
 
+def _check_table(sizes: tuple, d: int) -> None:
+    """Check against the budget the peak bytes of a table over slots of these PVM sizes."""
+    rows, step = math.prod(sizes), max(1, _TABLE_BLOCK_BYTES // (16 * d * d))
+    grown_from = rows // sizes[-1] if sizes else 0
+    # the state's cached eigenvectors, F and W beside the table and a block, or the rows W grows from
+    held = max(rows * rows + min(step, rows) * d * d, grown_from * d * d)
+    check_budget(16 * ((2 + rows) * d * d + held), "table")
+
+
 def _table_from_stacks(state: DensityOperator, stacks: list) -> np.ndarray:
     """Dense table as the Gram matrix of the path vectors w(f).
 
@@ -406,11 +417,7 @@ def _table_from_stacks(state: DensityOperator, stacks: list) -> np.ndarray:
     rows = math.prod(sizes)
     rho = state.matrix
     step = max(1, _TABLE_BLOCK_BYTES // (16 * rho.size))  # rows of W per block
-    grown_from = rows // sizes[-1] if sizes else 0
-    # the state's cached eigenvectors, F and W beside the table and one block,
-    # or beside the rows W grows from
-    held = max(rows * rows + min(step, rows) * rho.size, grown_from * rho.size)
-    check_budget(16 * ((2 + rows) * rho.size + held), "table")
+    _check_table(sizes, len(rho))
 
     factor, sign = _state_factor(state)
     w = _gram_rows(factor, stacks)
@@ -452,6 +459,7 @@ def _distribution_for_slots(
     """Dense table with a (possibly different) PVM per time slot."""
     if len(pvms) != len(grid):
         raise LengthMismatch(f"{len(pvms)} observables for a grid of length {len(grid)}")
+    _check_table(tuple(p.size for p in pvms), scenario.dimension)  # before any stack is walked
     stacks = list(heisenberg_pvm_stacks(scenario, grid.times, pvms))
     table = _table_from_stacks(scenario.state, stacks)
     dist = BiDistribution(

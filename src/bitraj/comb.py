@@ -18,7 +18,7 @@ from .biprob import BiOutcome, check_budget
 from .errors import LengthMismatch
 from .model import QuantumScenario, TimeGrid
 from .opensys import Superoperator
-from .propagate import _schedule_walk_bytes, heisenberg_projector, heisenberg_pvm_stacks
+from .propagate import _kept_memo_bytes, _walk_bytes, heisenberg_projector, heisenberg_pvm_stacks
 
 
 def bi_instrument(
@@ -83,7 +83,8 @@ def comb_table(scenario: QuantumScenario, grid: TimeGrid) -> np.ndarray:
     # one, or beside the table; and a projector stack beside the next one and
     # the walk that forms it
     held = max(s * s * d * d * (1 + k + k * k), (k**n) ** 2 * (d * d + 1)) + 2 * k * d * d
-    check_budget(16 * held + _schedule_walk_bytes(scenario.schedule), "comb state stack")
+    walk = _walk_bytes(d, len(scenario.schedule.segments)) + _kept_memo_bytes(scenario.schedule)
+    check_budget(16 * held + walk, "comb state stack")
     v = scenario.state.matrix[None, :, None, :]  # (K+, d, K-, d), K = 1
     # ascending slots, slot 1 applied first
     for projs in heisenberg_pvm_stacks(scenario, grid.times):

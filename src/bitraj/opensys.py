@@ -14,12 +14,13 @@ A -> tr_E[V (A kron rho_E) V^dagger] with V = T_n ... T_1.  As
 P_{t_j}(f) = U_j^dagger P(f) U_j, V is (1 kron U_n^dagger), which the trace
 drops, times the ordered product of G (1 kron dU_j), with the fixed
 G = sum_f A_f kron P(f) and dU_j = U(t_j, t_{j-1}).  The steps inside one
-environment segment share dU, so each run of them is one matrix power.  The
-exact map has V the joint propagator, built one environment segment at a
-time.  Neither forms a D^2 x D^2 superoperator: the working memory, a few
-D x D arrays and the d_o^2 x d_o^2 reduced map twice while it is reordered,
-counts against the working-memory budget before any of it exists; the
-enumerate method counts its trajectory table.
+environment segment share dU, so each run of them is one matrix power, one
+stacked call per run length in a byte-bounded batch, folded into V in order.
+The exact map has V the joint propagator, built one segment at a time.  Neither
+forms a D^2 x D^2 superoperator: the working memory, a few D x D arrays, a
+batch and the d_o^2 x d_o^2 reduced map twice while it is reordered, counts
+against the working-memory budget before any of it exists; the enumerate
+method counts its trajectory table from the PVM sizes, before any grid.
 
 Superoperators use column stacking throughout: vec(X A Y) = (Y^T kron X) vec(A).
 """
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import serialize
 from ._linalg import dagger, expm_hermitian, vec, unvec
-from .biprob import check_budget, full_distribution
+from .biprob import _check_table, check_budget, full_distribution
 from .errors import (
     DegenerateInterval,
     DimensionMismatch,
@@ -48,10 +49,11 @@ from .model import (
     QuantumScenario,
     TimeGrid,
     _as_operator,
+    _per_chunk,
     check_hermitian,
     validate_scenario,
 )
-from .propagate import _schedule_walk_bytes, _walk_bytes, propagator, uniform_step_runs
+from .propagate import _kept_memo_bytes, _walk_bytes, propagator, uniform_step_runs
 from .serialize import as_count, as_real
 
 
@@ -65,6 +67,8 @@ class Superoperator:
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         object.__setattr__(self, "dim", as_count(self.dim, "superoperator dimension"))
+        if self.dim < 1:
+            raise ValidationError([DimensionMismatch(f"superoperator dimension must be >= 1, got {self.dim}")])
         d2 = self.dim * self.dim
         if m.shape != (d2, d2):
             raise DimensionMismatch(
@@ -199,8 +203,9 @@ def bitrajectory_map(
     kept as an independent oracle; "contract" evaluates the identical sum as
     V = T_n ... T_1 in the module's step-run form (interior steps use dt = t/n,
     a step across segment edges is a run of its own), then the partial trace
-    of V (A kron rho_E) V^dagger, at any step count; its peak, V with G and
-    matrix_power's temporaries or the reduced map, counts against the budget.
+    of V (A kron rho_E) V^dagger, at any step count; its peak, V with G and a
+    batch of runs with matrix_power's temporaries, or the reduced map, counts
+    against the budget.
     At t = 0 every method gives the identity map, as the exact evolution does.
     """
     if as_count(n_steps, "n_steps") < 1:
@@ -217,6 +222,7 @@ def bitrajectory_map(
 
 def _bitrajectory_map_enumerate(model: OpenModel, t: float, n_steps: int) -> Superoperator:
     k = model.environment.pvm.size
+    _check_table((k,) * n_steps, model.environment.dimension)  # before the grid is built
     # t * (j / n) rather than t * j / n: the last point is then exactly t,
     # never one ulp past a horizon equal to t
     grid = TimeGrid(tuple(t * (j / n_steps) for j in range(1, n_steps + 1)))
@@ -243,12 +249,14 @@ def _reduction_bytes(d_o: int, d_e: int) -> int:
 
 
 def _contract_bytes(model: OpenModel) -> int:
-    # G and V beside matrix_power's base, square, result and next square,
-    # with the environment walk (building G beside the system steps holds
-    # less), or the reduction of V
-    d_o, env = model.system_dim, model.environment
-    walk = _schedule_walk_bytes(env.schedule)
-    return max(16 * 6 * model.joint_dim**2 + walk, _reduction_bytes(d_o, env.dimension))
+    # G, V and a batch of steps beside matrix_power's base (the steps or a copied part),
+    # square, result and next square, 1 + 5 per_batch D x D at most, with the walk and its
+    # batch of five stacks (G's making holds less), or the reduction; either beside the memo
+    d_o, d_e, env = model.system_dim, model.environment.dimension, model.environment
+    per_batch = _per_chunk(model.joint_dim)
+    walk = _walk_bytes(d_e, len(env.schedule.segments)) + 16 * per_batch * (5 * d_e * d_e + d_e)
+    steps = 16 * (1 + 5 * per_batch) * model.joint_dim**2 + walk
+    return _kept_memo_bytes(env.schedule) + max(steps, _reduction_bytes(d_o, d_e))
 
 
 def _exact_bytes(model: OpenModel) -> int:
@@ -261,16 +269,22 @@ def _exact_bytes(model: OpenModel) -> int:
 def _bitrajectory_map_contract(model: OpenModel, t: float, n_steps: int) -> Superoperator:
     check_budget(_contract_bytes(model), "contract map")
     env = model.environment
-    d_e = env.dimension
-    # V up to the environment unitary the trace drops; G (1 kron dU) is G's
-    # environment columns times dU
-    g = sum(np.kron(a, p) for a, p in zip(_system_step_stack(model, t / n_steps), env.pvm.projectors))
-    v = np.eye(model.joint_dim, dtype=complex)
-    for du, m in uniform_step_runs(env.schedule, t, n_steps):
-        v = np.linalg.matrix_power((g.reshape(-1, d_e) @ du).reshape(g.shape), m) @ v
+    d, d_e = model.joint_dim, env.dimension
+    # V up to the environment unitary the trace drops; G = sum_f kron(A_f, P(f)), broadcast
+    # (bitwise np.kron), and G (1 kron dU) is G's environment columns times dU, a batch at once
+    g = sum(a[:, None, :, None] * p[None, :, None, :]
+            for a, p in zip(_system_step_stack(model, t / n_steps), env.pvm.projectors)).reshape(d, d)
+    v = np.eye(d, dtype=complex)
+    for dus, ms in uniform_step_runs(env.schedule, t, n_steps, _per_chunk(d)):
+        x = (g.reshape(-1, d_e) @ dus).reshape(-1, d, d)
+        for m in set(ms) - {1}:  # one matrix_power per run length, on the stack of its runs
+            runs = [i for i, r in enumerate(ms) if r == m]
+            x[runs] = np.linalg.matrix_power(x if len(runs) == len(ms) else x[runs], m)
+        for p in x:  # folded run by run, earliest first
+            v = p @ v
     if not np.isfinite(v).all():  # only an overflowing segment, whose steps are NaN, makes V so
         raise ValidationError([NotUnitary(f"contract map on [0, {t}]: the step product is not finite")])
-    del g
+    del g, dus, x, p  # the last batch, before the reduction
     return _reduce_to_system(v, model.system_dim, d_e, env.state.matrix)
 
 
@@ -333,9 +347,10 @@ def convergence_study(
     if any(b <= a for a, b in zip(steps[:-1], steps[1:])):
         raise DegenerateInterval(f"step counts must be ascending, got {steps}")
     # the exact map stays live beside each discretized map, then both beside
-    # their difference and the SVD's copy of it
+    # their difference and the SVD's copy of it, beside the memo the first map fills
     d4 = 16 * model.system_dim**4
-    check_budget(max(_exact_bytes(model), d4 + _contract_bytes(model), 4 * d4), "convergence study")
+    memo = _kept_memo_bytes(model.environment.schedule)
+    check_budget(max(_exact_bytes(model), d4 + _contract_bytes(model), 4 * d4 + memo), "convergence study")
     exact = exact_joint_map(model, t)
     out = []
     for n in steps:

@@ -8,10 +8,10 @@ property U(t3,t1) = U(t3,t2) U(t2,t1) is exact up to rounding.
 Every propagator comes from one segment walk: :func:`propagator` is its
 first value (and :func:`heisenberg_projector` conjugates by it),
 :func:`propagators_along` its list, and :func:`heisenberg_pvm_stacks`
-consumes it one time at a time; :func:`uniform_step_runs` walks a uniform
-grid over the same segments.  A walk diagonalises the segments it covers in
-byte-bounded batches (one ``eigh`` and one exponential per chunk of
-segments, bitwise the per-segment calls).
+consumes it one time at a time; :func:`uniform_step_runs` batches the step
+runs of a uniform grid over the same segments.  A walk diagonalises the
+segments it covers in byte-bounded batches (one ``eigh`` and one exponential
+per chunk of segments, bitwise the per-segment calls).
 
 A HamiltonianSchedule keeps what its walks factor in a private memo, which
 lives as long as the schedule: each covered segment's eigensystem and whole
@@ -114,11 +114,10 @@ def _walk_bytes(d: int, segments: int) -> int:
     return min(segments, _chunk_len(d)) * _segment_bytes(d) + 96 * d * d
 
 
-def _schedule_walk_bytes(schedule: HamiltonianSchedule) -> int:
-    """Peak bytes of a walk over the schedule: one walk's, beside the memo it may fill."""
-    d, n = schedule.dimension, len(schedule.segments)
-    memo = _memo_bytes(d, n)
-    return _walk_bytes(d, n) + (memo if memo <= _MEMO_BYTES else 0)
+def _kept_memo_bytes(schedule: HamiltonianSchedule) -> int:
+    """Bytes the schedule's memo holds once full, beside a walk and after it; 0 if it keeps none."""
+    memo = _memo_bytes(schedule.dimension, len(schedule.segments))
+    return memo if memo <= _MEMO_BYTES else 0
 
 
 def _memo_bytes(d: int, segments: int) -> int:
@@ -333,41 +332,58 @@ def propagators_along(schedule: HamiltonianSchedule, times) -> list:
     return list(_walk(schedule, 0.0, times))
 
 
-def uniform_step_runs(schedule: HamiltonianSchedule, t: float, n_steps: int) -> Iterator[tuple]:
-    """Yield ``(dU, m)`` runs over the steps [t (j-1)/n, t j/n] of [0, t], earliest first.
+def uniform_step_runs(schedule: HamiltonianSchedule, t: float, n_steps: int, per_batch: int) -> Iterator[tuple]:
+    """Yield batches ``(dUs, ms)`` of the runs over the steps [t (j-1)/n, t j/n] of [0, t], earliest first.
 
-    The ordered product of the dU^m is U(t, 0).  Each covered segment is
-    diagonalised once, in the byte-bounded batches of :func:`_segment_pieces`;
-    the m steps inside one segment share dU = exp(-i H t/n); a step across
-    segment edges is a run of length 1, bitwise the product of its pieces
-    that :func:`propagator` forms.
+    A batch stacks the dU of at most per_batch runs and lists their lengths m;
+    the ordered product of every dU^m is U(t, 0).  The m steps inside one
+    segment share dU = exp(-i H t/n), one exponential call per batch on a copy
+    of the eigensystems :func:`_segment_pieces` walks; a step across segment
+    edges is a run of length 1, the product of its pieces that
+    :func:`propagator` forms.  Each dU is bitwise the per-run call's.  Beside
+    the walk, a batch holds five (per_batch, d, d) stacks at most.
     """
     t = as_real(t, "propagation time")
     if not math.isfinite(t):
         raise NonFiniteTime(f"propagation time must be finite, got {t}")
     if not 0 <= t <= schedule.horizon:
         raise OutOfHorizon(f"time {t} outside schedule horizon [0, {schedule.horizon}]")
+    size, d = min(per_batch, n_steps), schedule.dimension
+    evals, evecs = np.empty((size, d)), np.empty((size, d, d), dtype=complex)  # the batch's whole-step runs
 
     def end(i):  # t_i, never one ulp past t at i = n
         return t * (i / n_steps)
 
-    j, carry = 0, None  # carry: the pieces so far of step j, which crosses an edge
-    for a, b, eig, whole in _segment_pieces(schedule, 0.0, t):
-        if carry is not None:
-            if end(j + 1) > b:
-                carry = whole @ carry
-                continue
-            yield expm_from_eigh(eig, -1j * (end(j + 1) - a)) @ carry, 1
-            j, carry = j + 1, None
-        # steps ending by b: all that are left in the last segment
-        m = n_steps - j if b >= t else bisect.bisect_right(range(n_steps + 1), b, j + 1, key=end) - j - 1
-        if m:
-            yield expm_from_eigh(eig, -1j * (t / n_steps)), m
-            j += m
-        if j == n_steps:
-            return
-        if end(j) < b:
+    pieces = _segment_pieces(schedule, 0.0, t)
+    a, b, eig, whole = next(pieces)
+    j, k, runs = 0, 0, []  # runs: (dU, m), dU None for the k whole-step runs
+    while j < n_steps:
+        if end(j + 1) <= b:  # the steps ending by b: one estimate, corrected exactly, or all that are left
+            i = n_steps if b >= t else int(b / t * n_steps)
+            while b < t and end(i + 1) <= b:
+                i += 1
+            while end(i) > b:
+                i -= 1
+            evals[k], evecs[k] = eig
+            runs.append((None, i - j))
+            j, k = i, k + 1
+        else:  # step j + 1 crosses b: the ordered product of its pieces
             carry = expm_from_eigh(eig, -1j * (b - end(j)))
+            a, b, eig, whole = next(pieces)
+            while end(j + 1) > b:
+                carry = whole @ carry
+                a, b, eig, whole = next(pieces)
+            runs.append((expm_from_eigh(eig, -1j * (end(j + 1) - a)) @ carry, 1))
+            j += 1
+        if len(runs) == size or j == n_steps:  # the whole-step runs' exponentials from one call
+            dus = expm_from_eigh((evals[:k], evecs[:k]), -1j * (t / n_steps))
+            if k < len(runs):  # the crossings put among them
+                wholes = iter(dus)
+                dus = np.array([next(wholes) if du is None else du for du, _ in runs])
+            yield dus, [m for _, m in runs]
+            k, runs = 0, []
+        if j < n_steps and end(j) == b:
+            a, b, eig, whole = next(pieces)
 
 
 def heisenberg_projector(scenario: QuantumScenario, outcome: float, t: float) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bitraj as bt
-from bitraj import biprob, errors
+from bitraj import biprob, errors, propagate
 from bitraj.biprob import (
     MEMORY_BUDGET,
     BiDistribution,
@@ -21,6 +21,7 @@ from bitraj.propagate import heisenberg_pvm_stacks
 
 from conftest import (
     PAULI_X_PVM,
+    SIGMA_X,
     SIGMA_Z,
     all_tuples,
     grid,
@@ -526,6 +527,32 @@ def test_table_fits_its_count(monkeypatch, levels, groups, n):
     monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes - 1)
     with pytest.raises(errors.EnumerationTooLarge):
         biprob._table_from_stacks(sc.state, stacks)
+
+
+def test_a_huge_table_is_refused_before_any_walk(monkeypatch):
+    # 2^16000 entries: a count of 4,800 digits, which str() refuses, and
+    # 8,000 Heisenberg stacks, of which none may be walked; the
+    # bi-trajectory map's grid is not built either
+    sc = bt.rabi_scenario()
+    big = bt.TimeGrid(tuple(1e-4 * (j + 1) for j in range(8000)))
+    model = bt.OpenModel(SIGMA_Z, SIGMA_X, 0.5, sc)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a walk began before the budget check")
+
+    monkeypatch.setattr(propagate, "_walk", fail)
+    for call in (
+        lambda: bt.full_distribution(sc, big),
+        lambda: bt.bitrajectory_map(model, 1.0, 8000, method="enumerate"),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(errors.EnumerationTooLarge, match=r"table would take over 2\*\*\d+ bytes"):
+                call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_table_memory_bounded_at_the_cap():

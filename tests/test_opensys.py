@@ -1,6 +1,8 @@
+import contextlib
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -10,14 +12,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bitraj as bt
-from bitraj import biprob, errors, opensys
-from bitraj._linalg import vec, unvec
+from bitraj import biprob, errors, opensys, propagate
+from bitraj._linalg import expm_hermitian, vec, unvec
 
 from conftest import (
     SIGMA_X,
     SIGMA_Z,
     oracle_choi,
     oracle_heisenberg,
+    oracle_piece_propagator,
     oracle_propagator,
     oracle_reduced_map,
     static_scenario,
@@ -53,6 +56,35 @@ def driven_environment(env, horizon, segments, seed):
         lambda s: h0 + np.sin(3.0 * s) * h1, horizon, segments=segments
     )
     return bt.QuantumScenario(env.dimension, schedule, env.state, env.pvm)
+
+
+def per_run_contract_map(model, t: float, n: int):
+    """The contract map with V folded one run at a time, each run's dU from a call of its own.
+
+    Steps inside one segment form a run, whose power is one matrix_power; a
+    step across edges is the product of its pieces.  This is the order the
+    batched map keeps, so the two agree bitwise; a non-finite V gives None.
+    """
+    env = model.environment
+    schedule, d_e = env.schedule, env.dimension
+    g = sum(np.kron(a, p) for a, p in zip(opensys._system_step_stack(model, t / n), env.pvm.projectors))
+    runs = []  # [the run's segment, or None across edges, dU, m]
+    with np.errstate(all="ignore"):  # an overflowing segment's steps are NaN
+        for j in range(1, n + 1):
+            lo, hi = t * ((j - 1) / n), t * (j / n)
+            k = next((k for k, (a, b, _) in enumerate(schedule.segments) if a <= lo and hi <= b), None)
+            if k is not None and runs and runs[-1][0] == k:
+                runs[-1][2] += 1
+            elif k is not None:
+                runs.append([k, expm_hermitian(schedule.segments[k][2], -1j * (t / n)), 1])
+            else:
+                runs.append([None, oracle_piece_propagator(schedule, lo, hi), 1])
+        v = np.eye(model.joint_dim, dtype=complex)
+        for _, du, m in runs:
+            v = np.linalg.matrix_power((g.reshape(-1, d_e) @ du).reshape(g.shape), m) @ v
+    if not np.isfinite(v).all():
+        return None
+    return opensys._reduce_to_system(v, model.system_dim, d_e, env.state.matrix).matrix
 
 
 class TestSuperoperator:
@@ -392,6 +424,34 @@ class TestExactJointMap:
             with pytest.raises(errors.EnumerationTooLarge, match=f"{nbytes} bytes"):
                 call()
 
+    @pytest.mark.parametrize("d_o, d_e", [(2, 64), (16, 8), (2, 4)])
+    def test_many_run_contract_map_fits_its_count(self, d_o, d_e, monkeypatch):
+        # a 160-segment driven environment under 300 steps: over 100 runs,
+        # in batches of one at D = 128 and of 256 at D = 8, the first full;
+        # at d_e = 64 the walk streams chunks of one segment, at d_e = 8 and 4
+        # the call fills the schedule's memo, which stays beside the reduction
+        def environment():
+            return driven_environment(bt.random_scenario(d_e, seed=7), 2.0, 160, seed=d_e)
+
+        assert sum(len(ms) for _, ms in propagate.uniform_step_runs(environment().schedule, 1.9, 300, 1)) >= 100
+        rng = np.random.default_rng(d_o)
+        model = bt.OpenModel(
+            h_sys=random_hermitian(rng, d_o), v_sys=random_hermitian(rng, d_o), coupling=0.5,
+            environment=environment())
+        call = lambda: bt.bitrajectory_map(model, 1.9, 300)  # noqa: E731
+        nbytes = counted_bytes(call, monkeypatch)
+        monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes)
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= nbytes + 16 * 2**10
+        monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes - 1)
+        with pytest.raises(errors.EnumerationTooLarge, match=f"{nbytes} bytes"):
+            call()
+
     @pytest.mark.parametrize("d_e, slack", [(64, 0), (16, 16 * 2**10)])
     def test_exact_map_walk_fits_its_count(self, d_e, slack, monkeypatch):
         # a 160-segment driven environment: at D = 128 the joint walk takes
@@ -541,6 +601,44 @@ class TestBitrajectoryMap:
         a = bt.bitrajectory_map(model, t, n_steps, method="contract")
         b = bt.bitrajectory_map(model, t, n_steps, method="enumerate")
         assert np.abs(a.matrix - b.matrix).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @example(segments=12, n=3, frac=0.8, seed=1, chunk=3, overflow=False)  # steps across several edges
+    @example(segments=8, n=19, frac=0.95, seed=2, chunk=1, overflow=False)  # runs between crossings
+    @example(segments=40, n=64, frac=1.0, seed=3, chunk=None, overflow=False)
+    @example(segments=6, n=12, frac=1.0, seed=4, chunk=3, overflow=True)
+    @given(
+        segments=st.integers(min_value=2, max_value=40),
+        n=st.integers(min_value=1, max_value=64),
+        frac=st.floats(min_value=0.05, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=1000),
+        chunk=st.sampled_from([1, 3, None]),
+        overflow=st.just(False),
+    )
+    def test_batched_map_is_bitwise_the_per_run_fold(self, segments, n, frac, seed, chunk, overflow):
+        # runs batched by chunk (the default when None), segments diagonalised
+        # as many at a time; with overflow, one segment's phase overflows and
+        # the map is refused
+        env = driven_environment(bt.random_scenario(2 + seed % 2, seed), 2.0, segments, seed)
+        if overflow:
+            pieces = list(env.schedule.segments)
+            pieces[2] = (*pieces[2][:2], np.full((env.dimension,) * 2, 1e308, dtype=complex))
+            env = bt.QuantumScenario(env.dimension, bt.HamiltonianSchedule(tuple(pieces)), env.state, env.pvm)
+        rng = np.random.default_rng(seed + 1)
+        model = bt.OpenModel(
+            h_sys=random_hermitian(rng, 2), v_sys=random_hermitian(rng, 2), coupling=0.7, environment=env)
+        t = 2.0 * frac
+        want = per_run_contract_map(model, t, n)
+        with contextlib.ExitStack() as patches:
+            if chunk is not None:
+                patches.enter_context(mock.patch.object(opensys, "_per_chunk", lambda d: chunk))
+                patches.enter_context(mock.patch.object(propagate, "_chunk_len", lambda d: chunk))
+            if want is None:
+                with pytest.raises(errors.ValidationError) as err:
+                    bt.bitrajectory_map(model, t, n)
+                assert overflow and err.value.has(errors.NotUnitary)
+            else:
+                np.testing.assert_array_equal(bt.bitrajectory_map(model, t, n).matrix, want)
 
     def test_driven_map_matches_40_digit_reference(self):
         # 512 steps across 128 segments: runs of a few steps between steps

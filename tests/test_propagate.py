@@ -256,10 +256,16 @@ class TestPropagatorsAlong:
         list(heisenberg_pvm_stacks(sc, times[3:]))
         bt.heisenberg_projector(sc, 1.0, 5.0)
         bt.propagator(schedule, 0.3, 9.7)
-        list(uniform_step_runs(schedule, 9.7, 64))
+        step_runs(schedule, 9.7, 64)
         assert calls == []
         for u, v in zip(first, again):
             np.testing.assert_array_equal(u.matrix, v.matrix)
+
+
+def step_runs(schedule, t: float, n: int, per_batch: int = 3) -> list:
+    """``(dU, m)`` per run, read from the ``(dUs, ms)`` batches of uniform_step_runs."""
+    batches = uniform_step_runs(schedule, t, n, per_batch)
+    return [run for dus, ms in batches for run in zip(dus, ms, strict=True)]
 
 
 def expand_runs(runs) -> list:
@@ -274,11 +280,12 @@ class TestUniformStepRuns:
         (driven_schedule(segments=8, horizon=2.0), 1.9, 19),  # runs and crossings
         (driven_schedule(segments=12, horizon=2.0), 1.6, 3),  # steps across several edges
         (driven_schedule(segments=8, horizon=2.0), 2.0, 8),  # steps end on the edges
+        (driven_schedule(segments=4, horizon=1.9), 1.9, 8),  # int(b / t * n) is one short at 1.425
     ]
 
     @pytest.mark.parametrize("schedule, t, n", CASES)
     def test_each_step_is_its_segment_exponential_or_the_walk(self, schedule, t, n):
-        steps = expand_runs(uniform_step_runs(schedule, t, n))
+        steps = expand_runs(step_runs(schedule, t, n))
         assert len(steps) == n
         for j, du in enumerate(steps, start=1):
             lo, hi = t * ((j - 1) / n), t * (j / n)
@@ -289,20 +296,20 @@ class TestUniformStepRuns:
     @pytest.mark.parametrize("schedule, t, n", CASES)
     def test_runs_compose_to_the_propagator(self, schedule, t, n):
         u = np.eye(schedule.dimension, dtype=complex)
-        for du, m in uniform_step_runs(schedule, t, n):
+        for du, m in step_runs(schedule, t, n):
             u = np.linalg.matrix_power(du, m) @ u
         np.testing.assert_allclose(u, oracle_propagator(schedule, 0.0, t), rtol=0, atol=1e-12)
 
     def test_run_lengths(self):
-        assert [m for _, m in uniform_step_runs(bt.rabi_scenario().schedule, 1.0, 512)] == [512]
+        assert [m for _, m in step_runs(bt.rabi_scenario().schedule, 1.0, 512)] == [512]
         # segments of 0.25 and steps of 0.1: two whole steps per segment at
         # most, between the steps that cross an edge
-        runs = [m for _, m in uniform_step_runs(driven_schedule(segments=8, horizon=2.0), 1.9, 19)]
+        runs = [m for _, m in step_runs(driven_schedule(segments=8, horizon=2.0), 1.9, 19)]
         assert sum(runs) == 19 and max(runs) == 2 and runs.count(1) > 1
 
     def test_each_covered_segment_diagonalised_once(self, monkeypatch):
         calls = count_eigh(monkeypatch)
-        list(uniform_step_runs(driven_schedule(), 9.7, 512))
+        step_runs(driven_schedule(), 9.7, 512)
         assert sum(calls) == 621  # segments of 1/64 cover [0, 9.7] with 621
         assert 0 < len(calls) <= -(-621 // propagate._chunk_len(2))
 
@@ -317,7 +324,7 @@ class TestUniformStepRuns:
     )
     def test_invalid_time_raises(self, t, error):
         with pytest.raises(error):
-            list(uniform_step_runs(two_segment_schedule(), t, 4))
+            step_runs(two_segment_schedule(), t, 4)
 
 
 def unbounded_schedule(seed=5, d=2):
@@ -398,7 +405,7 @@ class TestChunkEdges:
     ])
     def test_uniform_step_runs(self, chunk, name, t, n):
         schedule, _ = CHUNKED[name]()
-        steps = expand_runs(uniform_step_runs(schedule, t, n))
+        steps = expand_runs(step_runs(schedule, t, n, chunk))
         assert len(steps) == n
         u = np.eye(schedule.dimension, dtype=complex)
         for du, want in zip(steps, step_oracle(schedule, t, n)):
@@ -418,7 +425,7 @@ class TestChunkEdges:
             bt.propagator(schedule, 0.0, points[-1])
             bt.propagators_along(schedule, points)
             list(heisenberg_pvm_stacks(scenario_of(schedule), points))
-            list(uniform_step_runs(schedule, points[-1], 7))
+            step_runs(schedule, points[-1], 7)
         assert scales and all(np.isfinite(s).all() for s in scales)
 
 
@@ -442,7 +449,7 @@ class TestOverflowingSegment:
             with pytest.raises(errors.ValidationError) as err:
                 next(walk)
             assert err.value.has(errors.NotUnitary)
-            steps = expand_runs(uniform_step_runs(schedule, 3.0, 6))
+            steps = expand_runs(step_runs(schedule, 3.0, 6, chunk))
         # each step is its own exponential: only those on [1, 2] are NaN
         assert [bool(np.isfinite(du).all()) for du in steps] == [True, True, False, False, True, True]
 
@@ -465,7 +472,7 @@ def query(kind: str, schedule, args) -> list:
         return [u.matrix for u in bt.propagators_along(schedule, args)]
     if kind == "projector":
         return [bt.heisenberg_projector(scenario_of(schedule), *args)]
-    runs = list(uniform_step_runs(schedule, *args))
+    runs = step_runs(schedule, *args)
     return [np.array([m for _, m in runs], dtype=float)] + expand_runs(runs)
 
 
@@ -556,7 +563,7 @@ class TestMemo:
         for call in (
             lambda: bt.propagator(schedule, 0.0, 2.9),
             lambda: bt.propagator(schedule, 0.5, 2.9),
-            lambda: collections.deque(uniform_step_runs(schedule, 2.9, 37), maxlen=0),
+            lambda: collections.deque(uniform_step_runs(schedule, 2.9, 37, 1), maxlen=0),
         ):
             tracemalloc.start()
             try:
@@ -582,7 +589,7 @@ class TestMemo:
         def walk(i):
             try:
                 got[i] = [bt.propagator(shared, 0.0, t).matrix for t in times[i % 3::3]]
-                got[i] += [du for du, _ in uniform_step_runs(shared, times[-1 - i % 4], 5)]
+                got[i] += [du for du, _ in step_runs(shared, times[-1 - i % 4], 5)]
             except Exception as exc:  # reported after the join
                 errors_seen.append(exc)
 
@@ -599,7 +606,7 @@ class TestMemo:
         assert not any(thread.is_alive() for thread in threads) and not errors_seen
         fresh = driven_schedule(segments=160)
         for i in range(6):
-            runs = [du for du, _ in uniform_step_runs(fresh, times[-1 - i % 4], 5)]
+            runs = [du for du, _ in step_runs(fresh, times[-1 - i % 4], 5)]
             for x, y in zip(got[i], want[i % 3::3] + runs, strict=True):
                 np.testing.assert_array_equal(x, y)
 

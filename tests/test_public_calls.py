@@ -137,7 +137,8 @@ TAKES_NO_NUMBER = {
 }
 
 # each of these escaped as a raw TypeError or ValueError, was truncated, or
-# was read as another value, before the readers
+# was read as another value, before the readers; a superoperator of
+# dimension -2 was accepted, as its 4 x 4 matrix has (-2)^2 rows
 PROBES = [
     ("check_properties", {"tol": True}),
     ("check_properties", {"tol": "x"}),
@@ -159,6 +160,7 @@ PROBES = [
     ("exact_joint_map", {"t": "x"}),
     ("build_refinement", {"size": 1e308}),
     ("random_scenario", {"d": 2.0}),
+    ("Superoperator", {"dim": -2}),
 ]
 
 
@@ -221,7 +223,8 @@ def test_mutated_call_returns_or_raises_a_bitraj_error(case):
 def test_probe_is_rejected(name, mutation):
     with pytest.raises(errors.ValidationError) as err:
         _call(name, mutation)
-    assert err.value.has(errors.DomainMismatch) or err.value.has(errors.EnumerationTooLarge)
+    faults = (errors.DomainMismatch, errors.EnumerationTooLarge, errors.DimensionMismatch)
+    assert any(err.value.has(fault) for fault in faults)
 
 
 @pytest.mark.parametrize("value", [True, np.bool_(True), "1", None, 1.5, [1]])
