@@ -365,18 +365,6 @@ def check_budget(nbytes: int, what: str) -> None:
         raise EnumerationTooLarge(f"{what} would take {count} bytes, beyond the budget of {MEMORY_BUDGET} bytes")
 
 
-def _state_factor(state: DensityOperator) -> tuple:
-    """(F, s) with rho = F diag(s) F^dagger and s_r = sign(lambda_r), from the state's eigh.
-
-    Columns of F are the eigenvectors of rho scaled by sqrt|lambda_r|.  The
-    sign keeps the slightly negative eigenvalues a valid DensityOperator may
-    carry (down to -tol), so the factorization reproduces rho itself rather
-    than a clipped copy.
-    """
-    evals, evecs = state._eigh
-    return evecs * np.sqrt(np.abs(evals)), np.sign(evals)
-
-
 def _gram_rows(factor: np.ndarray, stacks: list) -> np.ndarray:
     """w(f) = P_tn(f_n)...P_t1(f_1) F for every outcome path f.
 
@@ -419,7 +407,7 @@ def _table_from_stacks(state: DensityOperator, stacks: list) -> np.ndarray:
     step = max(1, _TABLE_BLOCK_BYTES // (16 * rho.size))  # rows of W per block
     _check_table(sizes, len(rho))
 
-    factor, sign = _state_factor(state)
+    factor, sign = state._gram
     w = _gram_rows(factor, stacks)
     flat = w.reshape(rows, -1)
     q = np.empty((rows, rows), dtype=complex)
@@ -436,10 +424,11 @@ def _table_from_stacks(state: DensityOperator, stacks: list) -> np.ndarray:
 
 
 def _entry_gram(state: DensityOperator, stacks: list, plus_idx, minus_idx) -> complex:
-    """One table entry from the two vector chains w(f+) and w(f-)."""
-    factor, sign = _state_factor(state)
-    plus = _gram_rows(factor, [p[i:i + 1] for p, i in zip(stacks, plus_idx)])
-    minus = _gram_rows(factor, [p[i:i + 1] for p, i in zip(stacks, minus_idx)])
+    """One table entry from the two vector chains w(f+) and w(f-), each matrix the table's row."""
+    factor, sign = state._gram
+    plus = minus = factor
+    for p, i, j in zip(stacks, plus_idx, minus_idx):
+        plus, minus = p[i] @ plus, p[j] @ minus
     return complex(np.vdot(minus, plus * sign))
 
 

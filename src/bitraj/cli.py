@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .biprob import BiOutcome, BiDistribution, eval_biprob, full_distribution
+from .biprob import BiOutcome, BiDistribution, check_budget, eval_biprob, full_distribution
 from .bounds import (
     build_refinement,
     l1_norm,
@@ -39,7 +39,7 @@ from .bounds import (
     uniform_bound,
 )
 from .comb import comb_biprob
-from .errors import BitrajError, LengthMismatch, OutOfHorizon, ParseError
+from .errors import BitrajError, DomainMismatch, LengthMismatch, OutOfHorizon, ParseError
 from .model import (
     QuantumScenario,
     TimeGrid,
@@ -54,6 +54,7 @@ from .serialize import format_float
 from .verify import DEFAULT_PROPERTY_TOL, check_properties
 
 CROSS_CHECK_TOL = 1e-10
+_CURVE_LINE_BYTES = 160
 
 
 @dataclass
@@ -327,6 +328,10 @@ def _cmd_opensys(args) -> tuple:
 def _cmd_demo(args) -> tuple:
     if args.name != "rabi":
         raise ParseError(f"demo: unknown demo {args.name!r} (available: rabi)")
+    if args.points < 1:
+        raise DomainMismatch(f"demo: --points must be >= 1, got {args.points}")
+    # a line of three 17-digit floats with its list slot, before the first point is evaluated
+    check_budget(_CURVE_LINE_BYTES * (args.points + 1), "demo curve")
     scenario = rabi_scenario(args.omega)
     lines = [_csv_line(("t", "q_plus", "q_minus"))]
     for k in range(1, args.points + 1):

@@ -83,7 +83,7 @@ def comb_table(scenario: QuantumScenario, grid: TimeGrid) -> np.ndarray:
     # one, or beside the table; and a projector stack beside the next one and
     # the walk that forms it
     held = max(s * s * d * d * (1 + k + k * k), (k**n) ** 2 * (d * d + 1)) + 2 * k * d * d
-    walk = _walk_bytes(d, len(scenario.schedule.segments)) + _kept_memo_bytes(scenario.schedule)
+    walk = _walk_bytes(d, max(len(scenario.schedule.segments), n)) + _kept_memo_bytes(scenario.schedule)
     check_budget(16 * held + walk, "comb state stack")
     v = scenario.state.matrix[None, :, None, :]  # (K+, d, K-, d), K = 1
     # ascending slots, slot 1 applied first

@@ -10,8 +10,9 @@ exact product of segment exponentials.
 All types are immutable after validation (arrays are frozen), so instances
 can be shared freely across threads.  A schedule, a state and a PVM keep
 what a query factors of them (segment eigensystems and propagators,
-``eigh`` of rho, an outcome-adapted basis) for their lifetime.  Tolerances
-are absolute, measured in spectral norm, and equal to ``DEFAULT_TOL``.
+``eigh`` of rho and its Gram factor, an outcome-adapted basis) for their
+lifetime.  Tolerances are absolute, measured in spectral norm, and equal to
+``DEFAULT_TOL``.
 
 Outcome tuples throughout the package are ordered latest-time-first,
 ``(f_n, ..., f_1)``, while time grids are ascending ``(t_1, ..., t_n)``.
@@ -391,6 +392,21 @@ class DensityOperator:
         evals.setflags(write=False)
         evecs.setflags(write=False)
         return evals, evecs
+
+    @functools.cached_property
+    def _gram(self) -> tuple:
+        """(F, s) with rho = F diag(s) F^dagger and s_r = sign(lambda_r), from ``_eigh``, read-only.
+
+        Columns of F are the eigenvectors of rho scaled by sqrt|lambda_r|.  The
+        sign keeps the slightly negative eigenvalues a valid state may carry
+        (down to -tol), so the factorization reproduces rho itself rather than
+        a clipped copy.
+        """
+        evals, evecs = self._eigh
+        factor, sign = evecs * np.sqrt(np.abs(evals)), np.sign(evals)
+        factor.setflags(write=False)
+        sign.setflags(write=False)
+        return factor, sign
 
 
 # -- Time grid -------------------------------------------------------------

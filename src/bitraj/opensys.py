@@ -208,7 +208,8 @@ def bitrajectory_map(
     against the budget.
     At t = 0 every method gives the identity map, as the exact evolution does.
     """
-    if as_count(n_steps, "n_steps") < 1:
+    n_steps = as_count(n_steps, "n_steps")
+    if n_steps < 1:
         raise DomainMismatch(f"n_steps must be >= 1, got {n_steps}")
     if method not in ("contract", "enumerate"):
         raise DomainMismatch(f"unknown method {method!r}")
@@ -248,12 +249,13 @@ def _reduction_bytes(d_o: int, d_e: int) -> int:
     return 16 * (d2 + max(3 * d2, 2 * d2 + d_o**4, 2 * d_o**4))
 
 
-def _contract_bytes(model: OpenModel) -> int:
+def _contract_bytes(model: OpenModel, n_steps: int) -> int:
     # G, V and a batch of steps beside matrix_power's base (the steps or a copied part),
     # square, result and next square, 1 + 5 per_batch D x D at most, with the walk and its
-    # batch of five stacks (G's making holds less), or the reduction; either beside the memo
+    # batch of five stacks (G's making holds less), or the reduction; either beside the memo.
+    # A batch holds at most one run per step.
     d_o, d_e, env = model.system_dim, model.environment.dimension, model.environment
-    per_batch = _per_chunk(model.joint_dim)
+    per_batch = min(_per_chunk(model.joint_dim), n_steps)
     walk = _walk_bytes(d_e, len(env.schedule.segments)) + 16 * per_batch * (5 * d_e * d_e + d_e)
     steps = 16 * (1 + 5 * per_batch) * model.joint_dim**2 + walk
     return _kept_memo_bytes(env.schedule) + max(steps, _reduction_bytes(d_o, d_e))
@@ -267,7 +269,7 @@ def _exact_bytes(model: OpenModel) -> int:
 
 
 def _bitrajectory_map_contract(model: OpenModel, t: float, n_steps: int) -> Superoperator:
-    check_budget(_contract_bytes(model), "contract map")
+    check_budget(_contract_bytes(model, n_steps), "contract map")
     env = model.environment
     d, d_e = model.joint_dim, env.dimension
     # V up to the environment unitary the trace drops; G = sum_f kron(A_f, P(f)), broadcast
@@ -350,7 +352,8 @@ def convergence_study(
     # their difference and the SVD's copy of it, beside the memo the first map fills
     d4 = 16 * model.system_dim**4
     memo = _kept_memo_bytes(model.environment.schedule)
-    check_budget(max(_exact_bytes(model), d4 + _contract_bytes(model), 4 * d4 + memo), "convergence study")
+    contract = _contract_bytes(model, steps[-1]) if steps else 0  # the largest step count holds the most
+    check_budget(max(_exact_bytes(model), d4 + contract, 4 * d4 + memo), "convergence study")
     exact = exact_joint_map(model, t)
     out = []
     for n in steps:

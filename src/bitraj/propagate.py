@@ -17,9 +17,11 @@ A HamiltonianSchedule keeps what its walks factor in a private memo, which
 lives as long as the schedule: each covered segment's eigensystem and whole
 exponential and, once a walk from 0 reaches it, the prefix product
 U(a_k, 0).  So each segment is diagonalised once per schedule, and a walk
-from 0 through factored segments does one partial exponential and one
-product per time.  The memo holds ``48 d^2 + 8 d + 8`` bytes a segment and
-2 KiB (:func:`_memo_bytes`).  A schedule whose memo would pass
+from 0 through factored segments forms its times in batches: one partial
+exponential call with one scale per time, one stacked product with the
+prefix rows and one stacked unitarity check, whose matrices it yields as
+read-only views with no copy.  The memo holds ``48 d^2 + 8 d + 8`` bytes a
+segment and 2 KiB (:func:`_memo_bytes`).  A schedule whose memo would pass
 ``_MEMO_BYTES`` (4 MiB) keeps none, and neither does a lazily built one
 such as the opensys joint generators: their walks factor one chunk at a
 time and drop it, within :func:`_walk_bytes`.
@@ -56,7 +58,11 @@ _MEMO_BYTES = 2**22  # the most a schedule's memo may hold
 
 @dataclass(frozen=True, eq=False)
 class UnitaryMatrix:
-    """A propagator together with the time interval it covers."""
+    """A propagator together with the time interval it covers, held to ||U^dagger U - I||_F <= TOL_UNITARY.
+
+    The constructor checks and freezes a copy; a walk's propagators are read-only
+    views of its batch, which :func:`_checked` holds to the same check.
+    """
 
     matrix: np.ndarray
     t_from: float
@@ -66,24 +72,63 @@ class UnitaryMatrix:
         m = np.array(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"propagator matrix must be square, got shape {m.shape}")
-        # Frobenius norm: never below the spectral norm, so never a looser
-        # check, and it needs no SVD; a non-finite entry makes dev NaN or
-        # inf, which fails the comparison
-        with np.errstate(invalid="ignore", over="ignore"):
-            defect = dagger(m) @ m
-            defect.reshape(-1)[:: m.shape[0] + 1] -= 1  # U^dagger U - I, with no identity built
-            dev = float(np.linalg.norm(defect))
-        violations = check_defect(
-            dev, TOL_UNITARY, NotUnitary,
-            "propagator on [%r, %r]: unitarity defect", self.t_from, self.t_to)
-        if violations:
-            raise ValidationError(violations)
+        t_from, t_to = as_real(self.t_from, "t_from"), as_real(self.t_to, "t_to")
+        with np.errstate(invalid="ignore", over="ignore"):  # a given matrix may hold inf or huge entries
+            _check_unitary(_unitarity_defects(m[None])[0], t_from, t_to)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        vars(self).update(matrix=m, t_from=t_from, t_to=t_to)
+
+    @classmethod
+    def _walked(cls, m: np.ndarray, t_from: float, t_to: float) -> "UnitaryMatrix":
+        """A propagator a walk formed and checked: ``m`` is kept as it is, with no copy and no second check."""
+        u = object.__new__(cls)
+        vars(u).update(matrix=m, t_from=t_from, t_to=t_to)
+        return u
 
     @property
     def interval(self) -> tuple:
         return (self.t_from, self.t_to)
+
+
+def _unitarity_defects(us: np.ndarray) -> list:
+    """||U^dagger U - I||_F of every matrix of an (m, d, d) stack.
+
+    The Frobenius norm is never below the spectral norm, so the check is never
+    looser, and it needs no SVD.  A non-finite entry makes the defect NaN or
+    inf, which fails :func:`_check_unitary`.
+    """
+    g = us.conj().swapaxes(-1, -2) @ us
+    g -= _identity(us.shape[-1])
+    r = g.reshape(len(us), 1, -1).view(float)
+    return [math.sqrt(x) for x in (r @ r.swapaxes(-1, -2)).ravel().tolist()]
+
+
+@functools.cache
+def _identity(d: int) -> np.ndarray:
+    eye = np.eye(d, dtype=complex)
+    eye.setflags(write=False)
+    return eye
+
+
+def _check_unitary(dev: float, t_from: float, t_to: float) -> None:
+    """Raise NotUnitary for the propagator on [t_from, t_to] unless its defect is within TOL_UNITARY."""
+    violations = check_defect(
+        dev, TOL_UNITARY, NotUnitary, "propagator on [%r, %r]: unitarity defect", t_from, t_to)
+    if violations:
+        raise ValidationError(violations)
+
+
+def _checked(us: np.ndarray, t_from: float, times) -> Iterator[UnitaryMatrix]:
+    """Yield each matrix of a stack of walked propagators as a read-only view, one per time.
+
+    The stack owns its data, so no view can be made writable again.  It is
+    checked at once; a time that fails raises NotUnitary once the times
+    before it have been yielded.
+    """
+    us.setflags(write=False)
+    for u, dev, t in zip(us, _unitarity_defects(us), times):
+        _check_unitary(dev, t_from, t)
+        yield UnitaryMatrix._walked(u, t_from, t)
 
 
 def operator_norm(m) -> float:
@@ -109,9 +154,10 @@ def _chunk_len(d: int) -> int:
     return max(1, _CHUNK_BYTES // _segment_bytes(d))
 
 
-def _walk_bytes(d: int, segments: int) -> int:
-    """Peak bytes of a walk: one chunk, beside the carry, a partial exponential and eigh's workspace."""
-    return min(segments, _chunk_len(d)) * _segment_bytes(d) + 96 * d * d
+def _walk_bytes(d: int, pieces: int) -> int:
+    """Peak bytes of a walk: a chunk of its segments or of its times (each within a segment's
+    share), whichever is more, beside the carry, a partial exponential and eigh's workspace."""
+    return min(pieces, _chunk_len(d)) * _segment_bytes(d) + 96 * d * d
 
 
 def _kept_memo_bytes(schedule: HamiltonianSchedule) -> int:
@@ -166,9 +212,17 @@ class _Memo:
                 self.wholes[lo:lo + len(wholes)] = wholes
                 self.factored = hi
 
-    def from_zero(self, t: float) -> np.ndarray:
-        """U(t, 0): one partial exponential applied to the prefix product of t's segment, which is factored."""
-        k = bisect.bisect_left(self.ends, t)
+    def from_zero(self, times: tuple) -> np.ndarray:
+        """U(t, 0) for ascending times in factored segments, as one new (m, d, d) stack.
+
+        The times at 0 get the identity row.  The others take one partial
+        exponential call, with one scale per time, and one stacked product with
+        the prefix rows of their segments: each matrix is bitwise the per-time
+        product, and NaN where its phase can overflow, as in :func:`_eig`.
+        """
+        z = bisect.bisect_right(times, 0.0)  # ascending, so the times at 0 lead
+        rows = [bisect.bisect_left(self.ends, t) for t in times[z:]]
+        k = rows[-1] if rows else 0
         if k >= self.prefixed:
             with self.lock:
                 if self.prefix is None:
@@ -179,11 +233,21 @@ class _Memo:
                     else:
                         self.prefix[0] = np.eye(self.prefix.shape[1])
                 self.prefixed = max(self.prefixed, k + 1)
-        a = self.segments[k][0]
-        if not t > a:  # t = 0
-            return self.prefix[0]
-        eig = _eig(self.evals[k], self.evecs[k], t - a)
-        return expm_from_eigh(eig, -1j * (t - a)) @ self.prefix[k]
+        dts = [t - self.segments[row][0] for t, row in zip(times[z:], rows)]
+        if len(rows) == 1:  # views of its rows and 1-D calls: 8 us, against 14 for a stack of one
+            k, dt = rows[0], dts[0]
+            us = expm_from_eigh(_eig(self.evals[k], self.evecs[k], dt), -1j * dt) @ self.prefix[k:k + 1]
+        elif rows:
+            evals = self.evals.take(rows, 0)
+            for i, (ev, dt) in enumerate(zip(evals.tolist(), dts)):
+                if not (abs(ev[0]) + abs(ev[-1])) * dt < math.inf:  # as in _eig
+                    evals[i] = math.nan
+            scales = np.array([-1j * dt for dt in dts])
+            us = expm_from_eigh((evals, self.evecs.take(rows, 0)), scales) @ self.prefix.take(rows, 0)
+        if not z:
+            return us
+        identity = np.repeat(self.prefix[:1], z, 0)
+        return np.concatenate((identity, us)) if rows else identity
 
 
 def _memo(schedule):
@@ -281,8 +345,9 @@ def _walk(schedule: HamiltonianSchedule, t_from: float, times) -> Iterator[Unita
     the plain piece-by-piece product from t_from to t, whatever other times
     are walked.  Chaining steps between the times instead would add one
     rounding error per step.  From t_from = 0, the carries are the memo's
-    prefix products, so a walk through factored segments does one partial
-    exponential and one product per time.
+    prefix products, and the times go through :meth:`_Memo.from_zero` in
+    batches of ``_chunk_len(d)``.  Every propagator is held to
+    ||U^dagger U - I||_F <= TOL_UNITARY, a batch at a time (:func:`_checked`).
     """
     t_from = as_real(t_from, "t_from")
     times = as_reals(times, "propagation time")
@@ -297,19 +362,21 @@ def _walk(schedule: HamiltonianSchedule, t_from: float, times) -> Iterator[Unita
     if memo is not None and t_from == 0:
         if ends[-1] > 0:
             memo.factor(bisect.bisect_left(memo.ends, ends[-1]))
-        for t in times:
-            yield UnitaryMatrix(memo.from_zero(t), t_from, t)  # an overflowing piece made it NaN
+        step = _chunk_len(schedule.dimension)  # times per batch: a time holds less than a segment
+        for lo in range(0, len(times), step):
+            batch = times[lo:lo + step]
+            yield from _checked(memo.from_zero(batch), t_from, batch)
         return
     pieces = _segment_pieces(schedule, t_from, ends[-1])
     a = b = t_from
-    carry = np.eye(schedule.dimension, dtype=complex)
+    carry = np.array([np.eye(schedule.dimension, dtype=complex)])  # a stack of one, as _checked takes
     for t in times:
         while t > b:
             if b > a:
                 carry = whole @ carry
             a, b, eig, whole = next(pieces)
         u = expm_from_eigh(eig, -1j * (t - a)) @ carry if t > a else carry
-        yield UnitaryMatrix(u, t_from, t)  # an overflowing piece made u NaN
+        yield from _checked(u, t_from, (t,))  # an overflowing piece made u NaN
 
 
 def propagator(

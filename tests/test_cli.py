@@ -3,12 +3,14 @@ import copy
 import csv
 import io
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -80,6 +82,25 @@ class TestDemo:
         code, _, err = run_cli(capsys, "demo", "nope")
         assert code == 2
         assert "unknown demo" in err
+
+    @pytest.mark.parametrize("points", ["0", "-2"])
+    def test_fewer_than_one_point_exits_2(self, capsys, points):
+        code, out, err = run_cli(capsys, "demo", "rabi", "--points", points)
+        assert code == 2 and out == ""
+        assert f"--points must be >= 1, got {points}" in err
+
+    def test_a_curve_past_the_budget_is_refused_before_any_point(self, capsys, monkeypatch):
+        monkeypatch.setattr("bitraj.cli.eval_biprob", None)  # no point is evaluated
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "demo", "rabi", "--points", "1000000000")
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and "demo curve would take" in err
+        assert elapsed < 5.0 and peak < 2**20
 
 
 class TestEval:
@@ -638,6 +659,69 @@ def _pinned(test):
 @given(case=_fuzz_cases())
 def test_fuzzed_configs_exit_0_or_2(case):
     _check_case(case)
+
+
+# -- argv fuzz: the numeric flags of every subcommand ---------------------------
+
+_SCENARIO_ARGS = ["--random-dim", "2", "--seed", "3", "--times", "0.5,1"]
+_OPEN_MODEL = str(ROOT / "demos" / "configs" / "open_model.json")
+ARGV_BASES = {
+    "demo": ["demo", "rabi", "--omega", "1", "--tmax", "3", "--points", "3"],
+    "eval": ["eval", *_SCENARIO_ARGS, "--plus", "0,0", "--minus", "0,1"],
+    "verify": ["verify", *_SCENARIO_ARGS, "--tolerance", "1e-9"],
+    "bound": ["bound", *_SCENARIO_ARGS, "--horizon", "2"],
+    "refine": ["refine", *_SCENARIO_ARGS, "--size", "4"],
+    "opensys": ["opensys", "--model", _OPEN_MODEL, "--time", "1", "--steps", "4"],
+    "study": ["opensys", "--model", _OPEN_MODEL, "--time", "1", "--study", "2,4"],
+}
+NUMERIC_FLAGS = {
+    "--points", "--omega", "--tmax", "--size", "--steps", "--study", "--time", "--tolerance",
+    "--horizon", "--random-dim", "--seed", "--times",
+}
+ARGV_MUTANTS = tuple(dict.fromkeys([str(m) for m in MUTANTS] + ["0", "-2", "1.5", "1000000000"]))
+# no working-memory count covers random_scenario, whose d projectors take
+# 16 d^3 bytes, so --random-dim takes no value of 1000 or more
+UNCOUNTED_FLAGS = {"--random-dim"}
+
+
+def _is_large_text(value: str) -> bool:
+    try:
+        x = float(value)
+    except ValueError:
+        return False
+    return math.isfinite(x) and abs(x) >= 1000
+
+
+@st.composite
+def _argv_cases(draw):
+    base = draw(st.sampled_from(sorted(ARGV_BASES)))
+    flags = [a for a in ARGV_BASES[base] if a in NUMERIC_FLAGS]
+    mutation = {}
+    for flag in draw(st.lists(st.sampled_from(flags), min_size=1, max_size=2, unique=True)):
+        pool = [m for m in ARGV_MUTANTS if flag not in UNCOUNTED_FLAGS or not _is_large_text(m)]
+        mutation[flag] = draw(st.sampled_from(pool))
+    return base, mutation
+
+
+def _argv_examples(test):
+    for points in ("0", "-2", "1000000000"):
+        test = example(case=("demo", {"--points": points}))(test)
+    return test
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@_argv_examples
+@given(case=_argv_cases())
+def test_mutated_numeric_flags_exit_0_1_or_2(case):
+    base, mutation = case
+    argv = list(ARGV_BASES[base])
+    for i in range(1, len(argv)):
+        argv[i] = mutation.get(argv[i - 1], argv[i])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)  # any exception here would reach the user as a traceback
+    assert code in (0, 1, 2), argv
 
 
 def _readme_commands() -> list:

@@ -424,12 +424,14 @@ class TestExactJointMap:
             with pytest.raises(errors.EnumerationTooLarge, match=f"{nbytes} bytes"):
                 call()
 
-    @pytest.mark.parametrize("d_o, d_e", [(2, 64), (16, 8), (2, 4)])
+    @pytest.mark.parametrize("d_o, d_e", [(2, 64), (16, 8), (2, 4), (2, 2)])
     def test_many_run_contract_map_fits_its_count(self, d_o, d_e, monkeypatch):
         # a 160-segment driven environment under 300 steps: over 100 runs,
         # in batches of one at D = 128 and of 256 at D = 8, the first full;
-        # at d_e = 64 the walk streams chunks of one segment, at d_e = 8 and 4
-        # the call fills the schedule's memo, which stays beside the reduction
+        # at D = 4 a batch could hold 1,024 runs, but 300 steps make at most
+        # 300, and only those are counted; at d_e = 64 the walk streams chunks
+        # of one segment, at d_e = 8, 4 and 2 the call fills the schedule's
+        # memo, which stays beside the reduction
         def environment():
             return driven_environment(bt.random_scenario(d_e, seed=7), 2.0, 160, seed=d_e)
 
@@ -448,6 +450,7 @@ class TestExactJointMap:
         finally:
             tracemalloc.stop()
         assert peak <= nbytes + 16 * 2**10
+        assert nbytes < 4 * peak  # a batch counts the runs the steps can make, not a full chunk
         monkeypatch.setattr(biprob, "MEMORY_BUDGET", nbytes - 1)
         with pytest.raises(errors.EnumerationTooLarge, match=f"{nbytes} bytes"):
             call()

@@ -618,6 +618,81 @@ class TestMemo:
         np.testing.assert_array_equal(bt.propagator(copy, 0.0, 1.3).matrix, want)
 
 
+def random_pieces(seed: int, d: int, segments: int) -> tuple:
+    rng = np.random.default_rng(seed)
+    edges = [0.0, *np.unique(rng.uniform(0.0, 3.0, segments - 1)).tolist(), 3.0]
+    g = rng.standard_normal((len(edges) - 1, d, d)) + 1j * rng.standard_normal((len(edges) - 1, d, d))
+    return tuple((a, b, 0.5 * (x + x.conj().T)) for a, b, x in zip(edges[:-1], edges[1:], g)), edges
+
+
+class TestBatchedWalk:
+    """A walk forms its times in stacked batches; each matrix is still the per-time one, checked and read-only."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        d=st.sampled_from([1, 2, 3]),
+        segments=st.integers(min_value=1, max_value=9),
+        over_cap=st.booleans(),
+        chunk=st.sampled_from([1, 2, 3, 256]),
+        data=st.data(),
+    )
+    def test_every_walked_matrix_is_bitwise_the_per_time_one(self, seed, d, segments, over_cap, chunk, data):
+        pieces, edges = random_pieces(seed, d, segments)
+        # time 0, segment edges and repeated times are all likely
+        point = st.one_of(st.sampled_from(edges), st.floats(min_value=0.0, max_value=3.0))
+        times = sorted(data.draw(st.lists(point, min_size=1, max_size=12)))
+        times += data.draw(st.lists(st.sampled_from(times), max_size=3))
+        times.sort()
+        t_from = times[0] if data.draw(st.booleans()) else 0.0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(propagate, "_chunk_len", lambda d: chunk)  # segments per chunk and times per batch
+            if over_cap:
+                patch.setattr(propagate, "_MEMO_BYTES", 0)
+            schedule = bt.HamiltonianSchedule(pieces)
+            walked = list(propagate._walk(schedule, t_from, times))
+            assert len(walked) == len(times)
+            for u, t in zip(walked, times):
+                assert u.interval == (t_from, t) and not u.matrix.flags.writeable
+                np.testing.assert_array_equal(u.matrix, oracle_piece_propagator(schedule, t_from, t))
+                alone = bt.propagator(bt.HamiltonianSchedule(pieces), t_from, t)
+                np.testing.assert_array_equal(u.matrix, alone.matrix)
+        assert ("_memo" in vars(schedule)) is not over_cap
+
+    def test_walked_matrices_are_read_only_and_share_nothing_with_the_memo(self):
+        schedule = driven_schedule(segments=8, horizon=2.0)
+        times = [0.0, 0.0, 0.3, 1.0, 1.0, 1.7]
+        want = [oracle_piece_propagator(schedule, 0.0, t) for t in times]
+        walks = (
+            bt.propagators_along(schedule, times),
+            [bt.propagator(schedule, 0.0, t) for t in times],
+            list(propagate._walk(schedule, 0.25, times[2:])),
+        )
+        memo = schedule._memo
+        for walk in walks:
+            for u in walk:
+                for held in (memo.evals, memo.evecs, memo.wholes, memo.prefix):
+                    assert not np.shares_memory(u.matrix, held)
+                with pytest.raises(ValueError):
+                    u.matrix[0, 0] = 2.0
+                with pytest.raises(ValueError):
+                    u.matrix.setflags(write=True)
+        for u, w in zip(bt.propagators_along(schedule, times), want, strict=True):
+            np.testing.assert_array_equal(u.matrix, w)
+
+    def test_a_planted_non_unitary_time_raises_after_the_earlier_times(self):
+        schedule = bt.HamiltonianSchedule(
+            ((0.0, 1.0, 0.5 * SIGMA_X), (1.0, 2.0, 0.5 * SIGMA_Z), (2.0, 3.0, 0.3 * SIGMA_X)))
+        bt.propagator(schedule, 0.0, 3.0)  # fills the memo's rows and prefix products
+        schedule._memo.evecs[1] *= 1.001  # segment 1's eigenvectors are no longer orthonormal
+        walk = propagate._walk(schedule, 0.0, [0.5, 1.0, 1.5, 2.5])
+        for t in (0.5, 1.0):
+            np.testing.assert_array_equal(next(walk).matrix, oracle_piece_propagator(schedule, 0.0, t))
+        with pytest.raises(errors.ValidationError, match=r"propagator on \[0\.0, 1\.5\]: unitarity defect") as err:
+            next(walk)
+        assert err.value.has(errors.NotUnitary)
+
+
 class TestUnitaryMatrix:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_rejected(self, value):

@@ -161,6 +161,7 @@ PROBES = [
     ("build_refinement", {"size": 1e308}),
     ("random_scenario", {"d": 2.0}),
     ("Superoperator", {"dim": -2}),
+    ("UnitaryMatrix", {"a": "a", "b": None}),
 ]
 
 
