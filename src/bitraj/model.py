@@ -62,7 +62,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _as_operator(obj, name: str) -> np.ndarray:
-    a = np.asarray(obj, dtype=complex)
+    try:
+        a = np.asarray(obj, dtype=complex)
+    except (TypeError, ValueError):  # an entry that is no number, or rows of unequal length
+        raise ValidationError([DomainMismatch(f"{name}: expected a matrix of numbers")]) from None
     if a.ndim != 2:
         raise ValidationError([DimensionMismatch(f"{name}: expected a matrix, got ndim={a.ndim}")])
     if not np.all(np.isfinite(a.view(float))):

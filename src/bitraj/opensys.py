@@ -79,6 +79,7 @@ class Superoperator:
 
     @classmethod
     def identity(cls, dim: int) -> "Superoperator":
+        dim = as_count(dim, "superoperator dimension")
         return cls(np.eye(dim * dim, dtype=complex), dim)
 
     @classmethod

@@ -5,13 +5,15 @@ computed by Hermitian eigendecomposition, so unitarity holds to floating
 point regardless of step size.  In the piecewise-constant model the cocycle
 property U(t3,t1) = U(t3,t2) U(t2,t1) is exact up to rounding.
 
-Every propagator comes from one segment walk: :func:`propagator` is its
-first value (and :func:`heisenberg_projector` conjugates by it),
-:func:`propagators_along` its list, and :func:`heisenberg_pvm_stacks`
-consumes it one time at a time; :func:`uniform_step_runs` batches the step
-runs of a uniform grid over the same segments.  A walk diagonalises the
-segments it covers in byte-bounded batches (one ``eigh`` and one exponential
-per chunk of segments, bitwise the per-segment calls).
+Every propagator comes from one segment walk, which yields its times in
+batches, each a checked, read-only ``(m, d, d)`` stack: :func:`propagator`
+and :func:`propagators_along` wrap its rows as UnitaryMatrix objects (and
+:func:`heisenberg_projector` conjugates by one), and
+:func:`heisenberg_pvm_stacks` conjugates them one time at a time;
+:func:`uniform_step_runs` batches the step runs of a uniform grid over the
+same segments.  A walk diagonalises the segments it covers in byte-bounded
+batches (one ``eigh`` and one exponential per chunk of segments, bitwise the
+per-segment calls).
 
 A HamiltonianSchedule keeps what its walks factor in a private memo, which
 lives as long as the schedule: each covered segment's eigensystem and whole
@@ -19,12 +21,12 @@ exponential and, once a walk from 0 reaches it, the prefix product
 U(a_k, 0).  So each segment is diagonalised once per schedule, and a walk
 from 0 through factored segments forms its times in batches: one partial
 exponential call with one scale per time, one stacked product with the
-prefix rows and one stacked unitarity check, whose matrices it yields as
-read-only views with no copy.  The memo holds ``48 d^2 + 8 d + 8`` bytes a
-segment and 2 KiB (:func:`_memo_bytes`).  A schedule whose memo would pass
-``_MEMO_BYTES`` (4 MiB) keeps none, and neither does a lazily built one
-such as the opensys joint generators: their walks factor one chunk at a
-time and drop it, within :func:`_walk_bytes`.
+prefix rows and one stacked unitarity check, which the UnitaryMatrix
+constructor shares (:func:`_checked`).  The memo holds ``48 d^2 + 8 d + 8``
+bytes a segment and 2 KiB (:func:`_memo_bytes`).  A schedule whose memo would
+pass ``_MEMO_BYTES`` (4 MiB) keeps none, and neither does a lazily built one
+such as the opensys joint generators: their walks factor one chunk at a time
+and drop it, within :func:`_walk_bytes`.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .errors import (
     OutOfHorizon,
     ValidationError,
 )
-from .model import _CHUNK_BYTES, HamiltonianSchedule, QuantumScenario, _spectral_norm, check_defect
+from .model import _CHUNK_BYTES, HamiltonianSchedule, QuantumScenario, _as_operator, _spectral_norm, check_defect
 from .serialize import as_real, as_reals
 
 TOL_UNITARY = 1e-9
@@ -60,8 +62,8 @@ _MEMO_BYTES = 2**22  # the most a schedule's memo may hold
 class UnitaryMatrix:
     """A propagator together with the time interval it covers, held to ||U^dagger U - I||_F <= TOL_UNITARY.
 
-    The constructor checks and freezes a copy; a walk's propagators are read-only
-    views of its batch, which :func:`_checked` holds to the same check.
+    The constructor checks and freezes a copy with :func:`_checked`, which checks
+    every walked batch too; :func:`propagator` and :func:`propagators_along` wrap their rows.
     """
 
     matrix: np.ndarray
@@ -69,14 +71,13 @@ class UnitaryMatrix:
     t_to: float
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = _as_operator(self.matrix, "propagator matrix")
+        if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"propagator matrix must be square, got shape {m.shape}")
         t_from, t_to = as_real(self.t_from, "t_from"), as_real(self.t_to, "t_to")
-        with np.errstate(invalid="ignore", over="ignore"):  # a given matrix may hold inf or huge entries
-            _check_unitary(_unitarity_defects(m[None])[0], t_from, t_to)
-        m.setflags(write=False)
-        vars(self).update(matrix=m, t_from=t_from, t_to=t_to)
+        with np.errstate(invalid="ignore", over="ignore"):  # a given matrix may hold huge entries
+            us = _checked(m[None].copy(), t_from, (t_to,))
+        vars(self).update(matrix=us[0], t_from=t_from, t_to=t_to)
 
     @classmethod
     def _walked(cls, m: np.ndarray, t_from: float, t_to: float) -> "UnitaryMatrix":
@@ -90,19 +91,6 @@ class UnitaryMatrix:
         return (self.t_from, self.t_to)
 
 
-def _unitarity_defects(us: np.ndarray) -> list:
-    """||U^dagger U - I||_F of every matrix of an (m, d, d) stack.
-
-    The Frobenius norm is never below the spectral norm, so the check is never
-    looser, and it needs no SVD.  A non-finite entry makes the defect NaN or
-    inf, which fails :func:`_check_unitary`.
-    """
-    g = us.conj().swapaxes(-1, -2) @ us
-    g -= _identity(us.shape[-1])
-    r = g.reshape(len(us), 1, -1).view(float)
-    return [math.sqrt(x) for x in (r @ r.swapaxes(-1, -2)).ravel().tolist()]
-
-
 @functools.cache
 def _identity(d: int) -> np.ndarray:
     eye = np.eye(d, dtype=complex)
@@ -110,25 +98,24 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
-def _check_unitary(dev: float, t_from: float, t_to: float) -> None:
-    """Raise NotUnitary for the propagator on [t_from, t_to] unless its defect is within TOL_UNITARY."""
-    violations = check_defect(
-        dev, TOL_UNITARY, NotUnitary, "propagator on [%r, %r]: unitarity defect", t_from, t_to)
-    if violations:
-        raise ValidationError(violations)
+def _checked(us: np.ndarray, t_from: float, times) -> np.ndarray:
+    """A stack of U(t, t_from), one per time, made read-only once each has ||U^dagger U - I||_F <= TOL_UNITARY.
 
-
-def _checked(us: np.ndarray, t_from: float, times) -> Iterator[UnitaryMatrix]:
-    """Yield each matrix of a stack of walked propagators as a read-only view, one per time.
-
-    The stack owns its data, so no view can be made writable again.  It is
-    checked at once; a time that fails raises NotUnitary once the times
-    before it have been yielded.
+    The Frobenius norm is never below the spectral norm, so the check is never
+    looser, and one stacked product serves it with no SVD.  A non-finite entry
+    makes the defect NaN or inf, which fails; the earliest time that fails
+    raises NotUnitary.  The stack owns its data, so no row can be made writable.
     """
+    g = us.conj().swapaxes(-1, -2) @ us
+    g -= _identity(us.shape[-1])
+    r = g.reshape(len(us), 1, -1).view(float)
+    for dev, t in zip((r @ r.swapaxes(-1, -2)).ravel().tolist(), times):
+        violations = check_defect(
+            math.sqrt(dev), TOL_UNITARY, NotUnitary, "propagator on [%r, %r]: unitarity defect", t_from, t)
+        if violations:
+            raise ValidationError(violations)
     us.setflags(write=False)
-    for u, dev, t in zip(us, _unitarity_defects(us), times):
-        _check_unitary(dev, t_from, t)
-        yield UnitaryMatrix._walked(u, t_from, t)
+    return us
 
 
 def operator_norm(m) -> float:
@@ -218,7 +205,7 @@ class _Memo:
         The times at 0 get the identity row.  The others take one partial
         exponential call, with one scale per time, and one stacked product with
         the prefix rows of their segments: each matrix is bitwise the per-time
-        product, and NaN where its phase can overflow, as in :func:`_eig`.
+        product, and NaN where its phase can overflow (:func:`_fitting`).
         """
         z = bisect.bisect_right(times, 0.0)  # ascending, so the times at 0 lead
         rows = [bisect.bisect_left(self.ends, t) for t in times[z:]]
@@ -238,10 +225,7 @@ class _Memo:
             k, dt = rows[0], dts[0]
             us = expm_from_eigh(_eig(self.evals[k], self.evecs[k], dt), -1j * dt) @ self.prefix[k:k + 1]
         elif rows:
-            evals = self.evals.take(rows, 0)
-            for i, (ev, dt) in enumerate(zip(evals.tolist(), dts)):
-                if not (abs(ev[0]) + abs(ev[-1])) * dt < math.inf:  # as in _eig
-                    evals[i] = math.nan
+            evals = _fitting(self.evals.take(rows, 0), np.array(dts))
             scales = np.array([-1j * dt for dt in dts])
             us = expm_from_eigh((evals, self.evecs.take(rows, 0)), scales) @ self.prefix.take(rows, 0)
         if not z:
@@ -264,8 +248,7 @@ def _factor(pieces: list, n: int) -> tuple:
 
     One ``eigh`` diagonalises every piece and one exponential gives the whole
     exp(-i H (b - a)) of the first n, each bitwise the per-piece call.  A
-    whole piece whose phase can overflow gets a NaN exponential, as in
-    :func:`_eig`.
+    whole piece whose phase can overflow gets a NaN exponential (:func:`_fitting`).
     """
     starts, ends, hs = zip(*pieces)
     pieces.clear()
@@ -275,10 +258,14 @@ def _factor(pieces: list, n: int) -> tuple:
     evals, evecs = np.linalg.eigh(stack)
     del stack
     dt = np.array(ends[:n]) - starts[:n]
+    return starts, ends, evals, evecs, expm_from_eigh((_fitting(evals[:n], dt), evecs[:n]), -1j * dt)
+
+
+def _fitting(evals: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """The rule of :func:`_eig` for a stack: each row of eigenvalues, or NaN where its phase over dt can overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
-        fits = (np.abs(evals[:n, 0]) + np.abs(evals[:n, -1])) * dt < math.inf
-    phases = evals[:n] if fits.all() else np.where(fits[:, None], evals[:n], math.nan)
-    return starts, ends, evals, evecs, expm_from_eigh((phases, evecs[:n]), -1j * dt)
+        fits = (np.abs(evals[:, 0]) + np.abs(evals[:, -1])) * dt < math.inf
+    return evals if fits.all() else np.where(fits[:, None], evals, math.nan)
 
 
 def _eig(evals: np.ndarray, evecs: np.ndarray, dt: float) -> tuple:
@@ -298,56 +285,56 @@ def _segment_pieces(schedule, t_from: float, t_to: float) -> Iterator[tuple]:
 
     ``whole`` is exp(-i H (b - a)), or None for the last piece, which may be
     unbounded.  Each value is bitwise the per-piece call's, and ``eig`` is
-    NaN if the phase over [a, min(b, t_to)] can overflow.  The pieces come
-    from the schedule's memo, or, with none, from chunks of segments
-    factored as the walk reaches them and then dropped.
+    NaN if the phase over [a, min(b, t_to)] can overflow.  The pieces come in
+    chunks ``(starts, ends, evals, evecs, wholes)``: the rows of the
+    schedule's memo or, with none, :func:`_factored_chunks`.
     """
     memo = _memo(schedule)
     if memo is None:
-        yield from _streamed_pieces(schedule, t_from, t_to)
-        return
-    first, last = bisect.bisect_right(memo.ends, t_from), bisect.bisect_left(memo.ends, t_to)
-    memo.factor(last)
-    for k in range(first, last + 1):
-        start, b = memo.segments[k][0], memo.ends[k]
-        a = max(start, t_from)
-        eig = _eig(memo.evals[k], memo.evecs[k], min(b, t_to) - a)
-        if k == last:
-            whole = None
-        else:
-            whole = memo.wholes[k] if a == start else expm_from_eigh(eig, -1j * (b - a))
-        yield a, b, eig, whole
+        chunks = _factored_chunks(schedule, t_from, t_to)
+    else:
+        first, last = bisect.bisect_right(memo.ends, t_from), bisect.bisect_left(memo.ends, t_to)
+        memo.factor(last)
+        starts = [a for a, _, _ in memo.segments[first:last + 1]]
+        chunks = [(starts, memo.ends[first:last + 1], memo.evals[first:], memo.evecs[first:], memo.wholes[first:])]
+    for starts, ends, evals, evecs, wholes in chunks:
+        for i, (start, b) in enumerate(zip(starts, ends)):
+            a = max(start, t_from)
+            eig = _eig(evals[i], evecs[i], min(b, t_to) - a)
+            if b >= t_to:
+                whole = None
+            else:  # a memo row's whole exponential covers its segment from its start
+                whole = wholes[i] if a == start else expm_from_eigh(eig, -1j * (b - a))
+            yield a, b, eig, whole
 
 
-def _streamed_pieces(schedule, t_from: float, t_to: float) -> Iterator[tuple]:
-    """:func:`_segment_pieces` one chunk of ``_chunk_len(d)`` at a time, a lazily built schedule included."""
+def _factored_chunks(schedule, t_from: float, t_to: float) -> Iterator[tuple]:
+    """:func:`_factor` the pieces from t_from to t_to, ``_chunk_len(d)`` at a time, each as a walk reaches it."""
     per_chunk, pieces = _chunk_len(schedule.dimension), []
     for a, b, h in schedule.segments:
         if b > t_from:
             pieces.append((max(a, t_from), b, h))
             last = b >= t_to
             if last or len(pieces) == per_chunk:
-                starts, ends, evals, evecs, wholes = _factor(pieces, len(pieces) - last)
-                for i, (a, b) in enumerate(zip(starts, ends)):
-                    whole = wholes[i] if i < len(wholes) else None
-                    yield a, b, _eig(evals[i], evecs[i], min(b, t_to) - a), whole
+                yield _factor(pieces, len(pieces) - last)
                 if last:
                     return
 
 
-def _walk(schedule: HamiltonianSchedule, t_from: float, times) -> Iterator[UnitaryMatrix]:
-    """Yield U(t, t_from) for every time of an ascending sequence, lazily.
+def _walk(schedule: HamiltonianSchedule, t_from: float, times) -> Iterator[tuple]:
+    """Yield U(t, t_from) for every time of an ascending sequence, lazily, in batches ``(stack, times)``.
 
     Each covered segment is diagonalised once, in the byte-bounded batches
     of :func:`_segment_pieces`.  Only whole segment pieces are carried; every
     U(t, t_from) is the partial exponential exp(-i H_k (t - a_k)) applied to
-    the carry of its piece, so each yielded propagator has the arithmetic of
-    the plain piece-by-piece product from t_from to t, whatever other times
-    are walked.  Chaining steps between the times instead would add one
+    the carry of its piece, so each propagator has the arithmetic of the
+    plain piece-by-piece product from t_from to t, whatever other times are
+    walked.  Chaining steps between the times instead would add one
     rounding error per step.  From t_from = 0, the carries are the memo's
     prefix products, and the times go through :meth:`_Memo.from_zero` in
-    batches of ``_chunk_len(d)``.  Every propagator is held to
-    ||U^dagger U - I||_F <= TOL_UNITARY, a batch at a time (:func:`_checked`).
+    batches of ``_chunk_len(d)``; otherwise each batch holds one time.  Every
+    batch is an ``(m, d, d)`` stack of its m times, checked by
+    :func:`_checked` before it is yielded and read-only.
     """
     t_from = as_real(t_from, "t_from")
     times = as_reals(times, "propagation time")
@@ -365,7 +352,7 @@ def _walk(schedule: HamiltonianSchedule, t_from: float, times) -> Iterator[Unita
         step = _chunk_len(schedule.dimension)  # times per batch: a time holds less than a segment
         for lo in range(0, len(times), step):
             batch = times[lo:lo + step]
-            yield from _checked(memo.from_zero(batch), t_from, batch)
+            yield _checked(memo.from_zero(batch), t_from, batch), batch
         return
     pieces = _segment_pieces(schedule, t_from, ends[-1])
     a = b = t_from
@@ -376,7 +363,7 @@ def _walk(schedule: HamiltonianSchedule, t_from: float, times) -> Iterator[Unita
                 carry = whole @ carry
             a, b, eig, whole = next(pieces)
         u = expm_from_eigh(eig, -1j * (t - a)) @ carry if t > a else carry
-        yield from _checked(u, t_from, (t,))  # an overflowing piece made u NaN
+        yield _checked(u, t_from, (t,)), (t,)  # an overflowing piece made u NaN
 
 
 def propagator(
@@ -388,7 +375,8 @@ def propagator(
 
     Each covered segment piece contributes one exact exponential.
     """
-    return next(_walk(schedule, t_from, [t_to]))
+    us, (t_to,) = next(_walk(schedule, t_from, [t_to]))
+    return UnitaryMatrix._walked(us[0], as_real(t_from, "t_from"), t_to)
 
 
 def propagators_along(schedule: HamiltonianSchedule, times) -> list:
@@ -396,7 +384,7 @@ def propagators_along(schedule: HamiltonianSchedule, times) -> list:
 
     One walk: bitwise equal to ``propagator(schedule, 0.0, t_j)`` at every time.
     """
-    return list(_walk(schedule, 0.0, times))
+    return [UnitaryMatrix._walked(u, 0.0, t) for us, ts in _walk(schedule, 0.0, times) for u, t in zip(us, ts)]
 
 
 def uniform_step_runs(schedule: HamiltonianSchedule, t: float, n_steps: int, per_batch: int) -> Iterator[tuple]:
@@ -466,7 +454,7 @@ def heisenberg_pvm_stacks(scenario: QuantumScenario, times, pvms=None) -> Iterat
     ``pvms`` gives one observable per time and defaults to the scenario's.
     A consumer that drops each stack holds one at a time.
     """
-    if pvms is None:
-        pvms = [scenario.pvm] * len(times)
-    for u, pvm in zip(_walk(scenario.schedule, 0.0, times), pvms):
-        yield dagger(u.matrix) @ pvm._stack @ u.matrix
+    pvms = iter([scenario.pvm] * len(times) if pvms is None else pvms)
+    for us, _ in _walk(scenario.schedule, 0.0, times):
+        for u, pvm in zip(us, pvms):
+            yield dagger(u) @ pvm._stack @ u

@@ -113,6 +113,17 @@ class TestValidateScenario:
         with pytest.raises(errors.ParseError, match="row 1"):
             bt.validate_scenario(cfg)
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda m: bt.DensityOperator(m), "state"),
+        (lambda m: bt.HamiltonianSchedule(((0.0, 1.0, SIGMA_Z), (1.0, 2.0, m))), "schedule segment 1"),
+        (lambda m: bt.UnitaryMatrix(m, 0.0, 1.0), "propagator matrix"),
+    ], ids=["state", "segment", "unitary"])
+    @pytest.mark.parametrize("matrix", [[["a", 0], [0, 1]], [[{}, 0], [0, 1]], [[1, 0], [0]]], ids=["str", "dict", "ragged"])
+    def test_a_matrix_that_is_not_numbers_names_its_argument(self, build, name, matrix):
+        with pytest.raises(errors.ValidationError, match=f"{name}: expected a matrix of numbers") as err:
+            build(matrix)
+        assert [type(v) for v in err.value.violations] == [errors.DomainMismatch]
+
     def test_missing_key(self):
         cfg = textbook_config()
         del cfg["observable"]

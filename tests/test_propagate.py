@@ -429,6 +429,16 @@ class TestChunkEdges:
         assert scales and all(np.isfinite(s).all() for s in scales)
 
 
+Walked = collections.namedtuple("Walked", "matrix interval")
+
+
+def walk_records(schedule, t_from: float, times):
+    """The batches of ``propagate._walk``, flattened lazily into one (matrix, interval) record per time."""
+    for us, batch in propagate._walk(schedule, t_from, times):
+        for u, t in zip(us, batch):
+            yield Walked(u, (t_from, t))
+
+
 class TestOverflowingSegment:
     """A segment whose phase overflows makes the walks through it NaN, quietly."""
 
@@ -443,11 +453,11 @@ class TestOverflowingSegment:
         schedule = self.schedule()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            walk = propagate._walk(schedule, 0.0, [0.5, 1.0, 2.5])
-            for t in (0.5, 1.0):
-                np.testing.assert_array_equal(next(walk).matrix, oracle_piece_propagator(schedule, 0.0, t))
-            with pytest.raises(errors.ValidationError) as err:
-                next(walk)
+            # a batch is checked before it is yielded, so the earlier times are walked alone
+            for u, t in zip(walk_records(schedule, 0.0, [0.5, 1.0]), (0.5, 1.0), strict=True):
+                np.testing.assert_array_equal(u.matrix, oracle_piece_propagator(schedule, 0.0, t))
+            with pytest.raises(errors.ValidationError, match=r"propagator on \[0\.0, 2\.5\]: unitarity defect") as err:
+                list(walk_records(schedule, 0.0, [0.5, 1.0, 2.5]))
             assert err.value.has(errors.NotUnitary)
             steps = expand_runs(step_runs(schedule, 3.0, 6, chunk))
         # each step is its own exponential: only those on [1, 2] are NaN
@@ -650,7 +660,7 @@ class TestBatchedWalk:
             if over_cap:
                 patch.setattr(propagate, "_MEMO_BYTES", 0)
             schedule = bt.HamiltonianSchedule(pieces)
-            walked = list(propagate._walk(schedule, t_from, times))
+            walked = list(walk_records(schedule, t_from, times))
             assert len(walked) == len(times)
             for u, t in zip(walked, times):
                 assert u.interval == (t_from, t) and not u.matrix.flags.writeable
@@ -666,7 +676,7 @@ class TestBatchedWalk:
         walks = (
             bt.propagators_along(schedule, times),
             [bt.propagator(schedule, 0.0, t) for t in times],
-            list(propagate._walk(schedule, 0.25, times[2:])),
+            list(walk_records(schedule, 0.25, times[2:])),
         )
         memo = schedule._memo
         for walk in walks:
@@ -680,17 +690,33 @@ class TestBatchedWalk:
         for u, w in zip(bt.propagators_along(schedule, times), want, strict=True):
             np.testing.assert_array_equal(u.matrix, w)
 
-    def test_a_planted_non_unitary_time_raises_after_the_earlier_times(self):
+    def test_a_planted_non_unitary_time_fails_only_the_full_walk(self):
         schedule = bt.HamiltonianSchedule(
             ((0.0, 1.0, 0.5 * SIGMA_X), (1.0, 2.0, 0.5 * SIGMA_Z), (2.0, 3.0, 0.3 * SIGMA_X)))
         bt.propagator(schedule, 0.0, 3.0)  # fills the memo's rows and prefix products
         schedule._memo.evecs[1] *= 1.001  # segment 1's eigenvectors are no longer orthonormal
-        walk = propagate._walk(schedule, 0.0, [0.5, 1.0, 1.5, 2.5])
-        for t in (0.5, 1.0):
-            np.testing.assert_array_equal(next(walk).matrix, oracle_piece_propagator(schedule, 0.0, t))
+        # a batch is checked before it is yielded, so the earlier times are walked alone
+        for u, t in zip(walk_records(schedule, 0.0, [0.5, 1.0]), (0.5, 1.0), strict=True):
+            np.testing.assert_array_equal(u.matrix, oracle_piece_propagator(schedule, 0.0, t))
         with pytest.raises(errors.ValidationError, match=r"propagator on \[0\.0, 1\.5\]: unitarity defect") as err:
-            next(walk)
+            list(walk_records(schedule, 0.0, [0.5, 1.0, 1.5, 2.5]))
         assert err.value.has(errors.NotUnitary)
+
+    def test_two_failing_times_in_one_batch_name_the_earliest_only(self):
+        schedule = bt.HamiltonianSchedule(((0.0, 1.0, 0.5 * SIGMA_X), (1.0, 3.0, 0.5 * SIGMA_Z)))
+        bt.propagator(schedule, 0.0, 3.0)
+        memo = schedule._memo
+        memo.evecs[1] *= 1.001  # the row covering 1.5 and 2.5
+        with pytest.raises(errors.ValidationError) as walked:
+            bt.propagators_along(schedule, [0.5, 1.5, 2.5])
+        [fault] = walked.value.violations
+        assert isinstance(fault, errors.NotUnitary)
+        assert str(fault).startswith("propagator on [0.0, 1.5]: unitarity defect ")
+        # the walk's matrix at 1.5, given to the constructor, fails the same check
+        u = propagate.expm_from_eigh((memo.evals[1], memo.evecs[1]), -0.5j) @ memo.prefix[1]
+        with pytest.raises(errors.ValidationError) as given_:
+            bt.UnitaryMatrix(u, 0.0, 1.5)
+        assert str(given_.value) == str(walked.value)
 
 
 class TestUnitaryMatrix:

@@ -1,8 +1,9 @@
 """Every public call reads its numbers as reals or counts, or rejects them.
 
 ``CALLS`` holds one valid base call for each public callable that takes a
-real or a count.  A case replaces one or two of its scalar arguments with a
-mutant: the config fuzz's ``MUTANTS``, plus ``EXTRA``.  With warnings as
+real or a count, and one for ``DensityOperator``, whose slot is a matrix
+entry.  A case replaces one or two of its scalar arguments with a mutant:
+the config fuzz's ``MUTANTS``, plus ``EXTRA``.  With warnings as
 errors, the call must return or raise a ``BitrajError``; any other exception
 fails.  Large valid values are drawn only for the arguments named as
 bounded, whose work the call bounds itself (``random_scenario`` at d = 1000
@@ -56,6 +57,7 @@ CALLS = {
     "BiDistribution": (
         lambda f: BiDistribution(grid(0.5), ((1.0, f),), np.diag([1.0, 0.0])),
         dict(f=-1.0), "f"),
+    "DensityOperator": (lambda p: bt.DensityOperator([[p, 0], [0, 0.5]]), dict(p=0.5), ""),
     "BiOutcome": (lambda f, g: bt.BiOutcome((f, 1.0), (g, 1.0)), dict(f=1.0, g=-1.0), "f g"),
     "GenericTuple": (
         lambda k, j: bt.GenericTuple((np.eye(2), np.eye(2)), (k, 0), (j, 0)), dict(k=1, j=1), "k j"),
@@ -129,7 +131,7 @@ CALLS = {
 # domain objects, matrices or a config mapping (``validate_scenario``, whose
 # numbers the config fuzz mutates)
 TAKES_NO_NUMBER = {
-    "DensityOperator", "ObservableSequence", "PropertyReport", "average", "cauchy_stabilization",
+    "ObservableSequence", "PropertyReport", "average", "cauchy_stabilization",
     "choi_matrix", "classicality_report", "comb_biprob", "decompose_multiobs", "eval_biprob",
     "eval_generic", "eval_multiobs", "full_distribution", "generic_l1_norm", "l1_norm",
     "minimum_refinement_size", "multiobs_distribution", "nonuniform_bound", "operator_norm",
@@ -162,6 +164,8 @@ PROBES = [
     ("random_scenario", {"d": 2.0}),
     ("Superoperator", {"dim": -2}),
     ("UnitaryMatrix", {"a": "a", "b": None}),
+    ("DensityOperator", {"p": "a"}),
+    ("Superoperator.identity", {"dim": math.nan}),
 ]
 
 
