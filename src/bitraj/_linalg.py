@@ -14,6 +14,11 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices, bitwise, without its overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), a.shape[1] * b.shape[1])
+
+
 def vec(a: np.ndarray) -> np.ndarray:
     """Column-stack a matrix into a vector."""
     return np.asarray(a).T.reshape(-1)

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .model import DensityOperator, ObservablePVM, QuantumScenario, TimeGrid, check_defect
 from .propagate import heisenberg_pvm_stacks
-from .serialize import as_count, as_reals, format_floats
+from .serialize import as_array, as_count, as_reals, format_floats
 
 MEMORY_BUDGET = 64 * 2**20  # bytes
 _TABLE_BLOCK_BYTES = 2**20  # the rows of W that one column block of a table reads
@@ -99,10 +99,10 @@ class BiDistribution:
     _stacks = None  # set by _distribution_for_slots; not a field
 
     def __post_init__(self):
-        if isinstance(self.table, _Handover):
-            table = np.asarray(self.table.array, dtype=complex, order="C")
+        if isinstance(self.table, _Handover):  # the engine's complex C-ordered array
+            table = self.table.array
         else:
-            table = np.array(self.table, dtype=complex)
+            table = np.array(as_array(self.table, "table"))  # a copy, frozen below
         n = len(self.grid)
         sizes = tuple(len(s) for s in self.outcome_sets)
         if len(self.outcome_sets) != n:
@@ -228,7 +228,7 @@ class TupleFunction:
 
     def __post_init__(self):
         sizes = tuple(len(s) for s in self.outcome_sets)
-        values = np.asarray(self.values, dtype=complex)
+        values = as_array(self.values, "test function values")
         if values.shape != sizes[::-1] + sizes[::-1]:
             raise DomainMismatch(
                 f"values shape {values.shape} does not match outcome sizes {sizes}"
@@ -243,14 +243,15 @@ class TupleFunction:
     ) -> "TupleFunction":
         sets = _outcome_sets(outcome_sets)
         labels = list(itertools.product(*sets[::-1]))  # latest-first tuples, in table row order
-        values = np.array([fn(BiOutcome(p, m)) for p in labels for m in labels], dtype=complex)
+        values = as_array([fn(BiOutcome(p, m)) for p in labels for m in labels], "test function value")
         rev = tuple(len(s) for s in sets[::-1])
-        return cls(grid, sets, values.reshape(rev + rev))
+        return cls(grid, sets, values.reshape(rev + rev + values.shape[1:]))  # array values fail the shape check
 
     @classmethod
     def constant(cls, grid: TimeGrid, outcome_sets, value: complex = 1.0) -> "TupleFunction":
         sizes = tuple(len(s) for s in outcome_sets)[::-1]
-        return cls(grid, outcome_sets, np.full(sizes + sizes, value, dtype=complex))
+        value = as_array(value, "test function value")  # an array value fails the shape check
+        return cls(grid, outcome_sets, np.full(sizes + sizes + value.shape, value))
 
     @classmethod
     def indicator(cls, grid: TimeGrid, outcome_sets, outcome: BiOutcome) -> "TupleFunction":
@@ -379,9 +380,14 @@ def _gram_rows(factor: np.ndarray, stacks: list) -> np.ndarray:
     return w
 
 
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` complex entries in one block of ``_TABLE_BLOCK_BYTES``, at least one."""
+    return max(1, _TABLE_BLOCK_BYTES // (16 * width))
+
+
 def _check_table(sizes: tuple, d: int) -> None:
     """Check against the budget the peak bytes of a table over slots of these PVM sizes."""
-    rows, step = math.prod(sizes), max(1, _TABLE_BLOCK_BYTES // (16 * d * d))
+    rows, step = math.prod(sizes), _block_rows(d * d)
     grown_from = rows // sizes[-1] if sizes else 0
     # the state's cached eigenvectors, F and W beside the table and a block, or the rows W grows from
     held = max(rows * rows + min(step, rows) * d * d, grown_from * d * d)
@@ -404,7 +410,7 @@ def _table_from_stacks(state: DensityOperator, stacks: list) -> np.ndarray:
     sizes = tuple(s.shape[0] for s in stacks)
     rows = math.prod(sizes)
     rho = state.matrix
-    step = max(1, _TABLE_BLOCK_BYTES // (16 * rho.size))  # rows of W per block
+    step = _block_rows(rho.size)  # rows of W per block
     _check_table(sizes, len(rho))
 
     factor, sign = state._gram

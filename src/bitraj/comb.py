@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import vec
-from .biprob import BiOutcome, check_budget
-from .errors import LengthMismatch
+from ._linalg import kron, vec
+from .biprob import BiOutcome, _lattice_indices, check_budget
 from .model import QuantumScenario, TimeGrid
 from .opensys import Superoperator
-from .propagate import _kept_memo_bytes, _walk_bytes, heisenberg_projector, heisenberg_pvm_stacks
+from .propagate import _kept_memo_bytes, _walk_bytes, heisenberg_pvm_stacks
 
 
 def bi_instrument(
@@ -31,11 +30,11 @@ def bi_instrument(
 
     Summed over all outcome pairs these reproduce the identity channel; the
     diagonal members are completely positive, strictly off-diagonal ones are
-    not (their Choi matrices have negative eigenvalues).
+    not (their Choi matrices have negative eigenvalues).  One walk gives both projectors.
     """
-    p_plus = heisenberg_projector(scenario, f_plus, t)
-    p_minus = heisenberg_projector(scenario, f_minus, t)
-    return Superoperator.from_sandwich(p_plus, p_minus)
+    i, j = scenario.pvm.index_of(f_plus), scenario.pvm.index_of(f_minus)  # raise UnknownOutcome
+    projs = next(heisenberg_pvm_stacks(scenario, (t,)))
+    return Superoperator.from_sandwich(projs[i], projs[j])
 
 
 def comb_biprob(
@@ -50,15 +49,11 @@ def comb_biprob(
     code path.
     """
     n = len(grid)
-    if len(outcome) != n:
-        raise LengthMismatch(f"outcome length {len(outcome)} != grid length {n}")
-    pvm = scenario.pvm
+    idx = _lattice_indices((scenario.pvm.outcomes,) * n, outcome)
+    plus_idx, minus_idx = idx[:n][::-1], idx[n:][::-1]  # ascending slots
     v = vec(scenario.state.matrix)
-    # ascending slots; outcome tuples are latest-first
-    for j, projs in enumerate(heisenberg_pvm_stacks(scenario, grid.times)):
-        p_plus = projs[pvm.index_of(outcome.plus[n - 1 - j])]
-        p_minus = projs[pvm.index_of(outcome.minus[n - 1 - j])]
-        v = Superoperator.from_sandwich(p_plus, p_minus).matrix @ v
+    for projs, i, j in zip(heisenberg_pvm_stacks(scenario, grid.times), plus_idx, minus_idx):
+        v = kron(projs[j].T, projs[i]) @ v  # the matrix of the slot's bi-instrument
     ident = vec(np.eye(scenario.dimension, dtype=complex))
     return complex(ident.conj() @ v)
 

@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import serialize
-from .serialize import as_count, as_real, as_reals
+from .serialize import as_array, as_count, as_operator, as_real, as_reals
 from .errors import (
     BadTrace,
     DegenerateInterval,
@@ -58,18 +58,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def _frozen(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=complex)
     a.setflags(write=False)
-    return a
-
-
-def _as_operator(obj, name: str) -> np.ndarray:
-    try:
-        a = np.asarray(obj, dtype=complex)
-    except (TypeError, ValueError):  # an entry that is no number, or rows of unequal length
-        raise ValidationError([DomainMismatch(f"{name}: expected a matrix of numbers")]) from None
-    if a.ndim != 2:
-        raise ValidationError([DimensionMismatch(f"{name}: expected a matrix, got ndim={a.ndim}")])
-    if not np.all(np.isfinite(a.view(float))):
-        raise ValidationError([DomainMismatch(f"{name}: entries must be finite")])
     return a
 
 
@@ -147,7 +135,7 @@ class HamiltonianSchedule:
         prev_end = 0.0
         for k, (a, b, h) in enumerate(self.segments):
             a, b = as_real(a, "schedule segment time"), as_real(b, "schedule segment time")
-            h = _as_operator(h, f"schedule segment {k}")
+            h = as_operator(h, f"schedule segment {k}")
             violations = []
             found.append(violations)
             if h.shape[0] != h.shape[1]:
@@ -259,7 +247,7 @@ class ObservablePVM:
 
     def __post_init__(self):
         outcomes = as_reals(self.outcomes, "pvm: outcome")
-        projectors = tuple(_as_operator(p, f"projector[{k}]") for k, p in enumerate(self.projectors))
+        projectors = tuple(as_operator(p, f"projector[{k}]") for k, p in enumerate(self.projectors))
         violations = []
         if len(outcomes) != len(projectors):
             raise ValidationError(
@@ -356,7 +344,7 @@ class DensityOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_operator(self.matrix, "state")
+        m = as_operator(self.matrix, "state")
         if m.shape[0] != m.shape[1]:
             raise ValidationError([DimensionMismatch("state: matrix is not square")])
         violations = check_hermitian(m, "state")
@@ -374,7 +362,7 @@ class DensityOperator:
 
     @classmethod
     def pure(cls, vector) -> "DensityOperator":
-        v = np.asarray(vector, dtype=complex).reshape(-1)
+        v = as_array(vector, "state vector").reshape(-1)
         if not np.all(np.isfinite(v)):
             raise ValidationError([DomainMismatch("state: vector entries must be finite")])
         with np.errstate(over="ignore"):

@@ -39,12 +39,11 @@ from .model import (
     HamiltonianSchedule,
     QuantumScenario,
     TimeGrid,
-    _as_operator,
     _spectral_norm,
     check_defect,
 )
-from .propagate import TOL_UNITARY, propagators_along
-from .serialize import as_count, as_real, as_reals
+from .propagate import TOL_UNITARY, _walk
+from .serialize import as_count, as_operator, as_real, as_reals
 
 @dataclass(frozen=True, eq=False)
 class ObservableSequence:
@@ -120,13 +119,7 @@ class GenericTuple:
     minus: tuple
 
     def __post_init__(self):
-        us = tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
-        if not us:
-            raise LengthMismatch("generic tuple needs at least one unitary")
-        d = us[0].shape[0]
-        for u in us:
-            if u.shape != (d, d):
-                raise DimensionMismatch(f"unitary shapes differ: {u.shape} vs {(d, d)}")
+        us, d = _unitaries(self.unitaries)
         plus = tuple(as_count(k, "basis index") for k in self.plus)
         minus = tuple(as_count(k, "basis index") for k in self.minus)
         if len(plus) != len(us) or len(minus) != len(us):
@@ -143,6 +136,17 @@ class GenericTuple:
     @property
     def dimension(self) -> int:
         return self.unitaries[0].shape[0]
+
+
+def _unitaries(unitaries) -> tuple:
+    """``(us, d)``: the unitary slots of a generic family, at least one, finite square matrices of size d."""
+    us = tuple(as_operator(u, f"unitary {j}") for j, u in enumerate(unitaries))
+    if not us:
+        raise LengthMismatch("a generic family needs at least one unitary")
+    d = us[0].shape[0]
+    if any(u.shape != (d, d) for u in us):
+        raise DimensionMismatch(f"unitaries must be square and of one size, got {[u.shape for u in us]}")
+    return us, d
 
 
 def eval_generic(g: GenericTuple) -> complex:
@@ -176,10 +180,7 @@ def generic_l1_norm(unitaries: Sequence[np.ndarray]) -> float:
     consecutive overlap matrices U_{j+1}^dag U_j, the norm is sum_{a,b}
     S[a,b]^2 (endpoint deltas square the endpoint sums).
     """
-    us = [np.asarray(u, dtype=complex) for u in unitaries]
-    if not us:
-        raise LengthMismatch("need at least one unitary")
-    d = us[0].shape[0]
+    us, d = _unitaries(unitaries)
     s = np.eye(d)
     for u_prev, u_next in zip(us[:-1], us[1:]):
         s = np.abs(dagger(u_next) @ u_prev) @ s
@@ -217,11 +218,11 @@ def decompose_multiobs(
     n = len(grid)
     evals, evecs = scenario.state._eigh
     legs = [(evecs, np.eye(len(evals)))] * 2  # plus, minus: (block basis, block x state amplitudes)
-    for j, u in enumerate(propagators_along(scenario.schedule, grid.times)):
+    for j, u in enumerate(u for us, _ in _walk(scenario.schedule, 0.0, grid.times) for u in us):
         w, labels = seq.pvms[j]._basis
         for i, f in enumerate((outcome.plus[n - 1 - j], outcome.minus[n - 1 - j])):
             lo = labels.index(f) if f in labels else 0  # _basis lists a block's columns together
-            block = dagger(u.matrix) @ w[:, lo:lo + labels.count(f)]
+            block = dagger(u) @ w[:, lo:lo + labels.count(f)]
             basis, amps = legs[i]
             legs[i] = (block, (dagger(block) @ basis) @ amps)
     (_, plus), (_, minus) = legs
@@ -250,7 +251,7 @@ class UnitaryPath:
 
     def __post_init__(self):
         segs = tuple(
-            (as_real(w, "path: duration"), _as_operator(v, f"segment {i}: generator"))
+            (as_real(w, "path: duration"), as_operator(v, f"segment {i}: generator"))
             for i, (w, v) in enumerate(self.segments)
         )
         if not segs:
@@ -267,7 +268,7 @@ class UnitaryPath:
         if not any(isinstance(v, DegenerateInterval) for v in violations):  # no duration rejected
             violations += check_defect(
                 abs(ends[-1] - 1.0), 1e-9, DomainMismatch, f"durations sum to {ends[-1]}, |sum - 1| =")
-        anchor = _as_operator(self.anchor, "anchor")
+        anchor = as_operator(self.anchor, "anchor")
         if anchor.shape != (d, d):
             violations.append(DimensionMismatch(f"anchor shape {anchor.shape} != {(d, d)}"))
         else:
@@ -291,10 +292,8 @@ class UnitaryPath:
             if not 0.0 <= tau <= 1.0 + 1e-12:
                 raise IndexOutOfRange(f"path parameter {tau} outside [0, 1]")
         horizon = self._schedule.horizon  # within 1e-9 of 1
-        return [
-            u.matrix @ self.anchor
-            for u in propagators_along(self._schedule, [min(t, horizon) for t in taus])
-        ]
+        walk = _walk(self._schedule, 0.0, [min(t, horizon) for t in taus])
+        return [u @ self.anchor for us, _ in walk for u in us]
 
     def unitary(self, tau: float) -> np.ndarray:
         """The curve point at parameter tau in [0, 1]."""

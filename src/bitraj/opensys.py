@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import serialize
-from ._linalg import dagger, expm_hermitian, vec, unvec
+from ._linalg import dagger, expm_hermitian, kron, vec, unvec
 from .biprob import _check_table, check_budget, full_distribution
 from .errors import (
     DegenerateInterval,
@@ -48,13 +48,12 @@ from .errors import (
 from .model import (
     QuantumScenario,
     TimeGrid,
-    _as_operator,
     _per_chunk,
     check_hermitian,
     validate_scenario,
 )
 from .propagate import _kept_memo_bytes, _walk_bytes, propagator, uniform_step_runs
-from .serialize import as_count, as_real
+from .serialize import as_array, as_count, as_operator, as_real
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +64,7 @@ class Superoperator:
     dim: int
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
+        m = np.array(as_array(self.matrix, "superoperator matrix"))  # a copy, frozen below
         object.__setattr__(self, "dim", as_count(self.dim, "superoperator dimension"))
         if self.dim < 1:
             raise ValidationError([DimensionMismatch(f"superoperator dimension must be >= 1, got {self.dim}")])
@@ -85,12 +84,18 @@ class Superoperator:
     @classmethod
     def from_sandwich(cls, x: np.ndarray, y: np.ndarray) -> "Superoperator":
         """The map A -> X A Y."""
-        x, y = np.asarray(x, dtype=complex), np.asarray(y, dtype=complex).T
-        kron = y[:, None, :, None] * x[None, :, None, :]  # kron(Y^T, X) bitwise, without its overhead
-        return cls(kron.reshape(len(y) * len(x), y.shape[1] * x.shape[1]), len(x))
+        x, y = as_array(x, "sandwich: x"), as_array(y, "sandwich: y")
+        if x.ndim != 2 or y.ndim != 2:
+            raise DimensionMismatch(f"sandwich: X and Y must be matrices, got shapes {x.shape}, {y.shape}")
+        with np.errstate(invalid="ignore", over="ignore"):  # an inf entry times a zero is NaN, as in np.kron
+            return cls(kron(y.T, x), len(x))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        return unvec(self.matrix @ vec(np.asarray(rho, dtype=complex)), self.dim)
+        rho = as_array(rho, "apply: rho")
+        if rho.shape != (self.dim, self.dim):
+            raise DimensionMismatch(f"apply: rho must be {self.dim}x{self.dim}, got shape {rho.shape}")
+        with np.errstate(invalid="ignore", over="ignore"):  # an inf entry times a zero is NaN
+            return unvec(self.matrix @ vec(rho), self.dim)
 
     def trace_preservation_defect(self) -> float:
         """Norm of the identity-costate condition residual."""
@@ -125,8 +130,8 @@ class OpenModel:
     environment: QuantumScenario
 
     def __post_init__(self):
-        h = _as_operator(self.h_sys, "h_o")
-        v = _as_operator(self.v_sys, "v_o")
+        h = as_operator(self.h_sys, "h_o")
+        v = as_operator(self.v_sys, "v_o")
         if h.shape[0] != h.shape[1]:
             raise ValidationError([DimensionMismatch(f"h_o: expected square matrix, got {h.shape}")])
         violations = check_hermitian(h, "h_o")
@@ -273,10 +278,9 @@ def _bitrajectory_map_contract(model: OpenModel, t: float, n_steps: int) -> Supe
     check_budget(_contract_bytes(model, n_steps), "contract map")
     env = model.environment
     d, d_e = model.joint_dim, env.dimension
-    # V up to the environment unitary the trace drops; G = sum_f kron(A_f, P(f)), broadcast
-    # (bitwise np.kron), and G (1 kron dU) is G's environment columns times dU, a batch at once
-    g = sum(a[:, None, :, None] * p[None, :, None, :]
-            for a, p in zip(_system_step_stack(model, t / n_steps), env.pvm.projectors)).reshape(d, d)
+    # V up to the environment unitary the trace drops; G = sum_f kron(A_f, P(f)), and
+    # G (1 kron dU) is G's environment columns times dU, a batch at once
+    g = sum(kron(a, p) for a, p in zip(_system_step_stack(model, t / n_steps), env.pvm.projectors))
     v = np.eye(d, dtype=complex)
     for dus, ms in uniform_step_runs(env.schedule, t, n_steps, _per_chunk(d)):
         x = (g.reshape(-1, d_e) @ dus).reshape(-1, d, d)

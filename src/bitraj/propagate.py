@@ -51,8 +51,8 @@ from .errors import (
     OutOfHorizon,
     ValidationError,
 )
-from .model import _CHUNK_BYTES, HamiltonianSchedule, QuantumScenario, _as_operator, _spectral_norm, check_defect
-from .serialize import as_real, as_reals
+from .model import _CHUNK_BYTES, HamiltonianSchedule, QuantumScenario, _spectral_norm, check_defect
+from .serialize import as_array, as_operator, as_real, as_reals
 
 TOL_UNITARY = 1e-9
 _MEMO_BYTES = 2**22  # the most a schedule's memo may hold
@@ -71,7 +71,7 @@ class UnitaryMatrix:
     t_to: float
 
     def __post_init__(self):
-        m = _as_operator(self.matrix, "propagator matrix")
+        m = as_operator(self.matrix, "propagator matrix")
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch(f"propagator matrix must be square, got shape {m.shape}")
         t_from, t_to = as_real(self.t_from, "t_from"), as_real(self.t_to, "t_to")
@@ -120,7 +120,7 @@ def _checked(us: np.ndarray, t_from: float, times) -> np.ndarray:
 
 def operator_norm(m) -> float:
     """Largest singular value (for Hermitian input, the max |eigenvalue|)."""
-    a = np.asarray(m, dtype=complex)
+    a = as_array(m, "operator_norm")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"operator_norm: expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():

@@ -4,7 +4,9 @@ A real is any ``numbers.Real`` and a count any ``numbers.Integral``, numpy
 scalars included, but never a bool (``np.bool_`` is no number at all).
 :func:`as_real` and :func:`as_count` read the scalar arguments of every
 public call and reject anything else with a DomainMismatch naming the
-argument; finiteness and range are the caller's checks.  Config numbers go
+argument; finiteness and range are the caller's checks.  :func:`as_array`
+reads array arguments alike: numbers only (a bool reads as 0 or 1), never
+strings, None or other objects, and no ragged rows.  Config numbers go
 through :func:`real_from_json`, which raises ParseError with the JSON path.
 Complex numbers are read from ``[re, im]`` lists or plain reals; matrices
 from nested lists of such entries.  Floats destined for text output are
@@ -13,11 +15,12 @@ rendered with 17 significant digits so that values round-trip exactly.
 
 from __future__ import annotations
 
+import contextlib
 import numbers
 
 import numpy as np
 
-from .errors import DomainMismatch, ParseError, ValidationError
+from .errors import DimensionMismatch, DomainMismatch, ParseError, ValidationError
 
 
 def format_float(x: float) -> str:
@@ -57,6 +60,27 @@ def as_count(x, what: str) -> int:
     if isinstance(x, numbers.Integral) and not isinstance(x, bool):
         return int(x)
     raise ValidationError([DomainMismatch(f"{what}: {x!r} is not an integer")])
+
+
+def as_array(obj, what: str) -> np.ndarray:
+    """The array argument ``what`` as complex, of any shape; a complex ndarray passes untouched."""
+    if type(obj) is np.ndarray and obj.dtype == complex:
+        return obj
+    with contextlib.suppress(TypeError, ValueError):  # a ValueError: rows of unequal length
+        a = np.asarray(obj)
+        if a.dtype.kind in "biufc":  # strings, None and other objects are no numbers
+            return a.astype(complex, copy=False)
+    raise ValidationError([DomainMismatch(f"{what}: expected a matrix of numbers")])
+
+
+def as_operator(obj, name: str) -> np.ndarray:
+    """The matrix argument ``name``: :func:`as_array`, two-dimensional and with finite entries."""
+    a = as_array(obj, name)
+    if a.ndim != 2:
+        raise ValidationError([DimensionMismatch(f"{name}: expected a matrix, got ndim={a.ndim}")])
+    if not np.isfinite(a).all():
+        raise ValidationError([DomainMismatch(f"{name}: entries must be finite")])
+    return a
 
 
 def real_from_json(obj, where: str = "value") -> float:

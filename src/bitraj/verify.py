@@ -20,10 +20,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .biprob import (
-    _TABLE_BLOCK_BYTES,
     BiDistribution,
     BiOutcome,
     TupleFunction,
+    _block_rows,
     _lattice_indices,
     _slot_sum,
     _table_from_stacks,
@@ -139,11 +139,6 @@ def _reduced_tables(dist: BiDistribution) -> Iterator[tuple]:
         stacks = list(heisenberg_pvm_stacks(dist.scenario, dist.grid.times, dist.pvms))
     state = dist.scenario.state
     return ((j, _table_from_stacks(state, stacks[:j - 1] + stacks[j:])) for j in range(1, dist.n + 1))
-
-
-def _block_rows(k: int) -> int:
-    """Rows of a K x K complex table in one block of ``_TABLE_BLOCK_BYTES``."""
-    return max(1, _TABLE_BLOCK_BYTES // (16 * k))
 
 
 def _diagonal_defect(diag: np.ndarray, j: int, fresh: np.ndarray) -> tuple:

@@ -9,6 +9,7 @@ package uses Gram products of path vectors).
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,17 @@ from bitraj import (
 )
 from bitraj._linalg import expm_hermitian
 from bitraj.multiobs import GenericTuple, eval_generic
+
+# Hypothesis writes a patch for each falsifying example with libcst, whose
+# import warns (mypy_extensions.TypedDict is deprecated).  Under -W error that
+# warning turned the failure report into a pytest INTERNALERROR, so the patch
+# writer is imported once here, with the warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst, hypothesis writes no patch
+        pass
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

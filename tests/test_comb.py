@@ -46,6 +46,23 @@ class TestBiInstrument:
         with pytest.raises(errors.UnknownOutcome):
             bt.bi_instrument(rabi, 2.0, 1.0, 0.5)
 
+    def test_both_projectors_come_from_one_walk(self, monkeypatch):
+        import bitraj.propagate as propagate
+
+        walks = []
+        real = propagate._walk
+
+        def counting(*args):
+            walks.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(propagate, "_walk", counting)
+        sc = bt.random_scenario(3, seed=4)
+        inst = bt.bi_instrument(sc, 0.0, 2.0, 0.7)
+        assert len(walks) == 1
+        p_plus, p_minus = (bt.heisenberg_projector(sc, f, 0.7) for f in (0.0, 2.0))
+        np.testing.assert_allclose(inst.matrix, np.kron(p_minus.T, p_plus), atol=1e-12)
+
 
 class TestCombBiprob:
     def test_single_slot_agreement(self, rabi):

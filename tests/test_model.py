@@ -124,6 +124,12 @@ class TestValidateScenario:
             build(matrix)
         assert [type(v) for v in err.value.violations] == [errors.DomainMismatch]
 
+    def test_a_transposed_complex_matrix_is_read(self):
+        # its last axis is strided, which a float view of the entries cannot take
+        rho = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
+        assert np.array_equal(bt.DensityOperator(rho.T).matrix, rho.T)
+        assert bt.operator_norm(rho.T) == bt.operator_norm(rho.T.copy())
+
     def test_missing_key(self):
         cfg = textbook_config()
         del cfg["observable"]

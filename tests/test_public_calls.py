@@ -10,8 +10,17 @@ bounded, whose work the call bounds itself (``random_scenario`` at d = 1000
 would run for hours).  ``TAKES_NO_NUMBER`` lists the public callables that
 take no real or count, and the coverage test holds the two lists to
 ``bitraj.__all__``.
+
+``ARRAY_CALLS`` does the same for the array arguments: one valid base call
+per public callable that takes an array, whose one entry, or the whole
+array, is replaced with one of ``ARRAY_MUTANTS``.  A string (numeric or
+not), None, a dict or a ragged row must raise a ``BitrajError``; a NaN or
+an inf may also be computed, as the call's own finiteness checks decide.
+``TAKES_NO_ARRAY`` lists the rest, and a second coverage test holds the two
+to ``bitraj.__all__``.
 """
 
+import copy
 import functools
 import math
 import warnings
@@ -255,3 +264,153 @@ def test_numpy_scalars_read_as_their_values():
         bt.bitrajectory_map(_model(), 1.0, 4).matrix)
     assert bt.TimeGrid((np.float16(0.5), 1)).times == (0.5, 1.0)
     assert bt.check_properties(_dist(), np.float32(1e-9)).checks[0].tolerance == float(np.float32(1e-9))
+
+
+# -- array arguments ---------------------------------------------------------
+
+RAGGED = [[1.0, 0.0], [0.0]]
+ARRAY_MUTANTS = ("a", "1", None, {}, math.nan, math.inf, RAGGED)
+EYE, SX, SZ = np.eye(2).tolist(), [[0, 1], [1, 0]], [[1, 0], [0, -1]]
+SETS = ((1.0, -1.0),)
+
+# name: (call of one array argument, its valid value as nested lists)
+ARRAY_CALLS = {
+    "BiDistribution": (lambda a: BiDistribution(grid(0.5), SETS, a), [[1.0, 0.0], [0.0, 0.0]]),
+    "DensityOperator": (bt.DensityOperator, [[0.5, 0], [0, 0.5]]),
+    "DensityOperator.pure": (bt.DensityOperator.pure, [1.0, 0.0]),
+    "GenericTuple": (lambda u: bt.GenericTuple((u, np.eye(2)), (0, 0), (0, 0)), EYE),
+    "HamiltonianSchedule": (lambda h: bt.HamiltonianSchedule(((0.0, 0.5, SIGMA_X), (0.5, 1.0, h))), SZ),
+    "HamiltonianSchedule.from_static": (bt.HamiltonianSchedule.from_static, SX),
+    "HamiltonianSchedule.from_function": (
+        lambda h: bt.HamiltonianSchedule.from_function(lambda t: h, 1.0, 2), SX),
+    "ObservablePVM": (lambda p: bt.ObservablePVM((1.0, -1.0), (p, P1)), P0.tolist()),
+    "OpenModel": (lambda v: bt.OpenModel(SIGMA_Z, v, 0.5, _rabi()), SX),
+    "Superoperator": (lambda m: bt.Superoperator(m, 2), np.eye(4).tolist()),
+    "Superoperator.apply": (lambda rho: bt.Superoperator.identity(2).apply(rho), [[0.5, 0], [0, 0.5]]),
+    "Superoperator.from_sandwich": (lambda x: bt.Superoperator.from_sandwich(x, np.eye(2)), SX),
+    "TupleFunction": (lambda v: bt.TupleFunction(grid(0.5), SETS, v), [[1.0, 2.0], [3.0, 4.0]]),
+    "TupleFunction.constant": (lambda v: bt.TupleFunction.constant(grid(0.5), SETS, v), 2.0),
+    "TupleFunction.from_callable": (  # v at the diagonal outcomes, 0 elsewhere
+        lambda v: bt.TupleFunction.from_callable(grid(0.5), SETS, lambda o: v if o.plus == o.minus else 0.0),
+        1.0),
+    "UnitaryMatrix": (lambda m: bt.UnitaryMatrix(m, 0.0, 1.0), EYE),
+    "UnitaryPath": (lambda v: bt.UnitaryPath(((1.0, v),), np.eye(2)), SX),
+    "UnitaryPath.anchor": (lambda a: bt.UnitaryPath(((1.0, SIGMA_X),), a), EYE),
+    "generic_l1_norm": (lambda u: bt.generic_l1_norm([np.eye(2), u]), SX),
+    "operator_norm": (bt.operator_norm, SX),
+}
+
+# public callables that take no array: their arrays arrive inside domain
+# objects (a scenario, a distribution, a superoperator) or a config mapping,
+# and their sequences of times, outcomes or positions are read as reals or counts
+TAKES_NO_ARRAY = {
+    "BiOutcome", "ObservableSequence", "PropertyReport", "QuantumScenario", "RefinementMesh", "TimeGrid",
+    "average", "bi_instrument", "bitrajectory_map", "build_refinement", "cauchy_stabilization",
+    "check_properties", "choi_matrix", "classicality_report", "coarse_grain_pvm", "comb_biprob",
+    "convergence_study", "decompose_multiobs", "diagonal_probability", "eval_biprob", "eval_generic",
+    "eval_multiobs", "exact_joint_map", "full_distribution", "grade2_check", "heisenberg_projector",
+    "inconsistency_decomposition", "l1_norm", "marginalize", "minimum_refinement_size",
+    "multiobs_distribution", "nonuniform_bound", "path_bound_check", "path_length", "propagator",
+    "propagators_along", "rabi_scenario", "random_scenario", "refinement_monotonicity", "uniform_bound",
+    "validate_scenario",
+}
+
+# (name, entry, mutant, fault): each escaped as numpy's raw ValueError or
+# IndexError, was read as NaN or as its number, or gave a value for no valid
+# input, before the array reader; entry () replaces the whole array.  A 1-D
+# unitary, one of another size and a whole array that is no matrix are
+# shape faults; the others raise ValidationError([DomainMismatch])
+ARRAY_PROBES = [
+    ("operator_norm", (0, 0), "a", errors.DomainMismatch),
+    ("DensityOperator.pure", (0,), "a", errors.DomainMismatch),
+    ("GenericTuple", (0, 0), "a", errors.DomainMismatch),
+    ("generic_l1_norm", (0, 0), "a", errors.DomainMismatch),
+    ("Superoperator", (0, 0), "a", errors.DomainMismatch),
+    ("Superoperator.apply", (0, 0), "a", errors.DomainMismatch),
+    ("Superoperator.from_sandwich", (0, 0), "a", errors.DomainMismatch),
+    ("TupleFunction", (0, 0), "a", errors.DomainMismatch),
+    ("TupleFunction.from_callable", (), "a", errors.DomainMismatch),
+    ("TupleFunction.constant", (), "a", errors.DomainMismatch),
+    ("BiDistribution", (0, 0), "a", errors.DomainMismatch),
+    ("GenericTuple", (1,), [0.0], errors.DomainMismatch),
+    ("GenericTuple", (0, 0), None, errors.DomainMismatch),
+    ("DensityOperator", (0, 0), "1", errors.DomainMismatch),
+    ("generic_l1_norm", (), [1.0, 0.0], errors.DimensionMismatch),
+    ("generic_l1_norm", (), np.eye(3).tolist(), errors.DimensionMismatch),
+    ("Superoperator.from_sandwich", (), math.nan, errors.DimensionMismatch),
+    ("Superoperator.apply", (), math.nan, errors.DimensionMismatch),
+]
+
+
+def _entries(value) -> list:
+    """``()`` for the whole array, then the index of every entry of a nested list."""
+    return [()] + list(np.ndindex(np.shape(value)))
+
+
+def _mutated(value, entry, mutant):
+    if not entry:
+        return mutant
+    value = copy.deepcopy(value)
+    rows = value
+    for i in entry[:-1]:
+        rows = rows[i]
+    rows[entry[-1]] = mutant
+    return value
+
+
+def _call_array(name, entry, mutant):
+    call, value = ARRAY_CALLS[name]
+    return call(_mutated(value, entry, mutant))
+
+
+@st.composite
+def _array_cases(draw):
+    name = draw(st.sampled_from(sorted(ARRAY_CALLS)))
+    entry = draw(st.sampled_from(_entries(ARRAY_CALLS[name][1])))
+    return name, entry, draw(st.sampled_from(ARRAY_MUTANTS))
+
+
+def _array_probes(test):
+    for name, entry, mutant, _ in ARRAY_PROBES:
+        test = example(case=(name, entry, mutant))(test)
+    return test
+
+
+def test_every_public_callable_is_in_the_array_table_or_takes_no_array():
+    public = {name for name in bt.__all__ if callable(getattr(bt, name))}
+    in_table = {name.split(".")[0] for name in ARRAY_CALLS}
+    assert public - in_table - TAKES_NO_ARRAY == set()
+    assert (in_table | TAKES_NO_ARRAY) - public == set()
+    assert not in_table & TAKES_NO_ARRAY
+
+
+@pytest.mark.parametrize("name", sorted(ARRAY_CALLS))
+def test_base_array_calls_are_valid(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _call_array(name, (), ARRAY_CALLS[name][1])
+        _call_array(name, (), np.array(ARRAY_CALLS[name][1], dtype=complex))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@_array_probes
+@given(case=_array_cases())
+def test_mutated_array_returns_or_raises_a_bitraj_error(case):
+    name, entry, mutant = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            _call_array(name, entry, mutant)
+        except errors.BitrajError:
+            return
+    assert isinstance(mutant, float), f"{name} accepted {mutant!r} at {entry or 'the whole array'}"
+
+
+@pytest.mark.parametrize(
+    "name, entry, mutant, fault", ARRAY_PROBES, ids=[f"{n}-{e}-{m!r}" for n, e, m, _ in ARRAY_PROBES])
+def test_array_probe_is_rejected(name, entry, mutant, fault):
+    with pytest.raises(errors.BitrajError) as err:
+        _call_array(name, entry, mutant)
+    found = err.value.violations if isinstance(err.value, errors.ValidationError) else (err.value,)
+    assert any(isinstance(v, fault) for v in found)
+    assert fault is errors.DimensionMismatch or isinstance(err.value, errors.ValidationError)
