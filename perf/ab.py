@@ -13,7 +13,10 @@ imports the library and the workloads of its own tree, draws each class's
 ``POOL`` inputs from a fixed seed, runs and checks one op per input, and then
 times ``PASSES`` more passes over them, one op at a time.  It hashes every
 result by value: arrays by dtype, shape and bytes, containers and dataclass
-fields in order.
+fields in order.  Each leaf of the first, checked pass also gets a digest of
+its own, so a class whose results differ is reported with the path of the
+first leaf that differs, such as ``[0].report.checks[2].max_deviation``
+(input 0 of the pool, then the fields of its result).
 
 The report gives each class's min and median op time per tree over all
 rounds, and the tree whose median won each round.  The exit code is 1 if a
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import statistics
@@ -57,30 +61,43 @@ def parse_args(argv=None):
 # -- worker -------------------------------------------------------------------
 
 
-def _feed(h, x) -> None:
-    """Hash ``x`` by value into ``h``; a value of any other kind raises TypeError."""
+def _feed(h, x, leaves=None, path="") -> None:
+    """Hash ``x`` by value into ``h``; a value of any other kind raises TypeError.
+
+    Given a list ``leaves``, it also appends each leaf's path below ``path``
+    and the digest of the leaf's bytes, in the order they are hashed.
+    """
+    if isinstance(x, (float, complex, np.generic)):
+        x = np.asarray(x)
     if isinstance(x, np.ndarray):
-        h.update(f"array {x.dtype.str} {x.shape}|".encode())
-        h.update(np.ascontiguousarray(x).tobytes())
-    elif isinstance(x, (float, complex, np.generic)):
-        _feed(h, np.asarray(x))
+        head, body = f"array {x.dtype.str} {x.shape}|".encode(), np.ascontiguousarray(x).tobytes()
     elif x is None or isinstance(x, (bool, int, str)):
-        h.update(f"{type(x).__name__} {x!r}|".encode())
-    elif isinstance(x, dict):
-        h.update(f"dict {len(x)}|".encode())
-        for k in sorted(x):
-            _feed(h, k)
-            _feed(h, x[k])
-    elif isinstance(x, (list, tuple)):
-        h.update(f"{type(x).__name__} {len(x)}|".encode())
-        for v in x:
-            _feed(h, v)
-    elif dataclasses.is_dataclass(x):
-        h.update(f"{type(x).__name__}|".encode())
-        for f in dataclasses.fields(x):
-            _feed(h, getattr(x, f.name))
+        head, body = f"{type(x).__name__} {x!r}|".encode(), b""
     else:
-        raise TypeError(f"cannot hash a {type(x).__name__} by value")
+        if isinstance(x, dict):
+            head, items = f"dict {sorted(x)!r}|", [(f".{k}", x[k]) for k in sorted(x)]
+        elif isinstance(x, (list, tuple)):
+            head, items = f"{type(x).__name__} {len(x)}|", [(f"[{i}]", v) for i, v in enumerate(x)]
+        elif dataclasses.is_dataclass(x):
+            head, items = f"{type(x).__name__}|", [(f".{f.name}", getattr(x, f.name)) for f in dataclasses.fields(x)]
+        else:
+            raise TypeError(f"cannot hash a {type(x).__name__} by value")
+        h.update(head.encode())
+        for key, v in items:
+            _feed(h, v, leaves, path + key)
+        return
+    h.update(head)
+    h.update(body)
+    if leaves is not None:
+        leaves.append((path, hashlib.sha256(head + body).hexdigest()))
+
+
+def _first_difference(reports: list) -> str:
+    """The path of the first leaf that differs among the checked passes' ``reports``."""
+    for row in itertools.zip_longest(*reports):
+        if any(leaf != row[0] for leaf in row):
+            return next(leaf[0] for leaf in row if leaf is not None)
+    return "a timed pass"
 
 
 def _op_classes(workloads, names: str) -> list:
@@ -119,18 +136,18 @@ def worker(tree: Path, names: str) -> int:
                 workdir = Path(tmp, c.name, str(j))
                 workdir.mkdir(parents=True)
                 inputs.append(c.prepare(p, workdir))
-            h, problems, ms = hashlib.sha256(), [], []
-            for x in inputs:
+            h, problems, ms, leaves = hashlib.sha256(), [], [], []
+            for j, x in enumerate(inputs):
                 result = c.run(x, call)
                 problems += c.check(x, result)
-                _feed(h, result)
+                _feed(h, result, leaves, f"[{j}]")
             for _ in range(PASSES):
                 for x in inputs:
                     t0 = time.perf_counter_ns()
                     result = c.run(x, call)
                     ms.append((time.perf_counter_ns() - t0) / 1e6)
                     _feed(h, result)
-            report[c.name] = {"ms": ms, "digest": h.hexdigest(), "problems": problems}
+            report[c.name] = {"ms": ms, "digest": h.hexdigest(), "problems": problems, "leaves": leaves}
     print(json.dumps(report))
     return 0
 
@@ -164,9 +181,10 @@ def parent(args) -> int:
     faults = 0
     print(f"{'class':<22} {'tree':<7} {'min ms':>9} {'median ms':>10}  round winners  results")
     for name in runs["parent"][0]:
-        digests = {rep[name]["digest"] for label in trees for rep in runs[label]}
-        problems = [p for label in trees for rep in runs[label] for p in rep[name]["problems"]]
-        verdict = "byte-equal" if len(digests) == 1 else "DIFFER"
+        reports = [rep[name] for label in trees for rep in runs[label]]
+        digests = {r["digest"] for r in reports}
+        problems = [p for r in reports for p in r["problems"]]
+        verdict = "byte-equal" if len(digests) == 1 else "DIFFER at " + _first_difference([r["leaves"] for r in reports])
         if problems:
             verdict += f"; check failed: {problems[0]}"
         faults += len(digests) > 1 or bool(problems)

@@ -228,7 +228,7 @@ class TupleFunction:
 
     def __post_init__(self):
         sizes = tuple(len(s) for s in self.outcome_sets)
-        values = as_array(self.values, "test function values")
+        values = np.array(as_array(self.values, "test function values"))  # a copy, frozen below
         if values.shape != sizes[::-1] + sizes[::-1]:
             raise DomainMismatch(
                 f"values shape {values.shape} does not match outcome sizes {sizes}"

@@ -130,8 +130,8 @@ class OpenModel:
     environment: QuantumScenario
 
     def __post_init__(self):
-        h = as_operator(self.h_sys, "h_o")
-        v = as_operator(self.v_sys, "v_o")
+        h = np.array(as_operator(self.h_sys, "h_o"))  # copies, frozen below
+        v = np.array(as_operator(self.v_sys, "v_o"))
         if h.shape[0] != h.shape[1]:
             raise ValidationError([DimensionMismatch(f"h_o: expected square matrix, got {h.shape}")])
         violations = check_hermitian(h, "h_o")
@@ -320,9 +320,9 @@ def _joint_schedule(model: OpenModel) -> SimpleNamespace:
     """
     env = model.environment
     eye_o = np.eye(model.system_dim, dtype=complex)
-    h_o = np.kron(model.h_sys, np.eye(env.dimension, dtype=complex))
-    coupling = model.coupling * np.kron(model.v_sys, model.coupling_operator)
-    segments = ((a, b, h_o + np.kron(eye_o, h) + coupling) for a, b, h in env.schedule.segments)
+    h_o = kron(model.h_sys, np.eye(env.dimension, dtype=complex))
+    coupling = model.coupling * kron(model.v_sys, model.coupling_operator)
+    segments = ((a, b, h_o + kron(eye_o, h) + coupling) for a, b, h in env.schedule.segments)
     return SimpleNamespace(dimension=model.joint_dim, horizon=env.horizon, segments=segments)
 
 

@@ -24,6 +24,7 @@ from .biprob import (
     BiOutcome,
     TupleFunction,
     _block_rows,
+    _gram_rows,
     _lattice_indices,
     _slot_sum,
     _table_from_stacks,
@@ -45,7 +46,6 @@ from .propagate import heisenberg_pvm_stacks
 from .serialize import as_count, as_real, as_reals
 
 DEFAULT_PROPERTY_TOL = 1e-9
-_SKETCH_WIDTH = 16  # least width p of the Q3 sketch
 
 
 @dataclass(frozen=True)
@@ -118,26 +118,29 @@ def _label(outcome_sets: tuple, flat_index: int, legs: int = 2) -> str:
     return f"plus={tuple(values[:n])}, minus={tuple(values[n:])}"
 
 
-def _reduced_tables(dist: BiDistribution) -> Iterator[tuple]:
-    """``(j, table on the grid of dist without slot j)`` for j = 1..n, each evaluated afresh.
+def _slot_stacks(dist: BiDistribution) -> list:
+    """The slot stacks of ``dist``: the engine's own if it built ``dist``, recomputed otherwise.
 
-    The slot stacks are the engine's own when it built ``dist``, recomputed
-    from its scenario and observables otherwise.  Each slot's stack depends
-    on its own time only, so dropping one is bitwise what recomputing the
-    reduced grid's stacks gives.  A distribution without that provenance is
-    rejected here, before the caller does any work; the tables themselves
-    are evaluated one at a time as they are drawn.
+    A distribution with slots but no scenario and observables is rejected
+    here, before the caller does any work.
     """
     if not dist.n:
-        return iter(())
+        return []
     if dist.scenario is None or dist.pvms is None:
         raise DomainMismatch(
             "distribution carries no scenario; bi-consistency cannot be re-evaluated"
         )
-    stacks = dist._stacks
-    if stacks is None:
-        stacks = list(heisenberg_pvm_stacks(dist.scenario, dist.grid.times, dist.pvms))
-    state = dist.scenario.state
+    return dist._stacks or list(heisenberg_pvm_stacks(dist.scenario, dist.grid.times, dist.pvms))
+
+
+def _reduced_tables(dist: BiDistribution, stacks: list) -> Iterator[tuple]:
+    """``(j, table on the grid of dist without slot j)`` for j = 1..n, each evaluated afresh.
+
+    ``stacks`` are ``_slot_stacks(dist)``.  Each slot's stack depends on its
+    own time only, so dropping one is bitwise what recomputing the reduced
+    grid's stacks gives.  The tables are evaluated one at a time as drawn.
+    """
+    state = dist.scenario.state if dist.n else None
     return ((j, _table_from_stacks(state, stacks[:j - 1] + stacks[j:])) for j in range(1, dist.n + 1))
 
 
@@ -153,38 +156,29 @@ def _diagonal_defect(diag: np.ndarray, j: int, fresh: np.ndarray) -> tuple:
     return float(diff[i]), i
 
 
-def _psd_check(m_h: np.ndarray, tolerance: float, rank_bound: int | None) -> PropertyCheck:
-    """Q3 on the Hermitian part ``m_h`` of the reshaped table.
+def _psd_check(m: np.ndarray, tolerance: float, basis: np.ndarray | None) -> PropertyCheck:
+    """Q3 on the Hermitian part M_h of the reshaped table ``m``.
 
-    An engine table is the Gram matrix of K path matrices of size d x d, so
-    its rank is at most ``rank_bound`` = d^2, and one seeded randomised range
-    finder (Halko, Martinsson & Tropp, SIAM Review 53, 2011) of width
-    p = max(16, d^2) spans its range with no power step.  With Q (K x p)
-    orthonormal, B = Q^H m_h Q and E = m_h - Q B Q^H, Weyl gives
-    lambda_min(m_h) >= min(lambda_min(B), 0) - ||E||_F, and
-    ||B||_2 <= ||m_h||_2 makes the relative tolerance no looser.  When the
-    sketch does not certify, the exact ``eigvalsh`` decides, so a failing
-    record is always the exact one; it decides alone when no rank bound is
-    known, when p > K/8 (the sketch would cost about as much) or when the
-    tolerance is zero (the residual would have to vanish exactly).  A
-    non-finite ``m_h`` fails outright.
+    An engine table is the Gram matrix M = W S W^H of its K path rows, so
+    Q = qr(``basis``), those rows reshaped to K x c (c = d^2), spans its
+    range.  With B = Q^H M_h Q, the Hermitian part of C = Q^H M Q, and
+    R = M - Q B Q^H, the error E = M_h - Q B Q^H is R's Hermitian part, so
+    Weyl gives lambda_min(M_h) >= min(lambda_min(B), 0) - ||R||_F for any
+    table and any orthonormal Q, and ||B||_2 <= ||M_h||_2 makes the relative
+    tolerance no looser.  R is read one block of rows at a time.  A table not
+    certified, also one with a NaN or inf entry (B or R is then non-finite),
+    takes the exact ``eigvalsh`` of M_h, so a failing record is always the
+    exact one; it decides alone when there is no basis, when c > K/8 (the
+    certificate would cost about as much) or when the tolerance is zero.
     """
     name = "Q3_positive_semidefinite"
-    k = m_h.shape[0]
-    if not np.isfinite(m_h).all():
-        i, j = divmod(int(np.isfinite(m_h).argmin()), k)
-        return PropertyCheck(
-            name, math.nan, tolerance, False,
-            f"non-finite entry at row {i}, column {j} of the {k}x{k} reshaped table",
-        )
-    p = max(_SKETCH_WIDTH, rank_bound or 0)
-    if rank_bound is not None and tolerance > 0 and p <= k // 8:
-        rng = np.random.default_rng(0)  # the same table always gets the same report
-        q = np.linalg.qr(m_h @ rng.standard_normal((k, p)))[0]
-        b = q.conj().T @ (m_h @ q)
+    k = m.shape[0]
+    if basis is not None and tolerance > 0 and basis.shape[1] <= k // 8:
+        q = np.linalg.qr(basis)[0]
+        b = q.conj().T @ (m @ q)
         b = 0.5 * (b + b.conj().T)
-        # a non-finite B is an overflow, which the exact path scales away; a
-        # negative lambda_min(B) bounds lambda_min(m_h) from above: it fails
+        # a non-finite B is an overflow or entry that the exact path scales
+        # away or names; a negative lambda_min(B) bounds lambda_min(M_h): it fails
         if np.isfinite(b).all():
             evals = np.linalg.eigvalsh(b)
             norm = float(max(-evals[0], evals[-1]))
@@ -195,20 +189,29 @@ def _psd_check(m_h: np.ndarray, tolerance: float, rank_bound: int | None) -> Pro
                 block = np.empty((min(step, k), k), dtype=complex)
                 err2 = 0.0
                 for i in range(0, k, step):
-                    e = np.matmul(q[i:i + step], bq, out=block[:min(step, k - i)])
-                    e -= m_h[i:i + step]  # -E, one block of rows at a time
-                    err2 += np.vdot(e, e).real
+                    r = np.matmul(q[i:i + step], bq, out=block[:min(step, k - i)])
+                    r -= m[i:i + step]  # -R, one block of rows at a time
+                    err2 += np.vdot(r, r).real
                 err = math.sqrt(err2)
                 dev = max(0.0, -float(evals[0])) + err
                 if dev <= tol_eff:
                     return PropertyCheck(
                         name, dev, tol_eff, True,
-                        f"min eigenvalue >= {-dev:.3e} of the {k}x{k} reshaped table, certified "
-                        f"by a sketch of width p={p} (residual ||E||_F {err:.3e}, sketch norm {norm:.3e})",
+                        f"min eigenvalue >= {-dev:.3e} of the {k}x{k} reshaped table, certified on "
+                        f"its range of width p={q.shape[1]} (residual ||E||_F <= {err:.3e}, norm {norm:.3e})",
                     )
+    m_h = np.conj(m.T, order="C")  # the one complex K x K temporary
+    m_h += m
+    m_h *= 0.5
+    if not np.isfinite(m_h).all():
+        i, j = divmod(int(np.isfinite(m_h).argmin()), k)
+        return PropertyCheck(
+            name, math.nan, tolerance, False,
+            f"non-finite entry at row {i}, column {j} of the {k}x{k} reshaped table",
+        )
     evals = np.linalg.eigvalsh(m_h) if k else np.array([0.0])
     lam_min = float(evals[0])
-    norm = float(max(-evals[0], evals[-1]))  # spectral norm of the Hermitian m_h
+    norm = float(max(-evals[0], evals[-1]))  # spectral norm of the Hermitian M_h
     dev = max(0.0, -lam_min)
     tol_eff = tolerance * max(norm, 1e-300)
     return PropertyCheck(
@@ -225,8 +228,8 @@ def check_properties(
 
     Covers table normalization (Q1), causality at the latest slot (Q2),
     positive semidefiniteness of the reshaped table (Q3, via the minimum
-    eigenvalue relative to the spectral norm, certified from a seeded
-    low-rank sketch when one suffices and computed exactly otherwise),
+    eigenvalue relative to the spectral norm, certified on the range of the
+    engine's path rows when that suffices and computed exactly otherwise),
     bi-consistency against fresh evaluation on every reduced grid (Q4), and
     the diagonal's probability properties (P1), the Cauchy-Schwarz envelope
     |Q| <= sqrt(P+ P-) (P2), and causality of measurements (P3).  A report is
@@ -242,7 +245,7 @@ def check_properties(
         raise ValidationError(
             [DomainMismatch(f"tolerance must be finite and >= 0, got {tolerance}")]
         )
-    reduced = _reduced_tables(dist)
+    stacks = _slot_stacks(dist)
     checks = []
     n = dist.n
     table = dist.table
@@ -259,20 +262,16 @@ def check_properties(
         dev, flat = latest_slot_causality(table)
         record("Q2_causality", dev, _label(dist.outcome_sets, flat) if table.size else "n/a")
 
-    # Q3 positive semidefiniteness of M[f+, f-]
+    # Q3 positive semidefiniteness of M[f+, f-], on the range of the engine's path rows W
     m = table.reshape(k_total, k_total)
-    m_h = np.conj(m.T, order="C")  # the one complex K x K temporary
-    m_h += m
-    m_h *= 0.5
-    rank_bound = dist.scenario.dimension**2 if dist.scenario is not None else None
-    checks.append(_psd_check(m_h, tolerance, rank_bound))
-    del m_h
+    w = None if dist.scenario is None else _gram_rows(dist.scenario.state._gram[0], stacks)
+    checks.append(_psd_check(m, tolerance, None if w is None else w.reshape(k_total, -1)))
 
     # Q4 bi-consistency, every slot: each reduced table is evaluated afresh,
     # negated, and the slot's slices of the table are added into it in place
     diag = dist.diagonal()
     worst, at = -math.inf, None
-    for j, fresh in reduced:
+    for j, fresh in _reduced_tables(dist, stacks):
         if j == n:
             p3 = _diagonal_defect(diag, n, fresh)  # P3 reads the latest slot's table
         np.negative(fresh, out=fresh)
@@ -363,7 +362,7 @@ def classicality_report(dist: BiDistribution) -> ClassicalityRecord:
         raise LengthMismatch(f"classicality diagnostics need n >= 2, got {n}")
     diag = dist.diagonal()
     worst, at = -math.inf, 0
-    for j, fresh in _reduced_tables(dist):
+    for j, fresh in _reduced_tables(dist, _slot_stacks(dist)):
         dev = _diagonal_defect(diag, j, fresh)[0]
         if _worse(dev, j, worst, at):
             worst, at = dev, j

@@ -291,7 +291,7 @@ def hermitian_part(table) -> np.ndarray:
 def oracle_psd_check(m_h, tolerance):
     """Q3 from the dense ``eigvalsh`` of the whole Hermitian part ``m_h``.
 
-    This is the record the battery reports whenever no sketch certifies Q3.
+    This is the record the battery reports whenever Q3 is not certified.
     """
     from bitraj.verify import PropertyCheck
 

@@ -173,6 +173,13 @@ class TestTableOwnership:
         mine[...] = 7.0
         assert np.array_equal(dist.table, before)
 
+    def test_test_function_values_are_copied(self, rabi):
+        mine = np.zeros((2, 2), dtype=complex)
+        x = bt.TupleFunction(grid(0.5), ((1.0, -1.0),), mine)
+        assert mine.flags.writeable and not x.values.flags.writeable
+        mine[...] = 7.0
+        assert not x.values.any()
+
     def test_engine_table_is_not_copied(self, rabi, monkeypatch):
         import bitraj.biprob as biprob
 

@@ -268,6 +268,18 @@ class TestJointOperatorReduction:
         got = bt.bitrajectory_map(model, t, n_steps, method="contract").matrix
         assert np.abs(got - want).max() <= 1e-12
 
+    @pytest.mark.parametrize("env", ORACLE_ENVIRONMENTS[::3])
+    @pytest.mark.parametrize("d_o, driven", [(1, False), (2, True), (3, True)])
+    def test_joint_generators_are_bitwise_np_kron(self, d_o, env, driven, monkeypatch):
+        model = oracle_model(d_o, env, driven, seed=7, t=1.3, coupling=0.9)
+        got = list(opensys._joint_schedule(model).segments)
+        exact = bt.exact_joint_map(model, 1.3).matrix
+        monkeypatch.setattr(opensys, "kron", np.kron)
+        want = list(opensys._joint_schedule(model).segments)
+        assert [(a, b) for a, b, _ in got] == [(a, b) for a, b, _ in want]
+        assert all(np.array_equal(g, w) for (_, _, g), (_, _, w) in zip(got, want))
+        assert np.array_equal(bt.exact_joint_map(model, 1.3).matrix, exact)
+
     def test_joint_dimension_64_stays_small(self):
         # kron(V*, V) alone is 256 MB at D = 64, holding all 128 slot stacks
         # of a 32-outcome environment is 67 MB, and a list of all 512
@@ -303,6 +315,14 @@ class TestOpenModel:
                 environment=bt.rabi_scenario(),
             )
         assert err.value.has(errors.NonHermitian)
+
+    def test_caller_arrays_are_copied(self):
+        h, v = 0.5 * SIGMA_Z, SIGMA_X.copy()
+        model = bt.OpenModel(h_sys=h, v_sys=v, coupling=0.5, environment=bt.rabi_scenario())
+        assert h.flags.writeable and v.flags.writeable
+        assert not (model.h_sys.flags.writeable or model.v_sys.flags.writeable)
+        h[...], v[...] = 7.0, 7.0
+        assert np.array_equal(model.h_sys, 0.5 * SIGMA_Z) and np.array_equal(model.v_sys, SIGMA_X)
 
     def test_from_dict(self):
         cfg = {

@@ -148,6 +148,18 @@ class TestCheckProperties:
         assert report.all_pass
         assert peak <= 16 * k * k + 4 * biprob._TABLE_BLOCK_BYTES
 
+    def test_certified_peak_is_below_the_hermitian_part(self, rabi):
+        # Q3 certified on the engine's range builds no K x K Hermitian part
+        dist = bt.full_distribution(rabi, bt.TimeGrid(tuple(np.linspace(0.3, 2.7, 10))))
+        tracemalloc.start()
+        try:
+            report = bt.check_properties(dist)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "certified" in report["Q3_positive_semidefinite"].witness
+        assert peak < 12 * 2**20
+
     def test_commuting_case_also_classical(self):
         sc = static_scenario(
             np.diag([0.4, -0.1]), np.diag([0.3, 0.7]), bt.ObservablePVM.pauli_z()
@@ -293,7 +305,7 @@ class TestBoundingScan:
         assert p2.passed == (corrupt is None)
 
 
-# (d, n) of random engine tables with K = d^n >= 128, where Q3 tries a sketch
+# (d, n) of random engine tables with K = d^n >= 128, where Q3 tries its certificate
 ENGINE_SHAPES = [(2, 7), (2, 8), (3, 5), (4, 4), (5, 4), (6, 3), (7, 3), (8, 3)]
 
 
@@ -301,9 +313,9 @@ class TestQ3Certificate:
     @pytest.mark.parametrize(
         "build, n, width",
         [
-            (lambda: bt.rabi_scenario(1.0), 10, 16),
+            (lambda: bt.rabi_scenario(1.0), 10, 4),
             (lambda: bt.random_scenario(8, seed=3), 3, 64),
-            (lambda: bt.random_scenario(3, seed=5), 6, 16),
+            (lambda: bt.random_scenario(3, seed=5), 6, 9),
         ],
         ids=["rabi_n10", "random_d8_n3", "random_d3_n6"],
     )
@@ -315,7 +327,7 @@ class TestQ3Certificate:
         assert q3.passed and exact.passed
         assert f"p={width} " in q3.witness and "||E||_F" in q3.witness
         assert q3.tolerance <= exact.tolerance * (1 + 1e-12)
-        assert bt.check_properties(dist) == report  # the sketch is seeded
+        assert bt.check_properties(dist) == report  # the certificate draws nothing random
 
     @pytest.mark.parametrize("n, tolerance", [(3, TOL), (8, 0.0)], ids=["k_below_p", "zero_tolerance"])
     def test_direct_eigvalsh(self, rabi, monkeypatch, n, tolerance):
@@ -329,11 +341,13 @@ class TestQ3Certificate:
         assert q3 == oracle_psd_check(hermitian_part(dist.table), tolerance)
 
     def test_sketch_overflow_falls_back(self):
-        # finite entries whose sketch overflows to a non-finite B
-        g = np.random.default_rng(1).standard_normal((256, 8)).view(complex)
+        # finite entries whose certificate overflows to a non-finite B
+        rng = np.random.default_rng(1)
+        g = rng.standard_normal((256, 8)).view(complex)
         m_h = hermitian_part(g @ g.conj().T * 2.5e305)
+        basis = rng.standard_normal((256, 8)).view(complex)
         with np.errstate(invalid="ignore", over="ignore"):
-            assert verify._psd_check(m_h, TOL, 4) == oracle_psd_check(m_h, TOL)
+            assert verify._psd_check(m_h, TOL, basis) == oracle_psd_check(m_h, TOL)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
@@ -350,19 +364,48 @@ class TestQ3Certificate:
             d, n = source
             dist = bt.full_distribution(bt.random_scenario(d, seed=seed), random_grid(n, rng))
             m_h = hermitian_part(dist.table)
-            bound = min(d * d, d**n // 8)  # p <= K/8: the sketch runs
+            rows = biprob._gram_rows(dist.scenario.state._gram[0], dist._stacks).reshape(d**n, -1)
+            basis = rows[:, :min(d * d, d**n // 8)]  # p <= K/8: the certificate runs
         else:
             g = rng.standard_normal((source, source)) + 1j * rng.standard_normal((source, source))
             m_h = g @ g.conj().T / source
-            bound = 4
+            basis = rng.standard_normal((source, 8)).view(complex)
         w, v = np.linalg.eigh(m_h)
         shift = w[0] + depth * max(-w[0], w[-1])  # lambda_min becomes -depth ||m||
         planted = hermitian_part(m_h - shift * np.outer(v[:, 0], v[:, 0].conj()))
         exact = oracle_psd_check(planted, TOL)
         assert not exact.passed
         with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
-            assert verify._psd_check(planted, TOL, bound) == exact
-        assert qr.call_count == 1  # one sketch, no power step
+            assert verify._psd_check(planted, TOL, basis) == exact
+        assert qr.call_count == 1  # one basis, no power step
+
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from(ENGINE_SHAPES),
+        kind=st.sampled_from(["engine", "multiobs", "with_table"]),
+        seed=st.integers(0, 2**16),
+        noise=st.sampled_from([0.0, 1e-13, 1e-11, 1e-9]),  # added to a with_table copy
+    )
+    def test_certified_deviation_bounds_the_exact_one(self, shape, kind, seed, noise):
+        d, n = shape
+        rng = np.random.default_rng(seed)
+        sc, g = bt.random_scenario(d, seed=seed), random_grid(n, rng)
+        if kind == "multiobs":
+            seq = bt.ObservableSequence(tuple(bt.random_scenario(d, seed=seed + j).pvm for j in range(n)))
+            dist = bt.multiobs_distribution(sc, g, seq)
+        else:
+            dist = bt.full_distribution(sc, g)
+        if kind == "with_table":
+            dist = with_table(dist, dist.table + noise * rng.standard_normal(dist.table.shape))
+        q3 = bt.check_properties(dist)["Q3_positive_semidefinite"]
+        exact = oracle_psd_check(hermitian_part(dist.table), TOL)
+        assert q3.passed == exact.passed
+        if "certified" in q3.witness:  # up to eigvalsh's own rounding, K ulps of the norm
+            slack = math.prod(dist.sizes) * np.finfo(float).eps * exact.tolerance / TOL
+            assert q3.max_deviation >= exact.max_deviation - slack
+        else:
+            assert q3 == exact
 
 
 class TestInconsistencyDecomposition:
